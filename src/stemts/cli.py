@@ -79,7 +79,6 @@ def build_parser() -> argparse.ArgumentParser:
         default=False,
         help="pad all samples to the dataset maximum length first",
     )
-    p_convert.add_argument("--jobs", type=int, default=1, help="parallel workers over samples")
     p_convert.add_argument("--out", required=True, help="output events CSV path")
     p_convert.set_defaults(func=cmd_convert)
 
@@ -125,14 +124,16 @@ def build_parser() -> argparse.ArgumentParser:
         help="also run the 1-gram histogram baseline on the same split",
     )
     p_eval.add_argument(
-        "--pad", action=argparse.BooleanOptionalAction, default=False
+        "--pad",
+        action=argparse.BooleanOptionalAction,
+        default=False,
+        help="pad shorter samples to the longest training sample first",
     )
     p_eval.add_argument(
         "--resubstitution",
         action="store_true",
         help="evaluate on the training set itself (sanity mode)",
     )
-    p_eval.add_argument("--jobs", type=int, default=1)
     p_eval.add_argument(
         "--out", required=True, help="report prefix; writes .json, .txt and .vocab.json"
     )
@@ -177,8 +178,8 @@ def cmd_synth(args: argparse.Namespace) -> int:
 def cmd_convert(args: argparse.Namespace) -> int:
     dataset = load_csv(args.input)
     config = SymbolizerConfig(delta=args.delta)
-    _say_verbose(args, f"delta {config.delta}, pad {args.pad}, jobs {args.jobs}")
-    sequences = convert_dataset(dataset, config, pad=args.pad, jobs=args.jobs)
+    _say_verbose(args, f"delta {config.delta}, pad {args.pad}")
+    sequences = convert_dataset(dataset, config, dataset.t_max if args.pad else None)
     write_events(sequences, config, args.out)
     _say(args, f"wrote {len(sequences)} event sequences to {args.out}")
     return 0
@@ -234,7 +235,6 @@ def cmd_eval(args: argparse.Namespace) -> int:
             pad=args.pad,
             resubstitution=args.resubstitution,
             dataset_name=name,
-            jobs=args.jobs,
         )
     ]
     if args.baseline:
@@ -247,7 +247,6 @@ def cmd_eval(args: argparse.Namespace) -> int:
                 pad=args.pad,
                 resubstitution=args.resubstitution,
                 dataset_name=name,
-                jobs=args.jobs,
             )
         )
     json_path, text_path = write_report_files(reports, args.out)

@@ -18,6 +18,7 @@ from __future__ import annotations
 import csv
 from dataclasses import dataclass
 from pathlib import Path
+from typing import Iterator
 
 import numpy as np
 import yaml
@@ -37,6 +38,7 @@ __all__ = [
     "SynthSpec",
     "load_csv",
     "write_csv",
+    "min_max_normalize",
     "normalize_sample",
     "pad_to_length",
     "generate_synthetic",
@@ -137,19 +139,21 @@ class MtsDataset:
         raise KeyError(sample_id)
 
 
-def normalize_sample(sample: MtsSample) -> MtsSample:
-    """Min-max scale each dimension independently to [0, 1].
+def min_max_normalize(values: np.ndarray) -> np.ndarray:
+    """Min-max scale every series along the last axis to [0, 1].
 
-    A constant dimension maps to all zeros so downstream symbolization sees a
-    motionless coordinate instead of NaNs.
+    Works on one (D, T) sample or a stacked (n, D, T) block alike. A constant
+    series maps to all zeros so downstream symbolization sees a motionless
+    coordinate instead of NaNs.
     """
-    v = sample.values
-    lo = v.min(axis=1, keepdims=True)
-    span = v.max(axis=1, keepdims=True) - lo
-    out = np.zeros_like(v)
-    active = span[:, 0] > 0.0
-    out[active] = (v[active] - lo[active]) / span[active]
-    return MtsSample(sample.id, sample.label, out)
+    lo = values.min(axis=-1, keepdims=True)
+    span = values.max(axis=-1, keepdims=True) - lo
+    return np.divide(values - lo, span, out=np.zeros_like(values), where=span > 0.0)
+
+
+def normalize_sample(sample: MtsSample) -> MtsSample:
+    """Min-max scale each dimension independently to [0, 1] (see ``min_max_normalize``)."""
+    return MtsSample(sample.id, sample.label, min_max_normalize(sample.values))
 
 
 def pad_to_length(sample: MtsSample, length: int) -> MtsSample:
@@ -173,78 +177,154 @@ def _expected_header(dims: int) -> list[str]:
     return ["sample_id", "label", "t"] + [f"dim_{d}" for d in range(dims)]
 
 
+def read_header(fh) -> list[str] | None:
+    """The header record of a long-form CSV opened with ``newline=""``; None when empty."""
+    line = fh.readline()
+    return next(csv.reader([line])) if line else None
+
+
+def iter_long_form(
+    path: Path, fh, width: int, value_type: type
+) -> Iterator[tuple[str, str | None, np.ndarray]]:
+    """Group the rows of a long-form CSV by sample, reading ``fh`` from after the header.
+
+    Rows are ``sample_id,label,t,<width - 3 value columns>`` parsed as
+    ``value_type`` (``float`` or ``int``). Yields ``(sample_id, label, rows)``
+    in the order each sample's first row appears, ``rows`` being the
+    ``(T, width - 3)`` value block sorted by ``t``. Raises when labels
+    conflict within a sample, and, when its turn comes, when a sample's ``t``
+    values do not cover 0..T-1.
+
+    The body is parsed in one ``np.loadtxt`` call; when numpy rejects it, a
+    row-by-row ``csv`` parser reads it instead and names the offending row.
+    Both read every cell the same way as Python's ``int``/``float`` and
+    ``csv.reader``; numpy only ever rejects more.
+    """
+    body_start = fh.tell()
+    columns = _numpy_columns(fh, width, value_type)
+    if columns is None:
+        fh.seek(body_start)
+        columns = _row_columns(path, fh, width, value_type)
+    ids, labels, t, values = columns
+    if not ids:
+        return
+    index = {sid: k for k, sid in enumerate(dict.fromkeys(ids))}
+    sample = np.fromiter(map(index.__getitem__, ids), np.intp, len(ids))
+    _, first_row = np.unique(sample, return_index=True)
+    conflict = labels != labels[first_row][sample]
+    if conflict.any():
+        sid = ids[int(np.argmax(conflict))]
+        raise MalformedDatasetError(f"{path}: sample {sid!r} carries conflicting labels")
+
+    order = np.lexsort((t, sample))
+    counts = np.bincount(sample)
+    starts = np.cumsum(counts) - counts
+    t = t[order]
+    gapped = np.zeros(len(counts), dtype=bool)
+    gapped[sample[order][t != np.arange(len(t)) - np.repeat(starts, counts)]] = True
+    values = values[order]
+    for k, row in enumerate(first_row):
+        rows = slice(starts[k], starts[k] + counts[k])
+        if gapped[k]:
+            ts = [int(x) for x in t[rows]]
+            raise MalformedDatasetError(
+                f"{path}: sample {ids[row]!r}: t values must cover 0..{len(ts) - 1} "
+                f"without gaps or duplicates, got {ts}"
+            )
+        yield ids[row], labels[row] or None, values[rows]
+
+
+def _numpy_columns(fh, width: int, value_type: type):
+    """(ids, labels, t, values) from one ``np.loadtxt`` pass, or None if numpy rejects the body.
+
+    Text columns are read as ``object`` (Python ``str``): a fixed-width string
+    dtype would size every cell of a column for its longest id.
+    """
+    dtype = np.dtype(
+        [("id", object), ("label", object), ("t", np.int64), ("v", value_type, (width - 3,))]
+    )
+    start = fh.tell()
+    while (char := fh.read(1)) in ("\r", "\n"):
+        pass
+    if not char:
+        return None  # no data rows: loadtxt would warn about an empty input
+    fh.seek(start)
+    try:
+        rows = np.loadtxt(
+            fh, dtype=dtype, delimiter=",", comments=None, quotechar='"', ndmin=1
+        )
+    except ValueError:
+        return None
+    return rows["id"].tolist(), rows["label"], rows["t"], rows["v"]
+
+
+def _row_columns(path: Path, fh, width: int, value_type: type):
+    """The same columns as ``_numpy_columns``, parsed row by row to name the first bad row."""
+    kind = "numeric" if value_type is float else "integer"
+    ids: list[str] = []
+    labels: list[str] = []
+    ts: list[int] = []
+    values: list[list] = []
+    first_label: dict[str, str] = {}
+    for row_num, row in enumerate(csv.reader(fh), start=2):
+        if not row:
+            continue
+        if len(row) != width:
+            raise SchemaError(f"{path}: row {row_num}: expected {width} fields, got {len(row)}")
+        try:
+            t = int(row[2])
+        except ValueError:
+            raise ParseError(
+                f"{path}: row {row_num}: t value {row[2]!r} is not an integer"
+            ) from None
+        try:
+            cells = [value_type(c) for c in row[3:]]
+        except ValueError:
+            raise ParseError(
+                f"{path}: row {row_num}: non-{kind} value in {row[3:]!r}"
+            ) from None
+        if first_label.setdefault(row[0], row[1]) != row[1]:
+            raise MalformedDatasetError(f"{path}: sample {row[0]!r} carries conflicting labels")
+        ids.append(row[0])
+        labels.append(row[1])
+        ts.append(t)
+        values.append(cells)
+    # object arrays keep Python ints that int64 cannot hold
+    return (
+        ids,
+        np.array(labels, dtype=object),
+        np.array(ts, dtype=object),
+        np.array(values, dtype=object).reshape(len(values), width - 3),
+    )
+
+
 def load_csv(path: str | Path) -> MtsDataset:
     """Load a long-form dataset CSV.
 
     Samples appear in the order their first row appears; rows within a sample
     are sorted by ``t`` and must cover 0..T_i-1 with no gaps or duplicates.
+    The body is parsed in one numpy pass; only a file numpy rejects goes
+    through the row-by-row parser, which names the first bad row.
     """
     path = Path(path)
     with path.open(newline="", encoding="utf-8") as fh:
-        reader = csv.reader(fh)
-        try:
-            header = next(reader)
-        except StopIteration:
-            raise SchemaError(f"{path}: file is empty, expected a header row") from None
+        header = read_header(fh)
+        if header is None:
+            raise SchemaError(f"{path}: file is empty, expected a header row")
         if len(header) < 4 or header[:3] != ["sample_id", "label", "t"]:
-            raise SchemaError(
-                f"{path}: header must start with sample_id,label,t,dim_0,..."
-            )
+            raise SchemaError(f"{path}: header must start with sample_id,label,t,dim_0,...")
         dims = len(header) - 3
         if header != _expected_header(dims):
             raise SchemaError(
                 f"{path}: dimension columns must be named dim_0..dim_{dims - 1} in order"
             )
-
-        order: list[str] = []
-        rows: dict[str, list[tuple[int, list[float]]]] = {}
-        labels: dict[str, str | None] = {}
-        for row_num, row in enumerate(reader, start=2):
-            if not row:
-                continue
-            if len(row) != len(header):
-                raise SchemaError(
-                    f"{path}: row {row_num}: expected {len(header)} fields, got {len(row)}"
-                )
-            sid = row[0]
-            label = row[1] if row[1] != "" else None
-            try:
-                t = int(row[2])
-            except ValueError:
-                raise ParseError(
-                    f"{path}: row {row_num}: t value {row[2]!r} is not an integer"
-                ) from None
-            try:
-                cells = [float(c) for c in row[3:]]
-            except ValueError:
-                raise ParseError(
-                    f"{path}: row {row_num}: non-numeric value in {row[3:]!r}"
-                ) from None
-            if sid not in rows:
-                order.append(sid)
-                rows[sid] = []
-                labels[sid] = label
-            elif labels[sid] != label:
-                raise MalformedDatasetError(
-                    f"{path}: sample {sid!r} carries conflicting labels"
-                )
-            rows[sid].append((t, cells))
-
-    if not order:
+        samples = tuple(
+            MtsSample(sid, label, rows.T)
+            for sid, label, rows in iter_long_form(path, fh, len(header), float)
+        )
+    if not samples:
         raise EmptyDatasetError(f"{path}: no data rows after the header")
-
-    samples = []
-    for sid in order:
-        entries = sorted(rows[sid], key=lambda e: e[0])
-        ts = [t for t, _ in entries]
-        if ts != list(range(len(ts))):
-            raise MalformedDatasetError(
-                f"{path}: sample {sid!r}: t values must cover 0..{len(ts) - 1} "
-                f"without gaps or duplicates, got {ts}"
-            )
-        matrix = np.array([cells for _, cells in entries], dtype=np.float64).T
-        samples.append(MtsSample(sid, labels[sid], matrix))
-    return MtsDataset(tuple(samples))
+    return MtsDataset(samples)
 
 
 def write_csv(dataset: MtsDataset, path: str | Path) -> None:

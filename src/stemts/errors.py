@@ -10,6 +10,10 @@ class StemError(Exception):
     """Base class for all errors raised by this package."""
 
 
+class ConfigError(StemError, ValueError):
+    """A setting or flag value is out of range; also a ``ValueError`` for callers."""
+
+
 class SchemaError(StemError):
     """A file header or record layout does not match the documented schema."""
 

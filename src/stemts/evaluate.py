@@ -24,6 +24,7 @@ import numpy as np
 
 from .dataset import MtsDataset
 from .errors import (
+    ConfigError,
     DegenerateTaskError,
     IncompatibleVectorError,
     NoModelError,
@@ -74,9 +75,9 @@ class SplitSpec:
 
     def __post_init__(self) -> None:
         if not 0.0 < self.train_fraction < 1.0:
-            raise ValueError(f"train_fraction must lie in (0, 1), got {self.train_fraction}")
+            raise ConfigError(f"train_fraction must lie in (0, 1), got {self.train_fraction}")
         if self.seed < 0:
-            raise ValueError("seed must be non-negative")
+            raise ConfigError("seed must be non-negative")
 
 
 @dataclass(frozen=True)
@@ -87,11 +88,11 @@ class ClassifierConfig:
 
     def __post_init__(self) -> None:
         if self.kind not in CLASSIFIERS:
-            raise ValueError(f"classifier must be one of {CLASSIFIERS}, got {self.kind!r}")
+            raise ConfigError(f"classifier must be one of {CLASSIFIERS}, got {self.kind!r}")
         if self.metric not in METRICS:
-            raise ValueError(f"metric must be one of {METRICS}, got {self.metric!r}")
+            raise ConfigError(f"metric must be one of {METRICS}, got {self.metric!r}")
         if self.k < 1:
-            raise ValueError(f"k must be >= 1, got {self.k}")
+            raise ConfigError(f"k must be >= 1, got {self.k}")
 
 
 def _split_group(ids: list[str], train_fraction: float, rng: np.random.Generator):
@@ -206,7 +207,7 @@ def knn_classify(
             f"query has length {len(query)}, training vectors have {matrix.shape[1]}"
         )
     if not 1 <= k <= len(train):
-        raise ValueError(f"k must lie in [1, {len(train)}], got {k}")
+        raise ConfigError(f"k must lie in [1, {len(train)}], got {k}")
     distances = _distances(query.values[None, :], matrix, metric)[0]
     return _vote(distances, labels, k)
 
@@ -250,7 +251,7 @@ def _predict(
         raise IncompatibleVectorError("query and training vector lengths differ")
     if classifier.kind == "knn":
         if classifier.k > len(train):
-            raise ValueError(f"k={classifier.k} exceeds training size {len(train)}")
+            raise ConfigError(f"k={classifier.k} exceeds training size {len(train)}")
         distances = _distances(query_matrix, matrix, classifier.metric)
         return [_vote(distances[i], labels, classifier.k) for i in range(len(queries))]
     centroids = class_centroids(train)
@@ -317,12 +318,6 @@ def _confusion(labels: tuple[str, ...], truth: Sequence[str], predicted: Sequenc
     return matrix
 
 
-def _symbolize_all(
-    dataset: MtsDataset, symbolizer: SymbolizerConfig, pad: bool, jobs: int
-) -> dict[str, EventSequence]:
-    return {seq.sample_id: seq for seq in convert_dataset(dataset, symbolizer, pad, jobs)}
-
-
 def _check_task(dataset: MtsDataset) -> None:
     if any(s.label is None for s in dataset.samples):
         raise UnlabeledDataError("every sample needs a label for evaluation")
@@ -351,13 +346,19 @@ def _run_eval(
     method: str,
     dataset_name: str,
     pad: bool,
-    jobs: int,
     config: dict,
 ) -> EvalReport:
     start = time.process_time()
 
     t0 = time.process_time()
-    seq_by_id = _symbolize_all(dataset, symbolizer, pad, jobs)
+    # padding follows the training samples only, so a test sample's length
+    # cannot reach the vocabulary through the padded training sequences
+    pad_to = None
+    if pad:
+        length = {s.id: s.length for s in dataset.samples}
+        pad_to = max(length[i] for i in train_ids)
+    sequences = convert_dataset(dataset, symbolizer, pad_to)
+    seq_by_id = {seq.sample_id: seq for seq in sequences}
     t_symbolize = time.process_time() - t0
 
     train_seqs = [seq_by_id[i] for i in train_ids]
@@ -410,12 +411,13 @@ def evaluate_pipeline(
     pad: bool = False,
     resubstitution: bool = False,
     dataset_name: str = "dataset",
-    jobs: int = 1,
 ) -> EvalReport:
     """Run the full pipeline and report accuracy plus per-stage CPU time.
 
     Mining and vocabulary construction use training samples only; the test
-    set is vectorized against that vocabulary. ``resubstitution=True``
+    set is vectorized against that vocabulary. ``pad=True`` extends every
+    sample shorter than the longest training sample to that length, so test
+    lengths never shape the vocabulary either. ``resubstitution=True``
     evaluates on the training set itself (a sanity mode, not a benchmark).
     """
     symbolizer = symbolizer or SymbolizerConfig()
@@ -458,7 +460,6 @@ def evaluate_pipeline(
         "stem",
         dataset_name,
         pad,
-        jobs,
         config,
     )
 
@@ -472,7 +473,6 @@ def baseline_histogram_eval(
     pad: bool = False,
     resubstitution: bool = False,
     dataset_name: str = "dataset",
-    jobs: int = 1,
 ) -> EvalReport:
     """Normalized 1-gram event-code histogram features, same protocol.
 
@@ -511,7 +511,6 @@ def baseline_histogram_eval(
         "baseline",
         dataset_name,
         pad,
-        jobs,
         config,
     )
 

@@ -22,13 +22,27 @@ from typing import Sequence
 
 import numpy as np
 
-from .dataset import MtsDataset, MtsSample, normalize_sample, pad_to_length
-from .errors import InvalidCodeError, MalformedDatasetError, ParseError, SchemaError, TooShortError
+from .dataset import (
+    MtsDataset,
+    MtsSample,
+    iter_long_form,
+    min_max_normalize,
+    pad_to_length,
+    read_header,
+)
+from .errors import (
+    ConfigError,
+    InvalidCodeError,
+    MalformedDatasetError,
+    SchemaError,
+    TooShortError,
+)
 
 __all__ = [
     "SymbolizerConfig",
     "EventSequence",
     "alphabet_size",
+    "event_codes",
     "symbolize_dimension",
     "encode_event",
     "decode_event",
@@ -51,7 +65,7 @@ class SymbolizerConfig:
 
     def __post_init__(self) -> None:
         if not 0.0 <= self.delta < 1.0:
-            raise ValueError(f"delta must lie in [0, 1), got {self.delta}")
+            raise ConfigError(f"delta must lie in [0, 1), got {self.delta}")
 
 
 @dataclass(frozen=True)
@@ -65,17 +79,15 @@ class EventSequence:
 
     def __post_init__(self) -> None:
         if self.dims < 1:
-            raise ValueError("dims must be >= 1")
-        codes = tuple(int(c) for c in self.codes)
+            raise ConfigError("dims must be >= 1")
+        codes = tuple(map(int, self.codes))
         object.__setattr__(self, "codes", codes)
         if not codes:
             raise TooShortError(f"sequence {self.sample_id!r} has no events")
         n = alphabet_size(self.dims)
-        for c in codes:
-            if not 0 <= c < n:
-                raise InvalidCodeError(
-                    f"sequence {self.sample_id!r}: code {c} outside [0, {n})"
-                )
+        if min(codes) < 0 or max(codes) >= n:
+            bad = next(c for c in codes if not 0 <= c < n)
+            raise InvalidCodeError(f"sequence {self.sample_id!r}: code {bad} outside [0, {n})")
 
     def __len__(self) -> int:
         return len(self.codes)
@@ -84,8 +96,23 @@ class EventSequence:
 def alphabet_size(dims: int) -> int:
     """Number of distinct event codes for ``dims`` dimensions (3**dims)."""
     if dims < 1:
-        raise ValueError("dims must be >= 1")
+        raise ConfigError(f"dims must be >= 1, got {dims}")
     return 3**dims
+
+
+def event_codes(normalized: np.ndarray, delta: float) -> np.ndarray:
+    """Event codes of normalized values: ``(..., D, T)`` in, ``(..., T-1)`` int64 out.
+
+    The one implementation of the threshold rule: a step difference above
+    ``delta`` is up (+1), below ``-delta`` down (-1), otherwise flat (0), and
+    the D symbols of a step combine in base 3, dimension 0 least significant.
+    A single sample and a stacked block of equal-length samples go through
+    the same arithmetic, so batching never changes a code.
+    """
+    diffs = np.diff(normalized, axis=-1)
+    digits = (diffs > delta).astype(np.int64) - (diffs < -delta) + 1
+    weights = 3 ** np.arange(normalized.shape[-2], dtype=np.int64)
+    return np.einsum("d,...dt->...t", weights, digits)
 
 
 def symbolize_dimension(x: Sequence[float] | np.ndarray, delta: float) -> list[int]:
@@ -100,9 +127,8 @@ def symbolize_dimension(x: Sequence[float] | np.ndarray, delta: float) -> list[i
     if arr.min() < 0.0 or arr.max() > 1.0:
         raise ValueError("values must be normalized to [0, 1] before symbolization")
     SymbolizerConfig(delta)
-    diffs = np.diff(arr)
-    symbols = np.where(diffs > delta, 1, np.where(diffs < -delta, -1, 0))
-    return [int(s) for s in symbols]
+    # with one dimension the event code is the symbol plus one
+    return (event_codes(arr[None, :], delta) - 1).tolist()
 
 
 def encode_event(symbols: Sequence[int]) -> int:
@@ -138,39 +164,37 @@ def symbolize_sample(sample: MtsSample, config: SymbolizerConfig) -> EventSequen
         raise ValueError(
             f"sample {sample.id!r}: values must be normalized to [0, 1] before symbolization"
         )
-    diffs = np.diff(v, axis=1)
-    symbols = np.where(diffs > config.delta, 1, np.where(diffs < -config.delta, -1, 0))
-    weights = 3 ** np.arange(sample.dims, dtype=np.int64)
-    codes = weights @ (symbols + 1)
     return EventSequence(
         sample_id=sample.id,
         label=sample.label,
         dims=sample.dims,
-        codes=tuple(int(c) for c in codes),
+        codes=tuple(event_codes(v, config.delta).tolist()),
     )
 
 
 def convert_dataset(
-    dataset: MtsDataset, config: SymbolizerConfig, pad: bool = False, jobs: int = 1
+    dataset: MtsDataset, config: SymbolizerConfig, pad_to: int | None = None
 ) -> list[EventSequence]:
-    """Normalize (optionally pad to the dataset maximum) and symbolize all samples.
+    """Normalize and symbolize every sample; output order matches dataset order.
 
-    Samples are independent, so with ``jobs`` > 1 this is a thread map; output
-    order always matches dataset order.
+    With ``pad_to``, a sample shorter than that length is first extended to
+    it by repeating its final values (``pad_to_length``); longer samples are
+    left as they are. Samples of one length are stacked into one
+    ``(n, D, T)`` block and normalized and symbolized in one numpy pass, so
+    the cost is a few array operations per distinct length, not per sample.
     """
-    target = dataset.t_max
-
-    def prep(sample: MtsSample) -> EventSequence:
-        if pad:
-            sample = pad_to_length(sample, target)
-        return symbolize_sample(normalize_sample(sample), config)
-
-    if jobs > 1:
-        from concurrent.futures import ThreadPoolExecutor
-
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            return list(pool.map(prep, dataset.samples))
-    return [prep(s) for s in dataset.samples]
+    samples = dataset.samples
+    lengths = [max(s.length, pad_to or 0) for s in samples]
+    sequences = [None] * len(samples)
+    for length in sorted(set(lengths)):
+        members = [i for i, n in enumerate(lengths) if n == length]
+        block = np.stack([pad_to_length(samples[i], length).values for i in members])
+        rows = event_codes(min_max_normalize(block), config.delta).tolist()
+        del block
+        for i, codes in zip(members, rows):
+            s = samples[i]
+            sequences[i] = EventSequence(s.id, s.label, dataset.dims, codes)
+    return sequences
 
 
 def explain_event(code: int, dims: int, dim_names: Sequence[str] | None = None) -> str:
@@ -219,60 +243,30 @@ def write_events(
 
 
 def load_events(path: str | Path) -> tuple[list[EventSequence], SymbolizerConfig, int]:
-    """Load event sequences; returns (sequences, symbolizer config, dims)."""
+    """Load event sequences; returns (sequences, symbolizer config, dims).
+
+    Rows are read like dataset rows (``dataset.iter_long_form``): one numpy
+    pass, with the row-by-row parser naming the first bad row when numpy
+    rejects the file.
+    """
     path = Path(path)
     meta_file = _meta_path(path)
     if not meta_file.exists():
         raise SchemaError(f"{meta_file}: companion metadata file is missing")
-    meta = json.loads(meta_file.read_text(encoding="utf-8"))
     try:
+        meta = json.loads(meta_file.read_text(encoding="utf-8"))
         dims = int(meta["dims"])
         config = SymbolizerConfig(float(meta["delta"]))
     except (KeyError, TypeError, ValueError) as exc:
         raise SchemaError(f"{meta_file}: bad metadata: {exc}") from None
 
     with path.open(newline="", encoding="utf-8") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if header != ["sample_id", "label", "t", "event_code"]:
+        if read_header(fh) != ["sample_id", "label", "t", "event_code"]:
             raise SchemaError(f"{path}: header must be sample_id,label,t,event_code")
-        order: list[str] = []
-        rows: dict[str, list[tuple[int, int]]] = {}
-        labels: dict[str, str | None] = {}
-        for row_num, row in enumerate(reader, start=2):
-            if not row:
-                continue
-            if len(row) != 4:
-                raise SchemaError(f"{path}: row {row_num}: expected 4 fields")
-            sid, label_cell = row[0], row[1] if row[1] != "" else None
-            try:
-                t, code = int(row[2]), int(row[3])
-            except ValueError:
-                raise ParseError(f"{path}: row {row_num}: non-integer t or event_code") from None
-            if sid not in rows:
-                order.append(sid)
-                rows[sid] = []
-                labels[sid] = label_cell
-            elif labels[sid] != label_cell:
-                raise MalformedDatasetError(f"{path}: sample {sid!r} carries conflicting labels")
-            rows[sid].append((t, code))
-    if not order:
+        sequences = [
+            EventSequence(sid, label, dims, tuple(rows[:, 0].tolist()))
+            for sid, label, rows in iter_long_form(path, fh, 4, int)
+        ]
+    if not sequences:
         raise MalformedDatasetError(f"{path}: no event rows after the header")
-
-    sequences = []
-    for sid in order:
-        entries = sorted(rows[sid], key=lambda e: e[0])
-        ts = [t for t, _ in entries]
-        if ts != list(range(len(ts))):
-            raise MalformedDatasetError(
-                f"{path}: sample {sid!r}: t values must cover 0..{len(ts) - 1}"
-            )
-        sequences.append(
-            EventSequence(
-                sample_id=sid,
-                label=labels[sid],
-                dims=dims,
-                codes=tuple(code for _, code in entries),
-            )
-        )
     return sequences, config, dims

@@ -21,11 +21,12 @@ from __future__ import annotations
 
 import json
 import math
+from fractions import Fraction
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterator, Sequence
 
-from .errors import EmptyInputError, MalformedDatasetError, SchemaError
+from .errors import ConfigError, EmptyInputError, MalformedDatasetError, SchemaError
 from .events import EventSequence, explain_tuple
 
 __all__ = [
@@ -51,7 +52,7 @@ class MinerConfig:
 
     ``min_support`` is either an absolute sample count (int >= 1) or a
     fraction of the dataset (float in (0, 1]), resolved to
-    ``max(1, ceil(fraction * n_samples))`` at mine time. ``gain_gamma`` of 0
+    ``max(1, ceil(fraction * n_samples))`` at mine time, in exact arithmetic. ``gain_gamma`` of 0
     disables the leaf gain test; a positive value additionally drops leaves
     whose document support is below gamma times their parent's.
     """
@@ -63,23 +64,27 @@ class MinerConfig:
     def __post_init__(self) -> None:
         ms = self.min_support
         if isinstance(ms, bool) or not isinstance(ms, (int, float)):
-            raise ValueError(f"min_support must be an int count or float fraction, got {ms!r}")
+            raise ConfigError(f"min_support must be an int count or float fraction, got {ms!r}")
         if isinstance(ms, int):
             if ms < 1:
-                raise ValueError(f"absolute min_support must be >= 1, got {ms}")
+                raise ConfigError(f"absolute min_support must be >= 1, got {ms}")
         elif not 0.0 < ms <= 1.0:
-            raise ValueError(f"fractional min_support must lie in (0, 1], got {ms}")
+            raise ConfigError(f"fractional min_support must lie in (0, 1], got {ms}")
         if self.max_len < 1:
-            raise ValueError(f"max_len must be >= 1, got {self.max_len}")
+            raise ConfigError(f"max_len must be >= 1, got {self.max_len}")
         if not 0.0 <= self.gain_gamma <= 1.0:
-            raise ValueError(f"gain_gamma must lie in [0, 1], got {self.gain_gamma}")
+            raise ConfigError(f"gain_gamma must lie in [0, 1], got {self.gain_gamma}")
 
 
 def resolve_min_support(min_support: int | float, n_samples: int) -> int:
-    """Turn a count-or-fraction threshold into an absolute sample count."""
+    """Turn a count-or-fraction threshold into an absolute sample count.
+
+    A fraction is read as the decimal it prints as and multiplied exactly,
+    so 0.07 of 100 samples is 7, not the 8 that float rounding would give.
+    """
     if isinstance(min_support, int) and not isinstance(min_support, bool):
         return min_support
-    return max(1, math.ceil(min_support * n_samples))
+    return max(1, math.ceil(Fraction(repr(float(min_support))) * n_samples))
 
 
 class PrefixNode:

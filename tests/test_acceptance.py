@@ -319,3 +319,29 @@ def test_leakage_via_vocabulary_file(tmp_path):
         tmp_path / "moved.vocab.json"
     ).read_bytes()
     return f"mutated test sample {victim!r}"
+
+
+@criterion(11, "lengthening a test sample under --pad leaves the vocabulary file byte-identical")
+def test_pad_leakage_via_vocabulary_file(tmp_path):
+    dataset = generate_synthetic(run_length_spec(0.4, samples_per_class=30, length=60))
+    data = tmp_path / "data.csv"
+    write_csv(dataset, data)
+
+    _, test_ids = split_dataset(load_csv(data), SplitSpec(train_fraction=0.8, seed=0))
+    victim = test_ids[0]
+    rng = np.random.default_rng(29)
+    lengthened_samples = tuple(
+        MtsSample(s.id, s.label, np.hstack([s.values, rng.random((s.dims, 40)) * 5.0]))
+        if s.id == victim
+        else s
+        for s in dataset.samples
+    )
+    lengthened = tmp_path / "lengthened.csv"
+    write_csv(MtsDataset(lengthened_samples), lengthened)
+
+    assert main(_eval_args(data, tmp_path / "base") + ["--pad"]) == 0
+    assert main(_eval_args(lengthened, tmp_path / "longer") + ["--pad"]) == 0
+    assert (tmp_path / "base.vocab.json").read_bytes() == (
+        tmp_path / "longer.vocab.json"
+    ).read_bytes()
+    return f"test sample {victim!r} lengthened by 40 steps"

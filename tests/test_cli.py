@@ -106,14 +106,6 @@ class TestConvert:
         seqs, _, _ = load_events(out)
         assert {len(s) for s in seqs} == {3}
 
-    def test_parallel_jobs_output_identical(self, spec_file, tmp_path):
-        data = tmp_path / "data.csv"
-        assert main(["-q", "synth", str(spec_file), "--out", str(data)]) == 0
-        one, three = tmp_path / "one.csv", tmp_path / "three.csv"
-        assert main(["-q", "convert", "--in", str(data), "--out", str(one)]) == 0
-        assert main(["-q", "convert", "--in", str(data), "--jobs", "3", "--out", str(three)]) == 0
-        assert one.read_bytes() == three.read_bytes()
-
 
 class TestMine:
     def write_toy_events(self, tmp_path):
@@ -249,3 +241,33 @@ class TestPipelineContract:
         assert main(["explain", "--features", str(features)]) == 0
         out = capsys.readouterr().out
         assert len(out.strip().splitlines()) == len(json.loads(features.read_text())["features"])
+
+
+class TestErrorSurface:
+    """Bad flags and bad files end in one ``error:`` line and exit 1, never a traceback."""
+
+    @pytest.fixture
+    def files(self, spec_file, tmp_path):
+        data = tmp_path / "data.csv"
+        assert main(["-q", "synth", str(spec_file), "--out", str(data)]) == 0
+        events = tmp_path / "events.csv"
+        assert main(["-q", "convert", "--in", str(data), "--out", str(events)]) == 0
+        (tmp_path / "events.csv.meta.json").write_text('{"dims": 2, "delta": ')
+        return {"data": str(data), "events": str(events), "out": str(tmp_path / "out")}
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["explain", "--code", "1", "--dims", "0"],
+            ["convert", "--in", "{data}", "--delta", "1.5", "--out", "{out}"],
+            ["eval", "--in", "{data}", "--k", "0", "--out", "{out}"],
+            ["eval", "--in", "{data}", "--k", "999", "--out", "{out}"],
+            ["eval", "--in", "{data}", "--train-frac", "1.5", "--out", "{out}"],
+            ["mine", "--in", "{events}", "--out", "{out}"],
+        ],
+    )
+    def test_one_error_line(self, files, capsys, argv):
+        capsys.readouterr()
+        assert main([arg.format(**files) for arg in argv]) == 1
+        err = capsys.readouterr().err
+        assert len(err.splitlines()) == 1 and err.startswith("error: "), err

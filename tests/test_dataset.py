@@ -1,3 +1,7 @@
+import tracemalloc
+import warnings
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -15,6 +19,7 @@ from stemts import (
     pad_to_length,
     write_csv,
 )
+from stemts import dataset as dataset_module
 from stemts.errors import (
     EmptyDatasetError,
     EmptySpecError,
@@ -434,3 +439,125 @@ class TestSpecFile:
         path.write_text(SPEC_YAML.replace("[up, 1]", "[sideways, 1]"))
         with pytest.raises(SchemaError, match="sideways"):
             load_synth_spec(path)
+
+
+# --- numpy fast path against the row-by-row parser ------------------------
+
+# cells chosen to hit the places where numpy's reader and Python's differ:
+# '#' (numpy's default comment char), quotes, delimiters and line breaks
+# inside fields, and numbers that float()/int() accept but numpy does not
+TEXT_CELLS = ["a", "b", "#c", "#", "x,y", 'q"r', '"', "l\nm", "cr\r\nlf", " s ", "é", ""]
+T_CELLS = ["0", "1", "2", "3", " 1", "+2", "1_0", "٣", "1.0", "x", "99999999999999999999"]
+VALUE_CELLS = ["0.5", "-1.25", "3", "1e3", "1_0", "١", "nan", "inf", " 2.5 ", "oops", ""]
+
+
+def _quote(cell):
+    if any(c in cell for c in ',"\r\n'):
+        return '"' + cell.replace('"', '""') + '"'
+    return cell
+
+
+@st.composite
+def long_form_files(draw):
+    """Raw CSV text of a valid dataset, in shuffled row order, then at most one defect."""
+    dims = draw(st.integers(1, 2))
+    ids = draw(st.lists(st.sampled_from(TEXT_CELLS), min_size=1, max_size=3, unique=True))
+    rows = []
+    for sid in ids:
+        label = draw(st.sampled_from(["", "walk", '"q"', "#w"]))
+        for t in range(draw(st.integers(2, 4))):
+            values = [repr(draw(st.floats(-9, 9))) for _ in range(dims)]
+            rows.append([sid, label, str(t), *values])
+    rows = draw(st.permutations(rows))
+    pick = draw(st.integers(0, len(rows) - 1))
+    defect = draw(st.sampled_from(["none", "none", "t", "value", "width", "label", "drop", "copy"]))
+    if defect == "t":
+        rows[pick][2] = draw(st.sampled_from(T_CELLS))
+    elif defect == "value":
+        rows[pick][3] = draw(st.sampled_from(VALUE_CELLS))
+    elif defect == "width":
+        rows[pick] = rows[pick][:-1] if draw(st.booleans()) else rows[pick] + ["7"]
+    elif defect == "label":
+        rows[pick][1] = "other"
+    elif defect == "drop":
+        del rows[pick]
+    elif defect == "copy":
+        rows.insert(pick, list(rows[pick]))
+    # quoted cells follow csv.writer; bare ones may hold a stray quote or delimiter
+    bare = draw(st.sampled_from([False, False, False, True]))
+    lines = [",".join(_expected_columns(dims))] + [
+        ",".join(c if bare and draw(st.booleans()) else _quote(c) for c in row) for row in rows
+    ]
+    for _ in range(draw(st.integers(0, 2))):
+        lines.insert(draw(st.integers(1, len(lines))), draw(st.sampled_from(["", "", " "])))
+    newline = draw(st.sampled_from(["\n", "\r\n"]))
+    return newline.join(lines) + draw(st.sampled_from(["", newline]))
+
+
+def _expected_columns(dims):
+    return ["sample_id", "label", "t"] + [f"dim_{d}" for d in range(dims)]
+
+
+def _outcome(path):
+    try:
+        ds = load_csv(path)
+    except Exception as exc:  # the comparison is over any outcome, errors included
+        return type(exc), str(exc)
+    return [(s.id, s.label, s.values.shape, s.values.tobytes()) for s in ds.samples]
+
+
+def _row_parser_only():
+    return mock.patch.object(dataset_module, "_numpy_columns", lambda *args: None)
+
+
+class TestFastPathEquivalence:
+    @settings(max_examples=300, deadline=None)
+    @given(text=long_form_files())
+    def test_fast_path_equals_row_parser(self, tmp_path_factory, text):
+        path = tmp_path_factory.mktemp("csv") / "d.csv"
+        path.write_bytes(text.encode("utf-8"))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            fast = _outcome(path)
+        with _row_parser_only():
+            slow = _outcome(path)
+        assert fast == slow
+
+    def test_written_files_take_the_fast_path(self, tmp_path):
+        # quoted ids, '#' ids and an embedded line break
+        samples = (
+            make_sample([[1.0, 2.0, 0.5]], "#a,b", "x"),
+            make_sample([[3.0, 4.0]], 'q"\nr', None),
+            make_sample([[5.0, 5.0]], "#", "x"),
+        )
+        path = tmp_path / "d.csv"
+        write_csv(MtsDataset(samples), path)
+        with mock.patch.object(
+            dataset_module, "_row_columns", side_effect=AssertionError("row parser used")
+        ):
+            loaded = load_csv(path)
+        assert [s.id for s in loaded] == ["#a,b", 'q"\nr', "#"]
+        assert loaded.samples[0].values.tolist() == [[1.0, 2.0, 0.5]]
+
+    def test_single_row_file_names_the_sample(self, tmp_path):
+        path = tmp_path / "d.csv"
+        path.write_text("sample_id,label,t,dim_0\na,,0,1.0\n")
+        with pytest.raises(MalformedDatasetError, match="needs at least 2 time points"):
+            load_csv(path)
+
+    def test_long_id_allocates_no_fixed_width_strings(self, tmp_path):
+        # a fixed-width str column would take 5,000 rows x 2,000 chars x 4 bytes
+        rows = ["sample_id,label,t,dim_0"]
+        rows += [f"s{i // 2},,{i % 2},{i}.5" for i in range(5_000)]
+        rows.append(f"{'z' * 2_000},,0,1.0")
+        rows.append(f"{'z' * 2_000},,1,2.0")
+        path = tmp_path / "d.csv"
+        path.write_text("\n".join(rows) + "\n")
+        tracemalloc.start()
+        try:
+            loaded = load_csv(path)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert len(loaded) == 2_501
+        assert peak < 16 * 2**20, f"peak {peak / 2**20:.1f} MiB"

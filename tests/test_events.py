@@ -20,7 +20,7 @@ from stemts import (
     write_events,
 )
 from stemts.dataset import MtsDataset
-from stemts.errors import InvalidCodeError, SchemaError, TooShortError
+from stemts.errors import InvalidCodeError, ParseError, SchemaError, TooShortError
 
 from conftest import make_sample
 
@@ -238,3 +238,79 @@ class TestEventFiles:
             EventSequence("s", None, 1, (3,))
         with pytest.raises(TooShortError):
             EventSequence("s", None, 1, ())
+
+
+@st.composite
+def mixed_datasets(draw):
+    """Samples of mixed lengths; small value sets make constant dimensions common."""
+    dims = draw(st.integers(1, 3))
+    samples = []
+    for i in range(draw(st.integers(1, 8))):
+        length = draw(st.integers(2, 7))
+        values = draw(
+            st.lists(
+                st.lists(st.sampled_from([0.0, 1.0, 2.5, -3.0, 1e-9]), min_size=length, max_size=length)
+                | st.lists(st.floats(-1e6, 1e6), min_size=length, max_size=length),
+                min_size=dims,
+                max_size=dims,
+            )
+        )
+        samples.append(make_sample(values, f"s{i}", draw(st.sampled_from([None, "a", "b"]))))
+    return MtsDataset(tuple(samples))
+
+
+class TestBatchedConvert:
+    @given(
+        mixed_datasets(),
+        st.sampled_from([None, "max", 3, 6]),
+        st.sampled_from([0.0, 0.05, 0.3]),
+    )
+    def test_equals_per_sample_symbolization(self, dataset, pad_to, delta):
+        if pad_to == "max":
+            pad_to = dataset.t_max
+        config = SymbolizerConfig(delta)
+        batched = convert_dataset(dataset, config, pad_to)
+        expected = []
+        for s in dataset.samples:
+            padded = pad_to_length(s, max(s.length, pad_to or 0))
+            expected.append(symbolize_sample(normalize_sample(padded), config))
+        assert [(q.sample_id, q.label, q.dims, q.codes) for q in batched] == [
+            (q.sample_id, q.label, q.dims, q.codes) for q in expected
+        ]
+
+    def test_longer_samples_are_not_cut(self):
+        ds = MtsDataset(
+            (make_sample([[0.0, 1.0, 0.0, 1.0]], "long"), make_sample([[0.0, 1.0]], "short"))
+        )
+        long, short = convert_dataset(ds, SymbolizerConfig(0.05), pad_to=3)
+        assert long.codes == (2, 0, 2)
+        assert short.codes == (2, 1)
+
+
+class TestEventFileErrors:
+    def write(self, tmp_path, body, meta='{"dims": 1, "delta": 0.05}'):
+        path = tmp_path / "events.csv"
+        path.write_text("sample_id,label,t,event_code\n" + body)
+        (tmp_path / "events.csv.meta.json").write_text(meta)
+        return path
+
+    def test_malformed_metadata_is_a_schema_error(self, tmp_path):
+        path = self.write(tmp_path, "a,,0,1\n", meta="{not json")
+        with pytest.raises(SchemaError, match="bad metadata"):
+            load_events(path)
+
+    def test_non_integer_code_names_row(self, tmp_path):
+        path = self.write(tmp_path, "a,,0,1\na,,1,1.5\n")
+        with pytest.raises(ParseError, match="row 3"):
+            load_events(path)
+
+    def test_row_parser_reads_what_numpy_rejects(self, tmp_path):
+        # int() reads '1_0' and '٢'; numpy does not, so the row parser takes over
+        path = self.write(tmp_path, "a,x,1_0,2\n" + "".join(f"a,x,{t},٢\n" for t in range(10)))
+        (seq,), _, _ = load_events(path)
+        assert seq.codes == (2,) * 11
+
+    def test_out_of_range_code(self, tmp_path):
+        path = self.write(tmp_path, "a,,0,1\na,,1,3\n")
+        with pytest.raises(InvalidCodeError, match="code 3"):
+            load_events(path)

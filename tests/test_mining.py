@@ -1,3 +1,6 @@
+import math
+from fractions import Fraction
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -69,6 +72,22 @@ class TestConfig:
         assert resolve_min_support(0.05, 101) == 6
         assert resolve_min_support(0.001, 10) == 1
         assert resolve_min_support(3, 10) == 3
+
+    def test_fraction_resolution_is_exact(self):
+        # 0.07 * 100 is 7.000000000000001 in floats
+        assert resolve_min_support(0.07, 100) == 7
+        assert resolve_min_support(0.05, 800) == 40
+
+    @given(st.data())
+    def test_decimal_fractions_resolve_exactly(self, data):
+        denominator = data.draw(st.sampled_from([10, 100, 1000]))
+        numerator = data.draw(st.integers(1, denominator))
+        # whole-number products are where float rounding tips ceil() one too high
+        n_samples = data.draw(
+            st.integers(1, 5000) | st.integers(1, 50).map(lambda m: m * denominator)
+        )
+        expected = max(1, math.ceil(Fraction(numerator, denominator) * n_samples))
+        assert resolve_min_support(numerator / denominator, n_samples) == expected
 
     def test_validation(self):
         with pytest.raises(ValueError):

@@ -255,8 +255,10 @@ def brute_force_mine(
     """Reference miner: exhaustive window enumeration, no trees.
 
     Keeps every tuple meeting the support threshold that has no one-code
-    extension also meeting it (tuples at max_len are kept outright). Intended
-    for small inputs; quadratic-ish and proud of it.
+    extension also kept (tuples at max_len are kept outright). With
+    ``gain_gamma`` > 0, tuples are visited longest first and one longer than a
+    code that has no kept extension is dropped when its support is below gamma
+    times its prefix's. Intended for small inputs; quadratic-ish and proud of it.
     """
     _check_sequences(sequences)
     sigma = resolve_min_support(config.min_support, len(sequences))
@@ -267,11 +269,17 @@ def brute_force_mine(
             for start in range(len(codes) - length + 1):
                 window = codes[start : start + length]
                 supporters.setdefault(window, set()).add(seq.sample_id)
-    frequent = {t for t, ids in supporters.items() if len(ids) >= sigma}
-    extended = {t[:-1] for t in frequent if len(t) >= 2}
-    kept = [t for t in frequent if len(t) == config.max_len or t not in extended]
-    kept.sort(key=lambda t: (len(t), t))
-    return kept
+    support = {t: len(ids) for t, ids in supporters.items() if len(ids) >= sigma}
+    extended: set[EventTuple] = set()
+    kept = []
+    for t in sorted(support, key=len, reverse=True):
+        weak = len(t) > 1 and support[t] < config.gain_gamma * support[t[:-1]]
+        if t in extended or not weak:
+            kept.append(t)
+            extended.add(t[:-1])
+    features = [t for t in kept if t not in extended]
+    features.sort(key=lambda t: (len(t), t))
+    return features
 
 
 # ---------------------------------------------------------------------------

@@ -61,7 +61,9 @@ def mining_instances(draw):
         for i in range(n_seqs)
     ]
     config = MinerConfig(
-        min_support=draw(st.integers(1, 4)), max_len=draw(st.integers(1, 5))
+        min_support=draw(st.integers(1, 4)),
+        max_len=draw(st.integers(1, 5)),
+        gain_gamma=draw(st.sampled_from([0.0, 0.3, 0.7])),
     )
     return sequences, config
 
@@ -181,6 +183,7 @@ class TestPrune:
         raised = MinerConfig(
             min_support=resolve_min_support(config.min_support, len(sequences)) + bump,
             max_len=config.max_len,
+            gain_gamma=config.gain_gamma,
         )
         high = prune_bottom_up(forest, raised)
         assert node_paths(high) <= node_paths(low)

@@ -1,8 +1,9 @@
-"""Prefix-forest mining on a pair of tiny event sequences.
+"""Tuple mining on a pair of tiny event sequences.
 
-The forest counts every contiguous window up to max_len; pruning keeps nodes
-seen in at least min_support distinct samples; the surviving root-to-leaf
-paths are the features. The brute-force miner re-derives the same list by
+The forest counts every contiguous window up to max_len, printed nested by
+prefix; pruning keeps tuples seen in at least min_support distinct samples;
+the kept tuples that no kept tuple extends (the root-to-leaf paths of the
+nesting) are the features. The brute-force miner re-derives the same list by
 sheer enumeration, which is the cross-check the test suite leans on.
 """
 

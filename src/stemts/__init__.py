@@ -5,8 +5,8 @@ The pipeline has four stages, each usable on its own:
 1. ``dataset``  — load/generate raw samples, normalize, pad.
 2. ``events``   — symbolize each step of each dimension (up/flat/down) and
    fuse the per-dimension symbols into one event code per step.
-3. ``mining``   — mine frequent variable-length code tuples via prefix
-   forests with bottom-up support pruning.
+3. ``mining``   — mine frequent variable-length code tuples with one array
+   walk over every window, shared with vectorizing, and support pruning.
 4. ``features``/``evaluate`` — vectorize sequences over the mined tuples and
    run a leakage-safe classification benchmark with CPU-time accounting.
 """
@@ -66,7 +66,6 @@ from .features import (
 from .mining import (
     MinerConfig,
     PrefixForest,
-    PrefixNode,
     brute_force_mine,
     build_forest,
     extract_rts_features,
@@ -102,7 +101,6 @@ __all__ = [
     "write_events",
     "load_events",
     "MinerConfig",
-    "PrefixNode",
     "PrefixForest",
     "resolve_min_support",
     "build_forest",

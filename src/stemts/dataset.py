@@ -16,9 +16,10 @@ and realized as piecewise-linear per-dimension trends plus uniform noise.
 from __future__ import annotations
 
 import csv
+from contextlib import contextmanager
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterator
+from typing import Iterator, TextIO
 
 import numpy as np
 import yaml
@@ -148,7 +149,8 @@ def min_max_normalize(values: np.ndarray) -> np.ndarray:
     """
     lo = values.min(axis=-1, keepdims=True)
     span = values.max(axis=-1, keepdims=True) - lo
-    return np.divide(values - lo, span, out=np.zeros_like(values), where=span > 0.0)
+    shifted = values - lo  # a constant series is all zeros already
+    return np.divide(shifted, span, out=shifted, where=span > 0.0)
 
 
 def normalize_sample(sample: MtsSample) -> MtsSample:
@@ -175,6 +177,16 @@ def pad_to_length(sample: MtsSample, length: int) -> MtsSample:
 
 def _expected_header(dims: int) -> list[str]:
     return ["sample_id", "label", "t"] + [f"dim_{d}" for d in range(dims)]
+
+
+@contextmanager
+def open_long_form(path: Path) -> Iterator[TextIO]:
+    """Open a long-form CSV for reading; text that is not UTF-8 raises ``ParseError``."""
+    try:
+        with path.open(newline="", encoding="utf-8") as fh:
+            yield fh
+    except UnicodeDecodeError as exc:
+        raise ParseError(f"{path}: not UTF-8 text: {exc.reason}") from None
 
 
 def read_header(fh) -> list[str] | None:
@@ -307,7 +319,7 @@ def load_csv(path: str | Path) -> MtsDataset:
     through the row-by-row parser, which names the first bad row.
     """
     path = Path(path)
-    with path.open(newline="", encoding="utf-8") as fh:
+    with open_long_form(path) as fh:
         header = read_header(fh)
         if header is None:
             raise SchemaError(f"{path}: file is empty, expected a header row")

@@ -27,6 +27,7 @@ from .dataset import (
     MtsSample,
     iter_long_form,
     min_max_normalize,
+    open_long_form,
     pad_to_length,
     read_header,
 )
@@ -94,9 +95,12 @@ class EventSequence:
 
 
 def alphabet_size(dims: int) -> int:
-    """Number of distinct event codes for ``dims`` dimensions (3**dims)."""
-    if dims < 1:
-        raise ConfigError(f"dims must be >= 1, got {dims}")
+    """Number of distinct event codes for ``dims`` dimensions (3**dims), at most 39.
+
+    Codes are int64, and 3**40 - 1 does not fit in one.
+    """
+    if not 1 <= dims <= 39:
+        raise ConfigError(f"dims must lie in [1, 39] (event codes are int64), got {dims}")
     return 3**dims
 
 
@@ -109,9 +113,10 @@ def event_codes(normalized: np.ndarray, delta: float) -> np.ndarray:
     A single sample and a stacked block of equal-length samples go through
     the same arithmetic, so batching never changes a code.
     """
-    diffs = np.diff(normalized, axis=-1)
-    digits = (diffs > delta).astype(np.int64) - (diffs < -delta) + 1
     weights = 3 ** np.arange(normalized.shape[-2], dtype=np.int64)
+    alphabet_size(len(weights))  # rejects dimension counts whose codes overflow
+    diffs = np.diff(normalized, axis=-1)
+    digits = (diffs > delta).view(np.int8) - (diffs < -delta).view(np.int8) + 1
     return np.einsum("d,...dt->...t", weights, digits)
 
 
@@ -260,7 +265,7 @@ def load_events(path: str | Path) -> tuple[list[EventSequence], SymbolizerConfig
     except (KeyError, TypeError, ValueError) as exc:
         raise SchemaError(f"{meta_file}: bad metadata: {exc}") from None
 
-    with path.open(newline="", encoding="utf-8") as fh:
+    with open_long_form(path) as fh:
         if read_header(fh) != ["sample_id", "label", "t", "event_code"]:
             raise SchemaError(f"{path}: header must be sample_id,label,t,event_code")
         sequences = [

@@ -27,7 +27,7 @@ from .errors import (
     SchemaError,
 )
 from .events import EventSequence, alphabet_size
-from .mining import EventTuple, MinerConfig
+from .mining import EventTuple, MinerConfig, window_states
 
 __all__ = [
     "FeatureVocabulary",
@@ -51,15 +51,9 @@ class FeatureVocabulary:
     delta: float | None = None
     miner: MinerConfig | None = None
     index: dict[EventTuple, int] = field(init=False, repr=False)
-    _by_length: dict[int, dict[EventTuple, int]] = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
-        index = {tup: i for i, tup in enumerate(self.features)}
-        by_length: dict[int, dict[EventTuple, int]] = {}
-        for tup, i in index.items():
-            by_length.setdefault(len(tup), {})[tup] = i
-        object.__setattr__(self, "index", index)
-        object.__setattr__(self, "_by_length", by_length)
+        object.__setattr__(self, "index", {tup: i for i, tup in enumerate(self.features)})
 
     def __len__(self) -> int:
         return len(self.features)
@@ -122,41 +116,57 @@ class FeatureVector:
 
 
 def vectorize(seq: EventSequence, vocab: FeatureVocabulary) -> FeatureVector:
-    """Count overlapping occurrences of each vocabulary tuple, normalized.
+    """One sequence's vector; see :func:`vectorize_dataset`."""
+    return vectorize_dataset([seq], vocab)[0]
 
-    Entry j is count / (len(codes) - len(tuple_j) + 1); a tuple longer than
-    the sequence scores 0 because it has no window positions at all.
+
+def _lookup_tables(vocab: FeatureVocabulary) -> tuple[np.ndarray, list, list]:
+    """The vocabulary's alphabet and window tables, and which tuple each table row is.
+
+    The tables come from walking the vocabulary's own tuples; ``targets[l - 1]``
+    maps a row to the index of the tuple it equals, or -1.
     """
-    if seq.dims != vocab.dims:
-        raise IncompatibleVocabularyError(
-            f"sequence has {seq.dims} dimensions, vocabulary expects {vocab.dims}"
-        )
-    values = np.zeros(len(vocab.features), dtype=np.float64)
-    codes = seq.codes
-    for length, table in vocab._by_length.items():
-        positions = len(codes) - length + 1
-        if positions <= 0:
-            continue
-        for start in range(positions):
-            j = table.get(codes[start : start + length])
-            if j is not None:
-                values[j] += 1.0
-        for j in table.values():
-            values[j] /= positions
-    return FeatureVector(sample_id=seq.sample_id, label=seq.label, values=values)
+    alphabet = np.unique([c for t in vocab.features for c in t])
+    lengths = np.array([len(t) for t in vocab.features])
+    tables, targets = [], []
+    walk = window_states(vocab.features, alphabet, lengths.max())
+    for level, (table, rows, owners) in enumerate(walk, 1):
+        whole = lengths[owners] == level
+        targets.append(np.full(len(table), -1))
+        targets[-1][rows[whole]] = owners[whole]
+        tables.append(table)
+    return alphabet, tables, targets
 
 
 def vectorize_dataset(
     sequences: Sequence[EventSequence], vocab: FeatureVocabulary
 ) -> list[FeatureVector]:
-    """Vectorize many sequences, preserving order."""
-    out = []
+    """Count overlapping occurrences of each vocabulary tuple, normalized.
+
+    Entry j of a sequence's vector is count / (len(codes) - len(tuple_j) + 1),
+    and 0 for a tuple longer than the sequence. One ``window_states`` walk
+    looks every window of the batch up in the vocabulary's tables and one
+    ``bincount`` counts the hits per (sequence, tuple), in input order.
+    """
     for seq in sequences:
-        try:
-            out.append(vectorize(seq, vocab))
-        except IncompatibleVocabularyError as exc:
-            raise IncompatibleVocabularyError(f"sample {seq.sample_id!r}: {exc}") from None
-    return out
+        if seq.dims != vocab.dims:
+            raise IncompatibleVocabularyError(
+                f"sample {seq.sample_id!r}: sequence has {seq.dims} dimensions, "
+                f"vocabulary expects {vocab.dims}"
+            )
+    n, width = len(sequences), len(vocab)
+    hits = [np.empty(0, dtype=np.int64)]
+    if n and width:
+        alphabet, tables, targets = _lookup_tables(vocab)
+        walk = window_states([s.codes for s in sequences], alphabet, len(tables), tables)
+        for (_, rows, owners), target in zip(walk, targets):
+            feature = target[rows]
+            hits.append(owners[feature >= 0] * width + feature[feature >= 0])
+    counts = np.bincount(np.concatenate(hits), minlength=n * width).reshape(n, width)
+    lengths = [len(s) for s in sequences], [len(t) for t in vocab.features]
+    positions = np.subtract.outer(*lengths) + 1
+    values = np.divide(counts, positions, out=np.zeros((n, width)), where=positions > 0)
+    return [FeatureVector(s.sample_id, s.label, row) for s, row in zip(sequences, values)]
 
 
 # ---------------------------------------------------------------------------

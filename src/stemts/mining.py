@@ -1,30 +1,30 @@
 """Variable-length tuple mining over event sequences.
 
-Tuples are contiguous windows of event codes (lengths 1..max_len). Every
-window of every sequence is inserted into a forest of prefix trees, one tree
-per leading code, with two counts per node:
+Tuples are contiguous windows of event codes (lengths 1..max_len). One
+kernel, ``window_states``, shared with ``features.vectorize_dataset``, walks
+every window of a batch one length at a time, as Apriori and PrefixSpan do:
+a window's state follows from its prefix's state and its last code. Mining
+counts, per distinct tuple, ``doc_support`` (distinct samples containing it)
+and ``occ_count`` (overlapping windows across all samples). Pruning keeps the
+tuples at or above the minimum document support (and, optionally, drops those
+adding little support over their prefix); the kept tuples no kept tuple
+extends are the features, prefix-free by construction.
 
-- ``doc_support``: number of distinct samples containing the tuple,
-- ``occ_count``: total number of (overlapping) windows across all samples.
-
-Bottom-up pruning removes nodes below the minimum document support (and,
-optionally, leaves that add little support over their parent). The surviving
-root-to-leaf paths are the mined features: prefix-free by construction, so no
-feature is a shorter copy of another.
-
-``brute_force_mine`` re-derives the same feature list by exhaustive window
-enumeration. It is deliberately simple and slow; tests hold the forest path
-to it exactly.
+``brute_force_mine`` re-derives the same feature list by exhaustive, slow
+window enumeration; tests hold the array path to it exactly.
 """
 
 from __future__ import annotations
 
 import json
 import math
-from fractions import Fraction
 from dataclasses import dataclass
+from fractions import Fraction
+from itertools import chain
 from pathlib import Path
-from typing import Iterator, Sequence
+from typing import Iterator, NamedTuple, Sequence
+
+import numpy as np
 
 from .errors import ConfigError, EmptyInputError, MalformedDatasetError, SchemaError
 from .events import EventSequence, explain_tuple
@@ -32,9 +32,10 @@ from .events import EventSequence, explain_tuple
 __all__ = [
     "EventTuple",
     "MinerConfig",
-    "PrefixNode",
+    "Support",
     "PrefixForest",
     "resolve_min_support",
+    "window_states",
     "build_forest",
     "prune_bottom_up",
     "extract_rts_features",
@@ -53,8 +54,8 @@ class MinerConfig:
     ``min_support`` is either an absolute sample count (int >= 1) or a
     fraction of the dataset (float in (0, 1]), resolved to
     ``max(1, ceil(fraction * n_samples))`` at mine time, in exact arithmetic. ``gain_gamma`` of 0
-    disables the leaf gain test; a positive value additionally drops leaves
-    whose document support is below gamma times their parent's.
+    disables the gain test; a positive value also drops tuples with no kept
+    extension whose document support is below gamma times their prefix's.
     """
 
     min_support: int | float = 0.05
@@ -87,67 +88,36 @@ def resolve_min_support(min_support: int | float, n_samples: int) -> int:
     return max(1, math.ceil(Fraction(repr(float(min_support))) * n_samples))
 
 
-class PrefixNode:
-    """One tuple in the forest; the path from its root spells the codes."""
+class Support(NamedTuple):
+    """Counts of one tuple across a batch of sequences."""
 
-    __slots__ = ("code", "children", "doc_support", "occ_count", "_last_seen")
-
-    def __init__(self, code: int) -> None:
-        self.code = code
-        self.children: dict[int, PrefixNode] = {}
-        self.doc_support = 0
-        self.occ_count = 0
-        self._last_seen = -1
-
-    def sorted_children(self) -> Iterator[PrefixNode]:
-        for code in sorted(self.children):
-            yield self.children[code]
+    doc_support: int
+    occ_count: int
 
 
 @dataclass
 class PrefixForest:
-    """One prefix tree per leading event code, plus dataset bookkeeping."""
+    """Counted tuples and their supports, closed under taking prefixes."""
 
-    roots: dict[int, PrefixNode]
+    nodes: dict[EventTuple, Support]
     max_len: int
     n_samples: int
 
-    def sorted_roots(self) -> Iterator[PrefixNode]:
-        for code in sorted(self.roots):
-            yield self.roots[code]
-
-    def node_for(self, codes: Sequence[int]) -> PrefixNode | None:
-        """Walk a tuple down the forest; None if it was never inserted."""
-        if not codes:
-            return None
-        node = self.roots.get(codes[0])
-        for code in codes[1:]:
-            if node is None:
-                return None
-            node = node.children.get(code)
-        return node
+    def node_for(self, codes: Sequence[int]) -> Support | None:
+        """Counts of a tuple; None if the forest does not hold it."""
+        return self.nodes.get(tuple(codes))
 
     def node_count(self) -> int:
-        count = 0
-        stack = list(self.roots.values())
-        while stack:
-            node = stack.pop()
-            count += 1
-            stack.extend(node.children.values())
-        return count
+        return len(self.nodes)
 
     def to_dict(self) -> list[dict]:
         """Canonical nested form, children sorted by code; used for comparisons."""
-
-        def as_dict(node: PrefixNode) -> dict:
-            return {
-                "code": node.code,
-                "doc_support": node.doc_support,
-                "occ_count": node.occ_count,
-                "children": [as_dict(c) for c in node.sorted_children()],
-            }
-
-        return [as_dict(r) for r in self.sorted_roots()]
+        children: dict[EventTuple, list[dict]] = {(): []}
+        for tup in sorted(self.nodes):
+            node = {"code": tup[-1], **self.nodes[tup]._asdict(), "children": []}
+            children[tup[:-1]].append(node)
+            children[tup] = node["children"]
+        return children[()]
 
 
 def _check_sequences(sequences: Sequence[EventSequence]) -> None:
@@ -161,92 +131,89 @@ def _check_sequences(sequences: Sequence[EventSequence]) -> None:
         raise MalformedDatasetError("sample ids must be unique for support counting")
 
 
-def build_forest(sequences: Sequence[EventSequence], config: MinerConfig) -> PrefixForest:
-    """Insert every window of length 1..max_len of every sequence.
+def window_states(
+    batch: Sequence[Sequence[int]], alphabet: np.ndarray, max_len: int, tables: list | None = None
+) -> Iterator[tuple[np.ndarray, np.ndarray, np.ndarray]]:
+    """Yield ``(table, rows, owners)`` for every window length l = 1..max_len.
 
-    Document support is deduplicated per sample with a last-seen marker, so a
-    tuple occurring many times in one sample still counts that sample once.
+    The batch's code tuples are joined into one array with a stop code, -1,
+    after each, which no window spans. A length-l window's key is its
+    length-(l-1) prefix's state x len(alphabet) + its last code's rank in the
+    sorted ``alphabet`` (the empty prefix has state 0), which fits in int64
+    for any dimension count.
+    ``table`` holds the level's sorted keys: those that occur when mining, or
+    ``tables[l - 1]`` when looking up. For each window whose key is in
+    ``table``, ``rows`` holds its state (the key's row in ``table``) and
+    ``owners`` the batch index of its tuple.
+    """
+    codes = np.fromiter(chain.from_iterable((*c, -1) for c in batch), dtype=np.int64)
+    sizes = np.fromiter((len(c) + 1 for c in batch), dtype=np.int64, count=len(batch))
+    owner = np.repeat(np.arange(len(batch)), sizes)
+    rank = np.searchsorted(alphabet, codes)
+    rank[~np.isin(codes, alphabet)] = -1
+    states = np.zeros(len(codes), dtype=np.int64)
+    for level in range(max_len):
+        last = rank[level:]
+        valid = (states[: len(last)] >= 0) & (last >= 0)
+        keys = states[: len(last)][valid] * len(alphabet) + last[valid]
+        table = np.unique(keys) if tables is None else tables[level]
+        rows = np.searchsorted(table, keys)
+        if tables is not None:
+            found = table.take(rows, mode="clip") == keys
+            valid[valid] = found
+            rows = rows[found]
+        states = np.full(len(last), -1, dtype=np.int64)
+        states[valid] = rows
+        yield table, rows, owner[: len(last)][valid]
+
+
+def build_forest(sequences: Sequence[EventSequence], config: MinerConfig) -> PrefixForest:
+    """Count every window of length 1..max_len of every sequence.
+
+    ``occ_count`` counts a tuple's windows and ``doc_support`` its distinct
+    samples, so a tuple occurring many times in one sample counts it once.
     """
     _check_sequences(sequences)
-    roots: dict[int, PrefixNode] = {}
-    for sample_index, seq in enumerate(sequences):
-        codes = seq.codes
-        n = len(codes)
-        for start in range(n):
-            stop = min(start + config.max_len, n)
-            level = roots
-            for pos in range(start, stop):
-                node = level.get(codes[pos])
-                if node is None:
-                    node = PrefixNode(codes[pos])
-                    level[codes[pos]] = node
-                node.occ_count += 1
-                if node._last_seen != sample_index:
-                    node._last_seen = sample_index
-                    node.doc_support += 1
-                level = node.children
-    return PrefixForest(roots=roots, max_len=config.max_len, n_samples=len(sequences))
+    batch = [s.codes for s in sequences]
+    alphabet = np.unique(np.fromiter(chain.from_iterable(batch), dtype=np.int64))
+    nodes: dict[EventTuple, Support] = {}
+    prefixes: list[EventTuple] = [()]
+    for table, rows, owners in window_states(batch, alphabet, config.max_len):
+        pairs = np.unique(owners * len(table) + rows)
+        docs = np.bincount(pairs % len(table), minlength=len(table)).tolist()
+        occs = np.bincount(rows, minlength=len(table)).tolist()
+        prefix, last = np.divmod(table, len(alphabet))
+        tuples = [prefixes[p] + (c,) for p, c in zip(prefix.tolist(), alphabet[last].tolist())]
+        nodes.update(zip(tuples, map(Support, docs, occs)))
+        prefixes = tuples
+    return PrefixForest(nodes=nodes, max_len=config.max_len, n_samples=len(sequences))
 
 
 def prune_bottom_up(forest: PrefixForest, config: MinerConfig) -> PrefixForest:
-    """Copy the forest keeping only nodes at or above the support threshold.
+    """A new forest of the tuples at or above the support threshold.
 
-    Children are pruned before their parent, so a node whose whole subtree
-    fails the threshold disappears with it, and the survivor set stays
-    prefix-closed. With ``gain_gamma`` > 0, a node that ends up a leaf is also
-    dropped when its document support falls below gamma times its parent's.
+    Support never grows with length, so the survivors stay prefix-closed.
+    With ``gain_gamma`` > 0, going longest first, a tuple of two or more
+    codes left with no kept extension is dropped when its document support
+    is below gamma times its prefix's, which can leave the prefix bare too.
     """
     sigma = resolve_min_support(config.min_support, forest.n_samples)
-    gamma = config.gain_gamma
-
-    def copy_pruned(node: PrefixNode, parent_doc: int | None) -> PrefixNode | None:
-        if node.doc_support < sigma:
-            return None
-        kept = PrefixNode(node.code)
-        kept.doc_support = node.doc_support
-        kept.occ_count = node.occ_count
-        for child in node.sorted_children():
-            kept_child = copy_pruned(child, node.doc_support)
-            if kept_child is not None:
-                kept.children[kept_child.code] = kept_child
-        if (
-            gamma > 0.0
-            and parent_doc is not None
-            and not kept.children
-            and kept.doc_support < gamma * parent_doc
-        ):
-            return None
-        return kept
-
-    roots: dict[int, PrefixNode] = {}
-    for root in forest.sorted_roots():
-        kept = copy_pruned(root, None)
-        if kept is not None:
-            roots[kept.code] = kept
-    return PrefixForest(roots=roots, max_len=forest.max_len, n_samples=forest.n_samples)
+    frequent = {t: s for t, s in forest.nodes.items() if s.doc_support >= sigma}
+    extended: set[EventTuple] = set()
+    kept: dict[EventTuple, Support] = {}
+    for t in sorted(frequent, key=len, reverse=True):
+        support = frequent[t].doc_support
+        weak = len(t) > 1 and support < config.gain_gamma * frequent[t[:-1]].doc_support
+        if t in extended or not weak:
+            kept[t] = frequent[t]
+            extended.add(t[:-1])
+    return PrefixForest(nodes=kept, max_len=forest.max_len, n_samples=forest.n_samples)
 
 
 def extract_rts_features(forest: PrefixForest) -> list[EventTuple]:
-    """Root-to-leaf paths of a pruned forest, shortest first, then lexicographic.
-
-    Internal nodes are absorbed by their extensions, which is what makes the
-    result prefix-free.
-    """
-    features: list[EventTuple] = []
-
-    def walk(node: PrefixNode, path: list[int]) -> None:
-        path.append(node.code)
-        if not node.children:
-            features.append(tuple(path))
-        else:
-            for child in node.sorted_children():
-                walk(child, path)
-        path.pop()
-
-    for root in forest.sorted_roots():
-        walk(root, [])
-    features.sort(key=lambda t: (len(t), t))
-    return features
+    """Tuples no other tuple in the forest extends: prefix-free, shortest first, then by codes."""
+    extended = {t[:-1] for t in forest.nodes}
+    return sorted((t for t in forest.nodes if t not in extended), key=lambda t: (len(t), t))
 
 
 def brute_force_mine(
@@ -255,10 +222,10 @@ def brute_force_mine(
     """Reference miner: exhaustive window enumeration, no trees.
 
     Keeps every tuple meeting the support threshold that has no one-code
-    extension also kept (tuples at max_len are kept outright). With
-    ``gain_gamma`` > 0, tuples are visited longest first and one longer than a
-    code that has no kept extension is dropped when its support is below gamma
-    times its prefix's. Intended for small inputs; quadratic-ish and proud of it.
+    extension also kept. With ``gain_gamma`` > 0, going longest first, a
+    tuple of two or more codes with no kept extension is dropped when its
+    support is below gamma times its prefix's. Intended for small inputs;
+    quadratic-ish and proud of it.
     """
     _check_sequences(sequences)
     sigma = resolve_min_support(config.min_support, len(sequences))
@@ -277,9 +244,7 @@ def brute_force_mine(
         if t in extended or not weak:
             kept.append(t)
             extended.add(t[:-1])
-    features = [t for t in kept if t not in extended]
-    features.sort(key=lambda t: (len(t), t))
-    return features
+    return sorted((t for t in kept if t not in extended), key=lambda t: (len(t), t))
 
 
 # ---------------------------------------------------------------------------

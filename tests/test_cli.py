@@ -253,7 +253,18 @@ class TestErrorSurface:
         events = tmp_path / "events.csv"
         assert main(["-q", "convert", "--in", str(data), "--out", str(events)]) == 0
         (tmp_path / "events.csv.meta.json").write_text('{"dims": 2, "delta": ')
-        return {"data": str(data), "events": str(events), "out": str(tmp_path / "out")}
+        latin1 = tmp_path / "latin1.csv"
+        latin1.write_bytes(b"sample_id,label,t,dim_0\ncaf\xe9,a,0,1.0\ncaf\xe9,a,1,2.0\n")
+        latin1_events = tmp_path / "latin1_events.csv"
+        latin1_events.write_bytes(b"sample_id,label,t,event_code\ncaf\xe9,a,0,1\n")
+        (tmp_path / "latin1_events.csv.meta.json").write_text('{"dims": 1, "delta": 0.05}')
+        return {
+            "data": str(data),
+            "events": str(events),
+            "latin1": str(latin1),
+            "latin1_events": str(latin1_events),
+            "out": str(tmp_path / "out"),
+        }
 
     @pytest.mark.parametrize(
         "argv",
@@ -264,6 +275,9 @@ class TestErrorSurface:
             ["eval", "--in", "{data}", "--k", "999", "--out", "{out}"],
             ["eval", "--in", "{data}", "--train-frac", "1.5", "--out", "{out}"],
             ["mine", "--in", "{events}", "--out", "{out}"],
+            ["convert", "--in", "{latin1}", "--out", "{out}"],
+            ["mine", "--in", "{latin1_events}", "--out", "{out}"],
+            ["explain", "--code", "1", "--dims", "40"],
         ],
     )
     def test_one_error_line(self, files, capsys, argv):
@@ -271,3 +285,19 @@ class TestErrorSurface:
         assert main([arg.format(**files) for arg in argv]) == 1
         err = capsys.readouterr().err
         assert len(err.splitlines()) == 1 and err.startswith("error: "), err
+
+    @pytest.mark.parametrize("dims, status", [(39, 0), (40, 1)])
+    def test_dimension_limit(self, tmp_path, capsys, dims, status):
+        data = tmp_path / "wide.csv"
+        header = ",".join(["sample_id", "label", "t"] + [f"dim_{d}" for d in range(dims)])
+        rows = [f"s,a,{t}," + ",".join([f"{t}.0"] * dims) for t in range(3)]
+        data.write_text("\n".join([header, *rows]) + "\n")
+        capsys.readouterr()
+        out = str(tmp_path / "e.csv")
+        assert main(["-q", "convert", "--in", str(data), "--out", out]) == status
+        err = capsys.readouterr().err
+        if status:
+            assert err == "error: dims must lie in [1, 39] (event codes are int64), got 40\n"
+        else:
+            assert err == ""
+            assert load_events(tmp_path / "e.csv")[0][0].codes == (3**39 - 1,) * 2

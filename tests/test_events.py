@@ -20,7 +20,13 @@ from stemts import (
     write_events,
 )
 from stemts.dataset import MtsDataset
-from stemts.errors import InvalidCodeError, ParseError, SchemaError, TooShortError
+from stemts.errors import (
+    ConfigError,
+    InvalidCodeError,
+    ParseError,
+    SchemaError,
+    TooShortError,
+)
 
 from conftest import make_sample
 
@@ -104,6 +110,20 @@ class TestEventCodes:
     def test_alphabet_size(self):
         assert alphabet_size(3) == 27
         assert alphabet_size(1) == 3
+
+    def test_widest_alphabet_fits_int64(self):
+        # every dimension rising gives the largest code, 3**39 - 1
+        rising = np.tile(np.linspace(0.0, 1.0, 3), (39, 1))
+        codes = symbolize_sample(make_sample(rising), SymbolizerConfig()).codes
+        assert codes == (alphabet_size(39) - 1,) * 2
+        assert decode_event(codes[0], 39) == (1,) * 39
+
+    def test_forty_dimensions_rejected(self):
+        with pytest.raises(ConfigError):
+            alphabet_size(40)
+        rising = np.tile(np.linspace(0.0, 1.0, 3), (40, 1))
+        with pytest.raises(ConfigError):
+            symbolize_sample(make_sample(rising), SymbolizerConfig())
 
     def test_decode_examples(self):
         assert decode_event(0, 2) == (-1, -1)

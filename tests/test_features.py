@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from stemts import (
     EventSequence,
@@ -118,6 +120,42 @@ class TestVectorizeDataset:
         vocab = build_vocabulary([(8,)], dims=2)
         with pytest.raises(IncompatibleVocabularyError, match="'bad'"):
             vectorize_dataset([seq([0, 1], "bad", dims=1)], vocab)
+
+
+@st.composite
+def vectorize_instances(draw):
+    """Mixed-length sequences and a vocabulary of mixed-length tuples, some longer than them."""
+    dims = draw(st.integers(1, 2))
+    codes = st.integers(0, 3**dims - 1)
+    tuples = st.lists(codes, min_size=1, max_size=5).map(tuple)
+    features = draw(st.lists(tuples, min_size=1, max_size=12, unique=True))
+    n_seqs = draw(st.integers(0, 6))
+    sequences = [
+        seq(draw(st.lists(codes, min_size=1, max_size=10)), f"s{i}", dims=dims)
+        for i in range(n_seqs)
+    ]
+    return sequences, build_vocabulary(features, dims=dims)
+
+
+def naive_values(codes, vocab):
+    """Per tuple, matching windows counted one by one over the window positions."""
+    values = []
+    for tup in vocab.features:
+        positions = len(codes) - len(tup) + 1
+        hits = sum(codes[i : i + len(tup)] == tup for i in range(max(positions, 0)))
+        values.append(hits / positions if positions > 0 else 0.0)
+    return values
+
+
+class TestVectorizeProperty:
+    @settings(max_examples=200)
+    @given(vectorize_instances())
+    def test_equals_naive_count_over_positions(self, instance):
+        sequences, vocab = instance
+        vectors = vectorize_dataset(sequences, vocab)
+        assert [v.sample_id for v in vectors] == [s.sample_id for s in sequences]
+        for s, v in zip(sequences, vectors):
+            assert v.values.tolist() == naive_values(s.codes, vocab)
 
 
 class TestVocabularyFiles:

@@ -37,13 +37,14 @@ def node_paths(forest):
     paths = set()
 
     def walk(node, prefix):
-        path = prefix + (node.code,)
+        path = prefix + (node["code"],)
         paths.add(path)
-        for child in node.children.values():
+        for child in node["children"]:
             walk(child, path)
 
-    for root in forest.roots.values():
+    for root in forest.to_dict():
         walk(root, ())
+    assert len(paths) == forest.node_count()
     return paths
 
 
@@ -115,12 +116,13 @@ class TestBuildForest:
 
     def test_single_window(self):
         forest = build_forest([seq("a", [7])], MinerConfig(min_support=1, max_len=3))
-        root = forest.roots[7]
-        assert (root.doc_support, root.occ_count, root.children) == (1, 1, {})
+        assert forest.to_dict() == [
+            {"code": 7, "doc_support": 1, "occ_count": 1, "children": []}
+        ]
 
     def test_occurrences_vs_documents(self):
         forest = build_forest([seq("a", [4, 4, 4])], MinerConfig(min_support=1, max_len=1))
-        node = forest.roots[4]
+        node = forest.node_for((4,))
         assert (node.occ_count, node.doc_support) == (3, 1)
 
     def test_empty_input(self):
@@ -140,14 +142,13 @@ class TestBuildForest:
         sequences, config = instance
         forest = build_forest(sequences, config)
 
-        def check(node):
-            for child in node.children.values():
-                assert child.doc_support <= node.doc_support
-                check(child)
+        def check(node, parent_doc):
+            assert node["doc_support"] <= parent_doc
+            for child in node["children"]:
+                check(child, node["doc_support"])
 
-        for root in forest.roots.values():
-            assert root.doc_support <= forest.n_samples
-            check(root)
+        for root in forest.to_dict():
+            check(root, forest.n_samples)
 
 
 class TestPrune:
@@ -165,7 +166,7 @@ class TestPrune:
     def test_impossible_support_empties_forest(self, toy_sequences):
         config = MinerConfig(min_support=5, max_len=2)
         pruned = prune_bottom_up(build_forest(toy_sequences, config), config)
-        assert pruned.roots == {}
+        assert pruned.node_count() == 0
         assert extract_rts_features(pruned) == []
 
     def test_input_forest_untouched(self, toy_sequences):
@@ -205,6 +206,15 @@ class TestGainGamma:
         config = MinerConfig(min_support=1, max_len=2, gain_gamma=0.2)
         pruned = prune_bottom_up(build_forest(self.make(), config), config)
         assert extract_rts_features(pruned) == [(2,), (1, 2)]
+
+    def test_support_equal_to_the_bar_is_kept(self):
+        sequences = [seq(f"c{i}", [1], dims=1) for i in range(4)]
+        sequences += [seq(f"x{i}", [1, 2], dims=1) for i in range(4)]
+        config = MinerConfig(min_support=1, max_len=2, gain_gamma=0.5)
+        # (1,2) holds 4 of the 8 samples holding (1): exactly on the 0.5 bar
+        pruned = prune_bottom_up(build_forest(sequences, config), config)
+        assert extract_rts_features(pruned) == [(2,), (1, 2)]
+        assert brute_force_mine(sequences, config) == [(2,), (1, 2)]
 
     def test_cascades_upward(self):
         sequences = [seq(f"a{i}", [5]) for i in range(6)]

@@ -113,10 +113,10 @@ def event_codes(normalized: np.ndarray, delta: float) -> np.ndarray:
     A single sample and a stacked block of equal-length samples go through
     the same arithmetic, so batching never changes a code.
     """
-    weights = 3 ** np.arange(normalized.shape[-2], dtype=np.int64)
-    alphabet_size(len(weights))  # rejects dimension counts whose codes overflow
+    alphabet_size(normalized.shape[-2])  # rejects dimension counts whose codes overflow
     diffs = np.diff(normalized, axis=-1)
     digits = (diffs > delta).view(np.int8) - (diffs < -delta).view(np.int8) + 1
+    weights = 3 ** np.arange(normalized.shape[-2], dtype=np.int64)
     return np.einsum("d,...dt->...t", weights, digits)
 
 

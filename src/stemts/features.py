@@ -98,7 +98,7 @@ def full_alphabet_vocabulary(dims: int, delta: float | None = None) -> FeatureVo
 
 @dataclass(frozen=True, eq=False)
 class FeatureVector:
-    """Normalized occurrence frequencies for one sample, in vocabulary order."""
+    """Normalized occurrence frequencies for one sample, in vocabulary order; read-only."""
 
     sample_id: str
     label: str | None
@@ -106,8 +106,8 @@ class FeatureVector:
 
     def __post_init__(self) -> None:
         arr = np.asarray(self.values, dtype=np.float64)
-        if arr is self.values:
-            arr = arr.copy()
+        if arr is self.values and arr.flags.writeable:
+            arr = arr.copy()  # the caller could still write to it
         arr.setflags(write=False)
         object.__setattr__(self, "values", arr)
 
@@ -166,6 +166,7 @@ def vectorize_dataset(
     lengths = [len(s) for s in sequences], [len(t) for t in vocab.features]
     positions = np.subtract.outer(*lengths) + 1
     values = np.divide(counts, positions, out=np.zeros((n, width)), where=positions > 0)
+    values.setflags(write=False)  # share rows: small per-row copies fragment the heap
     return [FeatureVector(s.sample_id, s.label, row) for s, row in zip(sequences, values)]
 
 

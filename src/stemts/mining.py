@@ -136,8 +136,8 @@ def window_states(
 ) -> Iterator[tuple[np.ndarray, np.ndarray, np.ndarray]]:
     """Yield ``(table, rows, owners)`` for every window length l = 1..max_len.
 
-    The batch's code tuples are joined into one array with a stop code, -1,
-    after each, which no window spans. A length-l window's key is its
+    The batch's code tuples are joined into one array with a stop code after
+    each, which no window spans. A length-l window's key is its
     length-(l-1) prefix's state x len(alphabet) + its last code's rank in the
     sorted ``alphabet`` (the empty prefix has state 0), which fits in int64
     for any dimension count.
@@ -150,7 +150,7 @@ def window_states(
     sizes = np.fromiter((len(c) + 1 for c in batch), dtype=np.int64, count=len(batch))
     owner = np.repeat(np.arange(len(batch)), sizes)
     rank = np.searchsorted(alphabet, codes)
-    rank[~np.isin(codes, alphabet)] = -1
+    rank[(codes < 0) | ~np.isin(codes, alphabet)] = -1  # stops, and codes no event has
     states = np.zeros(len(codes), dtype=np.int64)
     for level in range(max_len):
         last = rank[level:]
@@ -159,7 +159,7 @@ def window_states(
         table = np.unique(keys) if tables is None else tables[level]
         rows = np.searchsorted(table, keys)
         if tables is not None:
-            found = table.take(rows, mode="clip") == keys
+            found = np.searchsorted(table, keys, side="right") > rows
             valid[valid] = found
             rows = rows[found]
         states = np.full(len(last), -1, dtype=np.int64)

@@ -5,6 +5,7 @@ from hypothesis import strategies as st
 
 from stemts import (
     EventSequence,
+    FeatureVocabulary,
     MinerConfig,
     build_vocabulary,
     full_alphabet_vocabulary,
@@ -84,6 +85,12 @@ class TestVectorize:
             b = vectorize(s, vocab)
             assert np.array_equal(a.values, b.values)
             assert np.all(a.values >= 0.0) and np.all(a.values <= 1.0)
+
+    def test_codes_no_event_has_never_match(self):
+        # load_vocabulary does not check codes, so a file can hold such tuples
+        vocab = FeatureVocabulary(features=((-1,), (8, -1, 4), (8,)), dims=2)
+        vectors = vectorize_dataset([seq([4, 8], "a"), seq([4, 4], "b")], vocab)
+        assert [v.values.tolist() for v in vectors] == [[0.0, 0.0, 0.5], [0.0, 0.0, 0.0]]
 
     def test_dimension_mismatch(self):
         vocab = build_vocabulary([(8,)], dims=2)

@@ -13,6 +13,7 @@ from __future__ import annotations
 import argparse
 import os
 import sys
+import warnings
 from pathlib import Path
 
 from .dataset import generate_synthetic, load_csv, load_synth_spec, write_csv
@@ -200,10 +201,7 @@ def cmd_mine(args: argparse.Namespace) -> int:
     pruned = prune_bottom_up(forest, config)
     features = extract_rts_features(pruned)
     if not features:
-        print(
-            "warning: no tuple met the support threshold; writing an empty feature list",
-            file=sys.stderr,
-        )
+        warnings.warn("no tuple met the support threshold; writing an empty feature list")
     write_feature_list(args.out, features, pruned, dims, sym_config.delta, config)
     _say(args, f"wrote {len(features)} features to {args.out}")
     return 0
@@ -277,20 +275,26 @@ def cmd_explain(args: argparse.Namespace) -> int:
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    try:
-        rc = args.func(args)
-        sys.stdout.flush()
-        return rc
-    except StemError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except BrokenPipeError:
-        # downstream consumer (head, less) closed the pipe; not our problem
-        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
-        return 0
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
+    # warnings print as one line each once the command has succeeded, so a
+    # failure prints exactly its error line
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("default")
+        try:
+            rc = args.func(args)
+            sys.stdout.flush()
+        except StemError as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            return 1
+        except BrokenPipeError:
+            # downstream consumer (head, less) closed the pipe; not our problem
+            os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+            return 0
+        except OSError as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            return 1
+    for warning in caught:
+        print(f"warning: {warning.message}", file=sys.stderr)
+    return rc
 
 
 if __name__ == "__main__":

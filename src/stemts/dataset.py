@@ -509,8 +509,16 @@ def load_synth_spec(path: str | Path) -> SynthSpec:
     path = Path(path)
     try:
         raw = yaml.safe_load(path.read_text(encoding="utf-8"))
+    except UnicodeDecodeError as exc:
+        raise ParseError(f"{path}: not UTF-8 text: {exc.reason}") from None
     except yaml.YAMLError as exc:
-        raise ParseError(f"{path}: not valid YAML: {exc}") from None
+        # one line: PyYAML's own message quotes the offending source lines
+        mark, problem = getattr(exc, "problem_mark", None), getattr(exc, "problem", None)
+        if mark is not None and problem:
+            where = f"{problem} at line {mark.line + 1}, column {mark.column + 1}"
+        else:
+            where = " ".join(str(exc).split())
+        raise ParseError(f"{path}: not valid YAML: {where}") from None
     if not isinstance(raw, dict):
         raise SchemaError(f"{path}: top level must be a mapping")
     unknown = set(raw) - _SPEC_KEYS

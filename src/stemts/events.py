@@ -204,11 +204,11 @@ def convert_dataset(
 
 def explain_event(code: int, dims: int, dim_names: Sequence[str] | None = None) -> str:
     """Human-readable reading of one event code, e.g. ``dim_0: up, dim_1: flat``."""
+    symbols = decode_event(code, dims)  # checks dims before names are made for them
     if dim_names is None:
         dim_names = [f"dim_{d}" for d in range(dims)]
     elif len(dim_names) != dims:
         raise ValueError(f"expected {dims} dimension names, got {len(dim_names)}")
-    symbols = decode_event(code, dims)
     return ", ".join(f"{name}: {_SYMBOL_WORDS[s]}" for name, s in zip(dim_names, symbols))
 
 

@@ -59,18 +59,8 @@ class FeatureVocabulary:
         return len(self.features)
 
 
-def build_vocabulary(
-    features: Sequence[EventTuple],
-    dims: int,
-    delta: float | None = None,
-    miner: MinerConfig | None = None,
-) -> FeatureVocabulary:
-    """Canonicalize a feature list into a vocabulary.
-
-    Ordering is length ascending then lexicographic by codes, regardless of
-    input order. Duplicates are an error; an empty list is allowed but warns,
-    since every vector over it is empty.
-    """
+def _canonical(features: Sequence[EventTuple], dims: int) -> list[EventTuple]:
+    """Checked features in canonical order: length ascending, then by codes."""
     canon = [tuple(int(c) for c in tup) for tup in features]
     if len(set(canon)) != len(canon):
         counts = Counter(canon)
@@ -83,9 +73,25 @@ def build_vocabulary(
         for code in tup:
             if not 0 <= code < n:
                 raise InvalidCodeError(f"feature {tup}: code {code} outside [0, {n})")
+    canon.sort(key=lambda t: (len(t), t))
+    return canon
+
+
+def build_vocabulary(
+    features: Sequence[EventTuple],
+    dims: int,
+    delta: float | None = None,
+    miner: MinerConfig | None = None,
+) -> FeatureVocabulary:
+    """Canonicalize a feature list into a vocabulary.
+
+    Ordering is length ascending then lexicographic by codes, regardless of
+    input order. Duplicates are an error; an empty list is allowed but warns,
+    since every vector over it is empty.
+    """
+    canon = _canonical(features, dims)
     if not canon:
         warnings.warn("building an empty vocabulary; all vectors will have length 0")
-    canon.sort(key=lambda t: (len(t), t))
     return FeatureVocabulary(features=tuple(canon), dims=dims, delta=delta, miner=miner)
 
 
@@ -194,10 +200,16 @@ def save_vocabulary(vocab: FeatureVocabulary, path: str | Path) -> None:
 
 
 def load_vocabulary(path: str | Path) -> FeatureVocabulary:
+    """Read a file written by :func:`save_vocabulary`.
+
+    The features must pass :func:`build_vocabulary`'s checks (non-empty
+    tuples, codes inside the alphabet, no duplicates) and already be in its
+    canonical order; anything else is a ``SchemaError`` naming the file.
+    """
     path = Path(path)
     try:
         payload = json.loads(path.read_text(encoding="utf-8"))
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
         raise SchemaError(f"{path}: not valid JSON: {exc}") from None
     try:
         miner = None
@@ -208,15 +220,18 @@ def load_vocabulary(path: str | Path) -> FeatureVocabulary:
                 gain_gamma=payload["miner"]["gain_gamma"],
             )
         features = [tuple(int(c) for c in t) for t in payload["features"]]
+        dims = int(payload["dims"])
+        canon = _canonical(features, dims)
         delta = payload["delta"]
-        return FeatureVocabulary(
-            features=tuple(features),
-            dims=int(payload["dims"]),
-            delta=None if delta is None else float(delta),
-            miner=miner,
-        )
-    except (KeyError, TypeError, ValueError) as exc:
+        delta = None if delta is None else float(delta)
+    except (KeyError, TypeError, ValueError, DuplicateFeatureError, InvalidCodeError) as exc:
         raise SchemaError(f"{path}: bad vocabulary file: {exc}") from None
+    if canon != features:
+        raise SchemaError(
+            f"{path}: bad vocabulary file: features are not in canonical order "
+            "(length ascending, then by codes)"
+        )
+    return FeatureVocabulary(features=tuple(canon), dims=dims, delta=delta, miner=miner)
 
 
 def write_feature_matrix(vectors: Sequence[FeatureVector], path: str | Path) -> None:

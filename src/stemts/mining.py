@@ -134,7 +134,9 @@ def _check_sequences(sequences: Sequence[EventSequence]) -> None:
 def window_states(
     batch: Sequence[Sequence[int]], alphabet: np.ndarray, max_len: int, tables: list | None = None
 ) -> Iterator[tuple[np.ndarray, np.ndarray, np.ndarray]]:
-    """Yield ``(table, rows, owners)`` for every window length l = 1..max_len.
+    """Yield ``(table, rows, owners)`` for window lengths l = 1..max_len.
+
+    The walk stops after the first length with no window in ``table``.
 
     The batch's code tuples are joined into one array with a stop code after
     each, which no window spans. A length-l window's key is its
@@ -165,6 +167,8 @@ def window_states(
         states = np.full(len(last), -1, dtype=np.int64)
         states[valid] = rows
         yield table, rows, owner[: len(last)][valid]
+        if not valid.any():
+            return  # no window of this length, so none longer: max_len may be huge
 
 
 def build_forest(sequences: Sequence[EventSequence], config: MinerConfig) -> PrefixForest:
@@ -252,6 +256,9 @@ def brute_force_mine(
 # ---------------------------------------------------------------------------
 
 
+_RECORD_KEYS = {"ordinal", "length", "codes", "doc_support", "occ_count", "description"}
+
+
 def write_feature_list(
     path: str | Path,
     features: Sequence[EventTuple],
@@ -294,8 +301,17 @@ def load_feature_list(path: str | Path) -> dict:
     path = Path(path)
     try:
         payload = json.loads(path.read_text(encoding="utf-8"))
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
         raise SchemaError(f"{path}: not valid JSON: {exc}") from None
     if not isinstance(payload, dict) or "features" not in payload or "dims" not in payload:
         raise SchemaError(f"{path}: expected a feature list with 'dims' and 'features'")
+    records = payload["features"]
+    if not isinstance(records, list) or not all(
+        isinstance(r, dict) and _RECORD_KEYS <= r.keys() and isinstance(r["codes"], list)
+        for r in records
+    ):
+        raise SchemaError(
+            f"{path}: each feature must be a record with {sorted(_RECORD_KEYS)} "
+            "and a list of codes"
+        )
     return payload

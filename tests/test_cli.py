@@ -258,12 +258,14 @@ class TestErrorSurface:
         latin1_events = tmp_path / "latin1_events.csv"
         latin1_events.write_bytes(b"sample_id,label,t,event_code\ncaf\xe9,a,0,1\n")
         (tmp_path / "latin1_events.csv.meta.json").write_text('{"dims": 1, "delta": 0.05}')
+        (tmp_path / "bad.yaml").write_text("classes: [1, 2")
         return {
             "data": str(data),
             "events": str(events),
             "latin1": str(latin1),
             "latin1_events": str(latin1_events),
             "out": str(tmp_path / "out"),
+            "bad_yaml": str(tmp_path / "bad.yaml"),
         }
 
     @pytest.mark.parametrize(
@@ -278,6 +280,7 @@ class TestErrorSurface:
             ["convert", "--in", "{latin1}", "--out", "{out}"],
             ["mine", "--in", "{latin1_events}", "--out", "{out}"],
             ["explain", "--code", "1", "--dims", "40"],
+            ["synth", "{bad_yaml}", "--out", "{out}"],
         ],
     )
     def test_one_error_line(self, files, capsys, argv):

@@ -1,7 +1,13 @@
 import json
+import tracemalloc
+from collections import Counter
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from stemts import (
     ClassifierConfig,
@@ -21,6 +27,7 @@ from stemts import (
     reports_to_json,
     split_dataset,
 )
+from stemts import evaluate
 from stemts.errors import (
     DegenerateTaskError,
     IncompatibleVectorError,
@@ -129,6 +136,102 @@ class TestKnn:
             knn_classify(train, vec([1.0, 0.0]), k=2)
         with pytest.raises(UnlabeledDataError):
             knn_classify([vec([1.0], "t", None)], vec([1.0]), k=1)
+
+
+def reference_labels(train, queries, k, metric):
+    """The per-query classifier the block kernels replaced, kept as the oracle.
+
+    One full distance row per query, a stable argsort for its k nearest and
+    the vote: majority, then mean distance within the k, then smaller label.
+    """
+    matrix = np.vstack([v.values for v in train])
+    labels = [v.label for v in train]
+    out = []
+    for query in queries:
+        x = query.values[None, :]
+        if metric == "euclidean":
+            q2, t2 = (x * x).sum(axis=1)[:, None], (matrix * matrix).sum(axis=1)[None, :]
+            row = np.sqrt(np.maximum(q2 + t2 - 2.0 * x @ matrix.T, 0.0))[0]
+        else:
+            qn, tn = np.linalg.norm(x, axis=1), np.linalg.norm(matrix, axis=1)
+            denom = np.outer(qn, tn)
+            sim = np.divide(x @ matrix.T, denom, out=np.zeros_like(denom), where=denom > 0.0)
+            dist = 1.0 - sim
+            dist[np.outer(qn == 0.0, tn == 0.0)] = 0.0
+            row = np.maximum(dist, 0.0)[0]
+        order = np.argsort(row, kind="stable")[:k]
+        counts = Counter(labels[i] for i in order)
+        winners = sorted(l for l, c in counts.items() if c == max(counts.values()))
+        means = {l: np.mean([row[i] for i in order if labels[i] == l]) for l in winners}
+        out.append(min(winners, key=lambda l: (means[l], l)))
+    return out
+
+
+TIE_VALUES = [0.0, -0.0, 0.5, 0.5, 1.0, 1.0, 2.0, np.inf, -np.inf, np.nan]
+
+
+class TestKernels:
+    @settings(max_examples=300, deadline=None)
+    @given(
+        distances=arrays(
+            np.float64,
+            st.tuples(st.integers(1, 40), st.integers(1, 12)),
+            elements=st.sampled_from(TIE_VALUES),
+        ),
+        k=st.integers(1, 12),
+        cells=st.sampled_from([1, 5, 64, evaluate._BLOCK_CELLS]),
+    )
+    def test_nearest_is_the_stable_argsort_prefix(self, distances, k, cells):
+        k = min(k, distances.shape[1])
+        with mock.patch.object(evaluate, "_BLOCK_CELLS", cells):
+            nearest = evaluate._nearest(distances, k)
+        expected = np.argsort(distances, axis=1, kind="stable")[:, :k]
+        assert np.array_equal(nearest, expected)
+
+    @pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
+    @settings(max_examples=15, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        n_train=st.integers(500, 700),
+        n_queries=st.integers(270, 400),
+        width=st.integers(1, 4),
+        k=st.integers(1, 5),
+        metric=st.sampled_from(["euclidean", "cosine"]),
+        grid=st.sampled_from([[0.0, 0.25, 0.5, 1.0], [0.0, 0.5, 1.0, np.inf, np.nan]]),
+    )
+    def test_predict_equals_per_query_reference(
+        self, seed, n_train, n_queries, width, k, metric, grid
+    ):
+        # quarter steps make every product exact, so ties are true ties; the
+        # queries span at least three row blocks
+        assert n_queries > 2 * (evaluate._BLOCK_CELLS // n_train)
+        rng = np.random.default_rng(seed)
+        grid = np.array(grid)
+        train = [
+            vec(rng.choice(grid, width), f"t{i}", "abc"[rng.integers(0, 3)])
+            for i in range(n_train)
+        ]
+        queries = [vec(rng.choice(grid, width), f"q{i}") for i in range(n_queries)]
+        expected = reference_labels(train, queries, k, metric)
+        config = ClassifierConfig("knn", k, metric)
+        assert evaluate._predict(train, queries, config) == expected
+        for query, label in list(zip(queries, expected))[:20]:
+            assert knn_classify(train, query, k, metric) == label
+
+    @pytest.mark.parametrize("metric, k", [("euclidean", 1), ("cosine", 5)])
+    def test_memory_is_one_matrix_plus_blocks(self, metric, k):
+        rng = np.random.default_rng(0)
+        n_queries, n_train = 1000, 4000
+        train = [vec(rng.random(8), f"t{i}", "ab"[i % 2]) for i in range(n_train)]
+        queries = [vec(rng.random(8), f"q{i}") for i in range(n_queries)]
+        tracemalloc.start()
+        try:
+            evaluate._predict(train, queries, ClassifierConfig("knn", k, metric))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        matrix_bytes = n_queries * n_train * 8
+        assert peak < 1.5 * matrix_bytes, f"peak {peak / matrix_bytes:.2f} matrices"
 
 
 class TestNearestCentroid:

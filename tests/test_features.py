@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -19,6 +21,7 @@ from stemts.errors import (
     DuplicateFeatureError,
     IncompatibleVocabularyError,
     InvalidCodeError,
+    SchemaError,
 )
 
 
@@ -87,7 +90,8 @@ class TestVectorize:
             assert np.all(a.values >= 0.0) and np.all(a.values <= 1.0)
 
     def test_codes_no_event_has_never_match(self):
-        # load_vocabulary does not check codes, so a file can hold such tuples
+        # FeatureVocabulary itself does not check codes (build_vocabulary and
+        # load_vocabulary do), so a directly built one can hold such tuples
         vocab = FeatureVocabulary(features=((-1,), (8, -1, 4), (8,)), dims=2)
         vectors = vectorize_dataset([seq([4, 8], "a"), seq([4, 4], "b")], vocab)
         assert [v.values.tolist() for v in vectors] == [[0.0, 0.0, 0.5], [0.0, 0.0, 0.0]]
@@ -192,6 +196,26 @@ class TestVocabularyFiles:
         path = tmp_path / "vocab.json"
         save_vocabulary(vocab, path)
         assert load_vocabulary(path).miner.min_support == 0.05
+
+    @pytest.mark.parametrize(
+        "features, problem",
+        [
+            ([[9]], "code 9 outside [0, 9)"),
+            ([[-1, 4]], "code -1 outside [0, 9)"),
+            ([[4], []], "must be non-empty"),
+            ([[1], [1]], "duplicate feature tuples: [(1,)]"),
+            ([[8], [4]], "not in canonical order"),
+            ([[4, 8], [8]], "not in canonical order"),
+        ],
+        ids=["code-too-large", "negative-code", "empty-tuple", "duplicate", "lex-order", "length-order"],
+    )
+    def test_rejects_what_build_vocabulary_rejects(self, tmp_path, features, problem):
+        path = tmp_path / "vocab.json"
+        payload = {"dims": 2, "delta": None, "miner": None, "features": features}
+        path.write_text(json.dumps(payload))
+        with pytest.raises(SchemaError) as info:
+            load_vocabulary(path)
+        assert str(path) in str(info.value) and problem in str(info.value)
 
 
 class TestFeatureMatrix:

@@ -218,11 +218,7 @@ def _nearest(distances: np.ndarray, k: int) -> np.ndarray:
 
 
 def _vote(labels: Sequence[str], distances: Sequence[float]) -> str:
-    """Label of the k nearest neighbours, given nearest first.
-
-    Majority wins; a tie goes to the smallest mean distance within the k,
-    then to the smaller label.
-    """
+    """Vote of the k nearest neighbours, given nearest first; see :func:`knn_classify`."""
     counts = Counter(labels)
     best = max(counts.values())
     winners = sorted(label for label, c in counts.items() if c == best)

@@ -100,7 +100,7 @@ def file_text(draw, text, noise):
 
 @st.composite
 def runs(draw, valid):
-    """(argv, files to write) for one drawn command line."""
+    """(argv, files to write, whether to write them as Latin-1) for one command line."""
     command = draw(st.sampled_from(sorted(FLAGS)))
     files = {}
     source = draw(st.sampled_from(["file", "file", "missing", "directory"]))

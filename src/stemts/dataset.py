@@ -16,6 +16,7 @@ and realized as piecewise-linear per-dimension trends plus uniform noise.
 from __future__ import annotations
 
 import csv
+import io
 from contextlib import contextmanager
 from dataclasses import dataclass
 from pathlib import Path
@@ -339,18 +340,28 @@ def load_csv(path: str | Path) -> MtsDataset:
     return MtsDataset(samples)
 
 
+def csv_prefix(sample_id: str, label: str | None) -> str:
+    """The ``sample_id,label`` fields of a long-form row, quoted as
+    ``csv.writer`` quotes them; a missing label is an empty field."""
+    buf = io.StringIO()
+    csv.writer(buf, lineterminator="\n").writerow([sample_id, "" if label is None else label])
+    return buf.getvalue()[:-1]
+
+
 def write_csv(dataset: MtsDataset, path: str | Path) -> None:
-    """Write a dataset in the long-form CSV interchange format."""
+    """Write a dataset in the long-form CSV interchange format.
+
+    Values are written with ``repr``, so ``load_csv`` reads them back exactly.
+    """
     path = Path(path)
     with path.open("w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(_expected_header(dataset.dims))
+        fh.write(",".join(_expected_header(dataset.dims)) + "\n")
         for s in dataset.samples:
-            label = s.label if s.label is not None else ""
-            for t in range(s.length):
-                writer.writerow(
-                    [s.id, label, t] + [repr(float(x)) for x in s.values[:, t]]
-                )
+            prefix = csv_prefix(s.id, s.label)
+            fh.writelines(
+                f"{prefix},{t},{','.join(map(repr, row))}\n"
+                for t, row in enumerate(s.values.T.tolist())
+            )
 
 
 # ---------------------------------------------------------------------------

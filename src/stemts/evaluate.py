@@ -8,11 +8,14 @@ test sample can never change the mined features.
 Timings are process CPU seconds (user+system via ``time.process_time``), not
 wall clock, reported per stage: symbolize, mine, featurize, classify, total.
 
-Classifying a test set builds one n_test x n_train distance matrix from a
-single product and finishes it in place one row block at a time, so memory is
-that matrix plus a fixed block workspace. kNN reads each query's k nearest in
-stable order (equal distances keep training order) and votes: majority, then
-smaller mean distance within the k, then the smaller label.
+Classifying a test set groups the queries and the training vectors into
+distinct vectors (equal float64 bytes) and builds one distinct queries x
+distinct training vectors distance matrix from a single product, finished in
+place one row block at a time: memory is that matrix plus a fixed block
+workspace, so repeated vectors are what make it small. kNN reads each query's
+k nearest in stable order over the training vectors (equal distances keep
+training order) and votes once per distinct query: majority, then smaller
+mean distance within the k, then the smaller label.
 """
 
 from __future__ import annotations
@@ -158,12 +161,27 @@ def _row_blocks(n_rows: int, n_cols: int):
     return (slice(start, start + step) for start in range(0, n_rows, step))
 
 
+def _distinct(matrix: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The distinct rows of ``matrix`` in order of first appearance, and each
+    row's index into them. Rows are equal when their float64 bytes are, so
+    -0.0 and 0.0 stay apart and equal nan rows group. ``matrix`` itself comes
+    back when no row repeats."""
+    index: dict[bytes, int] = {}
+    inverse = np.array([index.setdefault(row.tobytes(), len(index)) for row in matrix], np.intp)
+    if len(index) == len(matrix):
+        return matrix, inverse
+    first = np.unique(inverse, return_index=True)[1]
+    return matrix[first], inverse
+
+
 def _distances(queries: np.ndarray, train: np.ndarray, metric: str) -> np.ndarray:
     """The n_queries x n_train distance matrix, built in the product's own buffer.
 
     The product ``queries @ train.T`` is one call, never split, so every entry
     rounds the same whatever the block size. Every later step runs in place,
     one row block at a time: memory is one matrix plus a fixed block workspace.
+    The classifiers pass distinct queries and distinct training vectors, so
+    the matrix is distinct queries x distinct training vectors.
     """
     if metric == "euclidean":
         q2 = (queries * queries).sum(axis=1)
@@ -193,26 +211,30 @@ def _distances(queries: np.ndarray, train: np.ndarray, metric: str) -> np.ndarra
     raise ValueError(f"metric must be one of {METRICS}, got {metric!r}")
 
 
-def _nearest(distances: np.ndarray, k: int) -> np.ndarray:
-    """Per row, the columns of the k smallest distances, nearest first.
+def _nearest(distances: np.ndarray, k: int, columns: np.ndarray | None = None) -> np.ndarray:
+    """Per row, the k nearest training vectors, nearest first.
 
-    Equals ``np.argsort(distances, kind="stable")[:, :k]``: equal distances
-    keep training order. Each block takes k rounds of ``argmin`` (the first
-    index of the minimum) over a copy, masking each pick with inf. A row with
-    a non-finite distance takes the stable argsort, since there an inf mask
-    could pick one column twice.
+    ``columns`` gives each training vector's column in ``distances`` (None:
+    column i is vector i). Each row block is gathered to full training width
+    through it, so the result equals ``np.argsort(full, kind="stable")[:, :k]``
+    on the full-width rows: equal distances keep training order. Each block
+    takes k rounds of ``argmin`` (the first index of the minimum), masking
+    each pick with inf. A row with a non-finite distance takes the stable
+    argsort of its gathered row, since there an inf mask could pick one
+    column twice.
     """
+    width = distances.shape[1] if columns is None else len(columns)
     nearest = np.empty((distances.shape[0], k), dtype=np.intp)
-    for rows in _row_blocks(*distances.shape):
-        block = distances[rows].copy()
+    for rows in _row_blocks(distances.shape[0], width):
+        block = distances[rows].copy() if columns is None else distances[rows].take(columns, axis=1)
         out = nearest[rows]
         at = np.arange(len(block))
         finite = np.isfinite(block).all(axis=1)
+        odd = None if finite.all() else block[~finite]
         for j in range(k):
             out[:, j] = block.argmin(axis=1)
             block[at, out[:, j]] = np.inf
-        if not finite.all():
-            odd = distances[rows][~finite]
+        if odd is not None:
             out[~finite] = np.argsort(odd, kind="stable")[:, :k]
     return nearest
 
@@ -280,7 +302,10 @@ def _predict(
     queries: Sequence[FeatureVector],
     classifier: ClassifierConfig,
 ) -> list[str]:
-    """Every query's label from one distance matrix (see ``_distances``)."""
+    """Every query's label from one distance matrix over distinct vectors.
+
+    Queries with equal vectors get one vote, computed once; see ``_distinct``.
+    """
     if not queries:
         return []
     matrix, labels = _check_train_vectors(train)
@@ -290,17 +315,24 @@ def _predict(
             f"query has length {query_matrix.shape[1]}, "
             f"training vectors have {matrix.shape[1]}"
         )
+    distinct_queries, query_of = _distinct(query_matrix)
     if classifier.kind == "centroid":
         centroids = class_centroids(train)
         names = list(centroids)
-        distances = _distances(query_matrix, np.vstack(list(centroids.values())), classifier.metric)
-        return [names[i] for i in distances.argmin(axis=1).tolist()]
+        distances = _distances(
+            distinct_queries, np.vstack(list(centroids.values())), classifier.metric
+        )
+        votes = [names[i] for i in distances.argmin(axis=1).tolist()]
+        return [votes[i] for i in query_of.tolist()]
     if classifier.k > len(train):
         raise ConfigError(f"k must lie in [1, {len(train)}], got {classifier.k}")
-    distances = _distances(query_matrix, matrix, classifier.metric)
-    nearest = _nearest(distances, classifier.k)
-    near = np.take_along_axis(distances, nearest, axis=1)
-    return [_vote([labels[i] for i in row], d) for row, d in zip(nearest.tolist(), near)]
+    distinct_train, column_of = _distinct(matrix)
+    columns = None if len(distinct_train) == len(matrix) else column_of
+    distances = _distances(distinct_queries, distinct_train, classifier.metric)
+    nearest = _nearest(distances, classifier.k, columns)
+    near = np.take_along_axis(distances, nearest if columns is None else columns[nearest], axis=1)
+    votes = [_vote([labels[i] for i in row], d) for row, d in zip(nearest.tolist(), near)]
+    return [votes[i] for i in query_of.tolist()]
 
 
 # ---------------------------------------------------------------------------

@@ -14,7 +14,6 @@ makes decoding self-contained.
 
 from __future__ import annotations
 
-import csv
 import json
 from dataclasses import dataclass
 from pathlib import Path
@@ -25,6 +24,7 @@ import numpy as np
 from .dataset import (
     MtsDataset,
     MtsSample,
+    csv_prefix,
     iter_long_form,
     min_max_normalize,
     open_long_form,
@@ -237,12 +237,10 @@ def write_events(
         raise MalformedDatasetError("no event sequences to write")
     dims = sequences[0].dims
     with path.open("w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["sample_id", "label", "t", "event_code"])
+        fh.write("sample_id,label,t,event_code\n")
         for seq in sequences:
-            label = seq.label if seq.label is not None else ""
-            for t, code in enumerate(seq.codes):
-                writer.writerow([seq.sample_id, label, t, code])
+            prefix = csv_prefix(seq.sample_id, seq.label)
+            fh.writelines(f"{prefix},{t},{code}\n" for t, code in enumerate(seq.codes))
     meta = {"dims": dims, "delta": config.delta}
     _meta_path(path).write_text(json.dumps(meta, indent=2) + "\n", encoding="utf-8")
 

@@ -203,8 +203,9 @@ def load_vocabulary(path: str | Path) -> FeatureVocabulary:
     """Read a file written by :func:`save_vocabulary`.
 
     The features must pass :func:`build_vocabulary`'s checks (non-empty
-    tuples, codes inside the alphabet, no duplicates) and already be in its
-    canonical order; anything else is a ``SchemaError`` naming the file.
+    tuples, codes inside the alphabet, no duplicates), hold only integer
+    codes and already be in its canonical order; anything else is a
+    ``SchemaError`` naming the file.
     """
     path = Path(path)
     try:
@@ -219,7 +220,10 @@ def load_vocabulary(path: str | Path) -> FeatureVocabulary:
                 max_len=payload["miner"]["max_len"],
                 gain_gamma=payload["miner"]["gain_gamma"],
             )
-        features = [tuple(int(c) for c in t) for t in payload["features"]]
+        features = [tuple(t) for t in payload["features"]]
+        for code in (c for t in features for c in t):
+            if type(code) is not int:  # JSON floats and booleans are not codes
+                raise ValueError(f"code {code!r} is not an integer")
         dims = int(payload["dims"])
         canon = _canonical(features, dims)
         delta = payload["delta"]

@@ -138,6 +138,20 @@ class TestKnn:
             knn_classify([vec([1.0], "t", None)], vec([1.0]), k=1)
 
 
+def reference_row(x, matrix, metric):
+    """One query's distances to every row of ``matrix``, computed on its own."""
+    x = x[None, :]
+    if metric == "euclidean":
+        q2, t2 = (x * x).sum(axis=1)[:, None], (matrix * matrix).sum(axis=1)[None, :]
+        return np.sqrt(np.maximum(q2 + t2 - 2.0 * x @ matrix.T, 0.0))[0]
+    qn, tn = np.linalg.norm(x, axis=1), np.linalg.norm(matrix, axis=1)
+    denom = np.outer(qn, tn)
+    sim = np.divide(x @ matrix.T, denom, out=np.zeros_like(denom), where=denom > 0.0)
+    dist = 1.0 - sim
+    dist[np.outer(qn == 0.0, tn == 0.0)] = 0.0
+    return np.maximum(dist, 0.0)[0]
+
+
 def reference_labels(train, queries, k, metric):
     """The per-query classifier the block kernels replaced, kept as the oracle.
 
@@ -148,23 +162,21 @@ def reference_labels(train, queries, k, metric):
     labels = [v.label for v in train]
     out = []
     for query in queries:
-        x = query.values[None, :]
-        if metric == "euclidean":
-            q2, t2 = (x * x).sum(axis=1)[:, None], (matrix * matrix).sum(axis=1)[None, :]
-            row = np.sqrt(np.maximum(q2 + t2 - 2.0 * x @ matrix.T, 0.0))[0]
-        else:
-            qn, tn = np.linalg.norm(x, axis=1), np.linalg.norm(matrix, axis=1)
-            denom = np.outer(qn, tn)
-            sim = np.divide(x @ matrix.T, denom, out=np.zeros_like(denom), where=denom > 0.0)
-            dist = 1.0 - sim
-            dist[np.outer(qn == 0.0, tn == 0.0)] = 0.0
-            row = np.maximum(dist, 0.0)[0]
+        row = reference_row(query.values, matrix, metric)
         order = np.argsort(row, kind="stable")[:k]
         counts = Counter(labels[i] for i in order)
         winners = sorted(l for l, c in counts.items() if c == max(counts.values()))
         means = {l: np.mean([row[i] for i in order if labels[i] == l]) for l in winners}
         out.append(min(winners, key=lambda l: (means[l], l)))
     return out
+
+
+def reference_centroid_labels(train, queries, metric):
+    """Per query, the first of the sorted labels whose centroid is nearest."""
+    centroids = class_centroids(train)
+    matrix = np.vstack(list(centroids.values()))
+    names = list(centroids)
+    return [names[reference_row(q.values, matrix, metric).argmin()] for q in queries]
 
 
 TIE_VALUES = [0.0, -0.0, 0.5, 0.5, 1.0, 1.0, 2.0, np.inf, -np.inf, np.nan]
@@ -197,26 +209,40 @@ class TestKernels:
         width=st.integers(1, 4),
         k=st.integers(1, 5),
         metric=st.sampled_from(["euclidean", "cosine"]),
-        grid=st.sampled_from([[0.0, 0.25, 0.5, 1.0], [0.0, 0.5, 1.0, np.inf, np.nan]]),
+        grid=st.sampled_from(
+            [[0.0, -0.0, 0.25, 0.5, 1.0], [0.0, -0.0, 0.5, 1.0, np.inf, np.nan]]
+        ),
     )
     def test_predict_equals_per_query_reference(
         self, seed, n_train, n_queries, width, k, metric, grid
     ):
-        # quarter steps make every product exact, so ties are true ties; the
-        # queries span at least three row blocks
-        assert n_queries > 2 * (evaluate._BLOCK_CELLS // n_train)
+        # quarter steps make every product exact, so ties are true ties; every
+        # fifth vector is all nan, so both sides repeat vectors
         rng = np.random.default_rng(seed)
         grid = np.array(grid)
-        train = [
-            vec(rng.choice(grid, width), f"t{i}", "abc"[rng.integers(0, 3)])
-            for i in range(n_train)
-        ]
-        queries = [vec(rng.choice(grid, width), f"q{i}") for i in range(n_queries)]
+
+        def values(i):
+            return np.full(width, np.nan) if i % 5 == 4 else rng.choice(grid, width)
+
+        train = [vec(values(i), f"t{i}", "abc"[rng.integers(0, 3)]) for i in range(n_train)]
+        queries = [vec(values(i), f"q{i}") for i in range(n_queries)]
+        distinct_queries = len({q.values.tobytes() for q in queries})
+        distinct_train = len({t.values.tobytes() for t in train})
+        assert distinct_queries >= 3
+        # blocks of a third of the distinct queries: the distinct matrix and
+        # its gathered rows span at least three row blocks
+        cells = distinct_train * max(1, distinct_queries // 3)
         expected = reference_labels(train, queries, k, metric)
-        config = ClassifierConfig("knn", k, metric)
-        assert evaluate._predict(train, queries, config) == expected
+        with mock.patch.object(evaluate, "_BLOCK_CELLS", cells):
+            assert evaluate._predict(train, queries, ClassifierConfig("knn", k, metric)) == expected
         for query, label in list(zip(queries, expected))[:20]:
             assert knn_classify(train, query, k, metric) == label
+        # 128/64/64 members per class keep the centroids on a dyadic grid;
+        # leaving out the all-nan vectors keeps them off nan on the finite grid
+        kept = [t for i, t in enumerate(train) if i % 5 != 4][:256]
+        members = [vec(t.values, t.sample_id, "aabc"[i % 4]) for i, t in enumerate(kept)]
+        centroid = evaluate._predict(members, queries, ClassifierConfig("centroid", 1, metric))
+        assert centroid == reference_centroid_labels(members, queries, metric)
 
     @pytest.mark.parametrize("metric, k", [("euclidean", 1), ("cosine", 5)])
     def test_memory_is_one_matrix_plus_blocks(self, metric, k):
@@ -232,6 +258,23 @@ class TestKernels:
             tracemalloc.stop()
         matrix_bytes = n_queries * n_train * 8
         assert peak < 1.5 * matrix_bytes, f"peak {peak / matrix_bytes:.2f} matrices"
+
+    @pytest.mark.parametrize("metric, k", [("euclidean", 1), ("cosine", 5)])
+    def test_repeated_vectors_need_no_full_matrix(self, metric, k):
+        rng = np.random.default_rng(1)
+        n_queries, n_train = 1000, 4000
+        kinds, asked = rng.random((10, 8)), rng.random((5, 8))
+        train = [vec(kinds[i % 10], f"t{i}", "ab"[i % 3 == 0]) for i in range(n_train)]
+        queries = [vec(asked[i % 5], f"q{i}") for i in range(n_queries)]
+        tracemalloc.start()
+        try:
+            labels = evaluate._predict(train, queries, ClassifierConfig("knn", k, metric))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        matrix_bytes = n_queries * n_train * 8
+        assert peak < 0.1 * matrix_bytes, f"peak {peak / matrix_bytes:.3f} matrices"
+        assert labels == reference_labels(train, queries[:5], k, metric) * (n_queries // 5)
 
 
 class TestNearestCentroid:

@@ -206,8 +206,21 @@ class TestVocabularyFiles:
             ([[1], [1]], "duplicate feature tuples: [(1,)]"),
             ([[8], [4]], "not in canonical order"),
             ([[4, 8], [8]], "not in canonical order"),
+            ([[1.9]], "code 1.9 is not an integer"),
+            ([[1.9], [True]], "code 1.9 is not an integer"),
+            ([[True]], "code True is not an integer"),
         ],
-        ids=["code-too-large", "negative-code", "empty-tuple", "duplicate", "lex-order", "length-order"],
+        ids=[
+            "code-too-large",
+            "negative-code",
+            "empty-tuple",
+            "duplicate",
+            "lex-order",
+            "length-order",
+            "float-code",
+            "float-and-bool-codes",
+            "bool-code",
+        ],
     )
     def test_rejects_what_build_vocabulary_rejects(self, tmp_path, features, problem):
         path = tmp_path / "vocab.json"

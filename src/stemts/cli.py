@@ -223,30 +223,10 @@ def cmd_eval(args: argparse.Namespace) -> int:
         f"max_len {miner.max_len}, {classifier.kind} k={classifier.k} "
         f"{classifier.metric}, train_frac {split.train_fraction}, seed {split.seed}",
     )
-    reports = [
-        evaluate_pipeline(
-            dataset,
-            symbolizer,
-            miner,
-            split,
-            classifier,
-            pad=args.pad,
-            resubstitution=args.resubstitution,
-            dataset_name=name,
-        )
-    ]
+    same = {"pad": args.pad, "resubstitution": args.resubstitution, "dataset_name": name}
+    reports = [evaluate_pipeline(dataset, symbolizer, miner, split, classifier, **same)]
     if args.baseline:
-        reports.append(
-            baseline_histogram_eval(
-                dataset,
-                split,
-                symbolizer,
-                classifier,
-                pad=args.pad,
-                resubstitution=args.resubstitution,
-                dataset_name=name,
-            )
-        )
+        reports.append(baseline_histogram_eval(dataset, split, symbolizer, classifier, **same))
     json_path, text_path = write_report_files(reports, args.out)
     save_vocabulary(reports[0].vocabulary, str(args.out) + ".vocab.json")
     if not args.quiet:

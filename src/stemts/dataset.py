@@ -23,7 +23,6 @@ from pathlib import Path
 from typing import Iterator, TextIO
 
 import numpy as np
-import yaml
 
 from .errors import (
     EmptyDatasetError,
@@ -517,6 +516,8 @@ def load_synth_spec(path: str | Path) -> SynthSpec:
         step_size: 1.0      # optional, default 1.0
         separable: true     # optional, default false
     """
+    import yaml  # only this reader needs it, and it is slow to import
+
     path = Path(path)
     try:
         raw = yaml.safe_load(path.read_text(encoding="utf-8"))

@@ -6,7 +6,15 @@ training vocabulary, never the other way around, so removing or mutating a
 test sample can never change the mined features.
 
 Timings are process CPU seconds (user+system via ``time.process_time``), not
-wall clock, reported per stage: symbolize, mine, featurize, classify, total.
+wall clock, reported per stage: symbolize (which includes taking the train
+and test batches), mine, featurize, classify, total.
+
+An evaluation symbolizes the dataset into one ``events.EventBatch`` and takes
+the train and test batches from it, mines the training batch, vectorizes
+both into matrices with ``features.vectorize_batch`` and classifies the test
+matrix against the training matrix; no per-sample object is built.
+``knn_classify`` and ``nearest_centroid_classify`` are per-sample views over
+the same matrix classifier.
 
 Classifying a test set groups the queries and the training vectors into
 distinct vectors (equal float64 bytes) and builds one distinct queries x
@@ -27,7 +35,7 @@ import warnings
 from collections import Counter
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Callable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -39,13 +47,13 @@ from .errors import (
     NoModelError,
     UnlabeledDataError,
 )
-from .events import EventSequence, SymbolizerConfig, convert_dataset
+from .events import SymbolizerConfig, symbolize_dataset
 from .features import (
     FeatureVector,
     FeatureVocabulary,
     build_vocabulary,
     full_alphabet_vocabulary,
-    vectorize_dataset,
+    vectorize_batch,
 )
 from .mining import (
     MinerConfig,
@@ -277,12 +285,11 @@ def knn_classify(
     smallest mean distance within the k, then on the lexicographically
     smaller label, so predictions are reproducible.
     """
-    return _predict(train, [query], ClassifierConfig("knn", k, metric))[0]
+    classifier = ClassifierConfig("knn", k, metric)
+    return _predict(*_check_train_vectors(train), query.values[None, :], classifier)[0]
 
 
-def class_centroids(train: Sequence[FeatureVector]) -> dict[str, np.ndarray]:
-    """Per-class mean vectors, keyed by label in sorted order."""
-    matrix, labels = _check_train_vectors(train)
+def _centroids(matrix: np.ndarray, labels: Sequence[str]) -> dict[str, np.ndarray]:
     out: dict[str, np.ndarray] = {}
     for label in sorted(set(labels)):
         member_rows = [i for i, l in enumerate(labels) if l == label]
@@ -290,42 +297,47 @@ def class_centroids(train: Sequence[FeatureVector]) -> dict[str, np.ndarray]:
     return out
 
 
+def class_centroids(train: Sequence[FeatureVector]) -> dict[str, np.ndarray]:
+    """Per-class mean vectors, keyed by label in sorted order."""
+    return _centroids(*_check_train_vectors(train))
+
+
 def nearest_centroid_classify(
     train: Sequence[FeatureVector], query: FeatureVector, metric: str = "euclidean"
 ) -> str:
     """Label of the nearest class centroid; ties go to the smaller label."""
-    return _predict(train, [query], ClassifierConfig("centroid", 1, metric))[0]
+    classifier = ClassifierConfig("centroid", 1, metric)
+    return _predict(*_check_train_vectors(train), query.values[None, :], classifier)[0]
 
 
 def _predict(
-    train: Sequence[FeatureVector],
-    queries: Sequence[FeatureVector],
+    matrix: np.ndarray,
+    labels: Sequence[str],
+    queries: np.ndarray,
     classifier: ClassifierConfig,
 ) -> list[str]:
-    """Every query's label from one distance matrix over distinct vectors.
+    """The label of every row of ``queries`` against the training rows of
+    ``matrix`` and their ``labels``, from one distance matrix over distinct vectors.
 
     Queries with equal vectors get one vote, computed once; see ``_distinct``.
     """
-    if not queries:
+    if not len(queries):
         return []
-    matrix, labels = _check_train_vectors(train)
-    query_matrix = np.vstack([vec.values for vec in queries])
-    if query_matrix.shape[1] != matrix.shape[1]:
+    if queries.shape[1] != matrix.shape[1]:
         raise IncompatibleVectorError(
-            f"query has length {query_matrix.shape[1]}, "
-            f"training vectors have {matrix.shape[1]}"
+            f"query has length {queries.shape[1]}, training vectors have {matrix.shape[1]}"
         )
-    distinct_queries, query_of = _distinct(query_matrix)
+    distinct_queries, query_of = _distinct(queries)
     if classifier.kind == "centroid":
-        centroids = class_centroids(train)
+        centroids = _centroids(matrix, labels)
         names = list(centroids)
         distances = _distances(
             distinct_queries, np.vstack(list(centroids.values())), classifier.metric
         )
         votes = [names[i] for i in distances.argmin(axis=1).tolist()]
         return [votes[i] for i in query_of.tolist()]
-    if classifier.k > len(train):
-        raise ConfigError(f"k must lie in [1, {len(train)}], got {classifier.k}")
+    if classifier.k > len(matrix):
+        raise ConfigError(f"k must lie in [1, {len(matrix)}], got {classifier.k}")
     distinct_train, column_of = _distinct(matrix)
     columns = None if len(distinct_train) == len(matrix) else column_of
     distances = _distances(distinct_queries, distinct_train, classifier.metric)
@@ -412,16 +424,40 @@ def _split_ids(
 
 def _run_eval(
     dataset: MtsDataset,
-    symbolizer: SymbolizerConfig,
-    classifier: ClassifierConfig,
-    train_ids: list[str],
-    test_ids: list[str],
-    vocab_builder: Callable[[list[EventSequence]], FeatureVocabulary],
-    method: str,
-    dataset_name: str,
+    symbolizer: SymbolizerConfig | None,
+    miner: MinerConfig | None,
+    split: SplitSpec | None,
+    classifier: ClassifierConfig | None,
     pad: bool,
-    config: dict,
+    resubstitution: bool,
+    dataset_name: str,
 ) -> EvalReport:
+    """One method's report: the stem pipeline with ``miner``, the 1-gram baseline without."""
+    symbolizer = symbolizer or SymbolizerConfig()
+    split = split or SplitSpec()
+    classifier = classifier or ClassifierConfig()
+    _check_task(dataset)
+    train_ids, test_ids = _split_ids(dataset, split, resubstitution)
+    method: dict = {"features": "1-gram histogram"}
+    if miner is not None:
+        method = {
+            "min_support": miner.min_support,
+            "resolved_min_support": resolve_min_support(miner.min_support, len(train_ids)),
+            "max_len": miner.max_len,
+            "gain_gamma": miner.gain_gamma,
+        }
+    config = {
+        "delta": symbolizer.delta,
+        **method,
+        "classifier": classifier.kind,
+        "k": classifier.k,
+        "metric": classifier.metric,
+        "train_fraction": split.train_fraction,
+        "stratified": split.stratified,
+        "seed": split.seed,
+        "pad": pad,
+        "resubstitution": resubstitution,
+    }
     start = time.process_time()
 
     t0 = time.process_time()
@@ -431,29 +467,32 @@ def _run_eval(
     if pad:
         length = {s.id: s.length for s in dataset.samples}
         pad_to = max(length[i] for i in train_ids)
-    sequences = convert_dataset(dataset, symbolizer, pad_to)
-    seq_by_id = {seq.sample_id: seq for seq in sequences}
+    batch = symbolize_dataset(dataset, symbolizer, pad_to)
+    row = {sample_id: i for i, sample_id in enumerate(batch.ids)}
+    train = batch.take([row[i] for i in train_ids])
+    test = batch.take([row[i] for i in test_ids])
+    del batch  # train and test hold every code the later stages read
     t_symbolize = time.process_time() - t0
 
-    train_seqs = [seq_by_id[i] for i in train_ids]
-    test_seqs = [seq_by_id[i] for i in test_ids]
-
     t0 = time.process_time()
-    vocab = vocab_builder(train_seqs)
+    if miner is None:
+        vocab = full_alphabet_vocabulary(dataset.dims, symbolizer.delta)
+    else:
+        features = extract_rts_features(prune_bottom_up(build_forest(train, miner), miner))
+        vocab = build_vocabulary(features, dataset.dims, symbolizer.delta, miner)
     t_mine = time.process_time() - t0
 
     t0 = time.process_time()
-    train_vecs = vectorize_dataset(train_seqs, vocab)
-    test_vecs = vectorize_dataset(test_seqs, vocab)
+    train_matrix = vectorize_batch(train, vocab)
+    test_matrix = vectorize_batch(test, vocab)
     t_featurize = time.process_time() - t0
 
     t0 = time.process_time()
-    predictions = _predict(train_vecs, test_vecs, classifier)
+    predictions = _predict(train_matrix, train.labels, test_matrix, classifier)
     t_classify = time.process_time() - t0
 
     labels = dataset.label_set
-    truth = [seq.label for seq in test_seqs]
-    confusion = _confusion(labels, truth, predictions)
+    confusion = _confusion(labels, test.labels, predictions)
     total = time.process_time() - start
     timings = {
         "symbolize": t_symbolize,
@@ -463,7 +502,7 @@ def _run_eval(
         "total": total,
     }
     return EvalReport(
-        method=method,
+        method="baseline" if miner is None else "stem",
         dataset=dataset_name,
         labels=labels,
         confusion=confusion,
@@ -494,47 +533,9 @@ def evaluate_pipeline(
     lengths never shape the vocabulary either. ``resubstitution=True``
     evaluates on the training set itself (a sanity mode, not a benchmark).
     """
-    symbolizer = symbolizer or SymbolizerConfig()
     miner = miner or MinerConfig()
-    split = split or SplitSpec()
-    classifier = classifier or ClassifierConfig()
-    _check_task(dataset)
-    train_ids, test_ids = _split_ids(dataset, split, resubstitution)
-
-    def vocab_builder(train_seqs: list[EventSequence]) -> FeatureVocabulary:
-        forest = build_forest(train_seqs, miner)
-        pruned = prune_bottom_up(forest, miner)
-        features = extract_rts_features(pruned)
-        return build_vocabulary(
-            features, dims=dataset.dims, delta=symbolizer.delta, miner=miner
-        )
-
-    config = {
-        "delta": symbolizer.delta,
-        "min_support": miner.min_support,
-        "resolved_min_support": resolve_min_support(miner.min_support, len(train_ids)),
-        "max_len": miner.max_len,
-        "gain_gamma": miner.gain_gamma,
-        "classifier": classifier.kind,
-        "k": classifier.k,
-        "metric": classifier.metric,
-        "train_fraction": split.train_fraction,
-        "stratified": split.stratified,
-        "seed": split.seed,
-        "pad": pad,
-        "resubstitution": resubstitution,
-    }
     return _run_eval(
-        dataset,
-        symbolizer,
-        classifier,
-        train_ids,
-        test_ids,
-        vocab_builder,
-        "stem",
-        dataset_name,
-        pad,
-        config,
+        dataset, symbolizer, miner, split, classifier, pad, resubstitution, dataset_name
     )
 
 
@@ -554,38 +555,8 @@ def baseline_histogram_eval(
     report is shaped exactly like the main pipeline's and comparable on the
     same split.
     """
-    symbolizer = symbolizer or SymbolizerConfig()
-    split = split or SplitSpec()
-    classifier = classifier or ClassifierConfig()
-    _check_task(dataset)
-    train_ids, test_ids = _split_ids(dataset, split, resubstitution)
-
-    def vocab_builder(train_seqs: list[EventSequence]) -> FeatureVocabulary:
-        return full_alphabet_vocabulary(dataset.dims, symbolizer.delta)
-
-    config = {
-        "delta": symbolizer.delta,
-        "features": "1-gram histogram",
-        "classifier": classifier.kind,
-        "k": classifier.k,
-        "metric": classifier.metric,
-        "train_fraction": split.train_fraction,
-        "stratified": split.stratified,
-        "seed": split.seed,
-        "pad": pad,
-        "resubstitution": resubstitution,
-    }
     return _run_eval(
-        dataset,
-        symbolizer,
-        classifier,
-        train_ids,
-        test_ids,
-        vocab_builder,
-        "baseline",
-        dataset_name,
-        pad,
-        config,
+        dataset, symbolizer, None, split, classifier, pad, resubstitution, dataset_name
     )
 
 

@@ -7,6 +7,13 @@ combine into a single event code via base-3 positional encoding with
 dimension 0 least significant, so the alphabet has exactly 3**D codes and
 encoding is a bijection.
 
+The pipeline keeps a dataset's codes in one ``EventBatch``: every sample's
+codes joined into one int64 array, with ``offsets`` marking where each sample
+starts (the CSR ``indptr`` layout), validated once per batch.
+``symbolize_dataset`` writes each group of equal-length samples straight into
+it. ``EventSequence`` is the per-sample view that ``convert_dataset``,
+``symbolize_sample`` and the event files hand out.
+
 Event sequences are stored as a CSV (``sample_id,label,t,event_code``) plus a
 companion ``<path>.meta.json`` holding the dimension count and delta, which
 makes decoding self-contained.
@@ -16,6 +23,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from itertools import chain
 from pathlib import Path
 from typing import Sequence
 
@@ -28,7 +36,6 @@ from .dataset import (
     iter_long_form,
     min_max_normalize,
     open_long_form,
-    pad_to_length,
     read_header,
 )
 from .errors import (
@@ -42,12 +49,14 @@ from .errors import (
 __all__ = [
     "SymbolizerConfig",
     "EventSequence",
+    "EventBatch",
     "alphabet_size",
     "event_codes",
     "symbolize_dimension",
     "encode_event",
     "decode_event",
     "symbolize_sample",
+    "symbolize_dataset",
     "convert_dataset",
     "explain_event",
     "explain_tuple",
@@ -79,19 +88,81 @@ class EventSequence:
     codes: tuple[int, ...]
 
     def __post_init__(self) -> None:
-        if self.dims < 1:
-            raise ConfigError("dims must be >= 1")
+        n = alphabet_size(self.dims)
         codes = tuple(map(int, self.codes))
         object.__setattr__(self, "codes", codes)
         if not codes:
             raise TooShortError(f"sequence {self.sample_id!r} has no events")
-        n = alphabet_size(self.dims)
         if min(codes) < 0 or max(codes) >= n:
             bad = next(c for c in codes if not 0 <= c < n)
             raise InvalidCodeError(f"sequence {self.sample_id!r}: code {bad} outside [0, {n})")
 
     def __len__(self) -> int:
         return len(self.codes)
+
+
+def _offsets(sizes) -> np.ndarray:
+    """Start of each of the ragged rows of these sizes, then their total: n + 1 int64s."""
+    return np.concatenate(([0], np.cumsum(sizes, dtype=np.int64)))
+
+
+@dataclass(frozen=True, eq=False)
+class EventBatch:
+    """Event codes of many samples in one int64 array (the CSR layout).
+
+    Sample i's codes are ``codes[offsets[i]:offsets[i + 1]]``. The batch is
+    checked once, failing like ``EventSequence`` on the first bad sample.
+    """
+
+    codes: np.ndarray
+    offsets: np.ndarray
+    ids: tuple[str, ...]
+    labels: tuple[str | None, ...]
+    dims: int
+
+    def __post_init__(self) -> None:
+        offsets, n = self.offsets, alphabet_size(self.dims)
+        if not len(offsets) - 1 == len(self.ids) == len(self.labels):
+            raise ValueError("need one label per id and one offset more than ids")
+        if offsets[0] != 0 or offsets[-1] != len(self.codes):
+            raise ValueError("offsets must run from 0 to the number of codes")
+        empty = np.flatnonzero(np.diff(offsets) < 1)
+        if len(empty):
+            raise TooShortError(f"sequence {self.ids[empty[0]]!r} has no events")
+        bad = np.flatnonzero((self.codes < 0) | (self.codes >= n))
+        if len(bad):
+            sample = np.searchsorted(offsets, bad[0], side="right") - 1
+            raise InvalidCodeError(
+                f"sequence {self.ids[sample]!r}: code {self.codes[bad[0]]} outside [0, {n})"
+            )
+
+    def __len__(self) -> int:
+        return len(self.ids)
+
+    @classmethod
+    def from_sequences(cls, sequences: Sequence[EventSequence], dims: int) -> EventBatch:
+        """The batch of per-sample sequences, in order; each must have ``dims`` dimensions."""
+        offsets = _offsets([len(s) for s in sequences])
+        codes = np.fromiter(chain.from_iterable(s.codes for s in sequences), np.int64, offsets[-1])
+        ids, labels = (s.sample_id for s in sequences), (s.label for s in sequences)
+        return cls(codes, offsets, tuple(ids), tuple(labels), dims)
+
+    def take(self, rows: Sequence[int]) -> EventBatch:
+        """The batch of samples ``rows``, in that order."""
+        rows = np.asarray(rows, dtype=np.intp)
+        sizes = np.diff(self.offsets)[rows]
+        offsets = _offsets(sizes)
+        at = np.arange(offsets[-1]) + np.repeat(self.offsets[rows] - offsets[:-1], sizes)
+        ids, labels = [self.ids[r] for r in rows.tolist()], [self.labels[r] for r in rows.tolist()]
+        return EventBatch(self.codes[at], offsets, tuple(ids), tuple(labels), self.dims)
+
+    def sequences(self) -> list[EventSequence]:
+        """One ``EventSequence`` per sample, in order."""
+        flat, ends = self.codes.tolist(), self.offsets.tolist()
+        return [
+            EventSequence(sid, label, self.dims, flat[a:b])
+            for sid, label, a, b in zip(self.ids, self.labels, ends, ends[1:])
+        ]
 
 
 def alphabet_size(dims: int) -> int:
@@ -177,29 +248,41 @@ def symbolize_sample(sample: MtsSample, config: SymbolizerConfig) -> EventSequen
     )
 
 
+def symbolize_dataset(
+    dataset: MtsDataset, config: SymbolizerConfig, pad_to: int | None = None
+) -> EventBatch:
+    """Normalize and symbolize every sample into one batch, in dataset order.
+
+    With ``pad_to``, a sample shorter than that length is first extended to
+    it by repeating its final values (as ``pad_to_length`` does); longer
+    samples are left as they are. Samples of one length are stacked into one
+    ``(n, D, T)`` block, padded, normalized and symbolized in one numpy pass
+    and written straight into the batch's codes, so the cost is a few array
+    operations per distinct length, not per sample.
+    """
+    samples = dataset.samples
+    observed = np.array([s.length for s in samples])
+    offsets = _offsets(np.maximum(observed, pad_to or 0) - 1)
+    codes = np.empty(offsets[-1], dtype=np.int64)
+    for length in np.unique(observed).tolist():
+        members = np.flatnonzero(observed == length)
+        block = np.stack([samples[i].values for i in members.tolist()])
+        padding = max(length, pad_to or 0) - length
+        if padding:
+            block = np.pad(block, [(0, 0), (0, 0), (0, padding)], mode="edge")
+        block = min_max_normalize(block)  # rebinding frees the raw values early
+        group = event_codes(block, config.delta)
+        del block  # before the scatter's index array is made
+        codes[offsets[members, None] + np.arange(group.shape[1])] = group
+    ids, labels = (s.id for s in samples), (s.label for s in samples)
+    return EventBatch(codes, offsets, tuple(ids), tuple(labels), dataset.dims)
+
+
 def convert_dataset(
     dataset: MtsDataset, config: SymbolizerConfig, pad_to: int | None = None
 ) -> list[EventSequence]:
-    """Normalize and symbolize every sample; output order matches dataset order.
-
-    With ``pad_to``, a sample shorter than that length is first extended to
-    it by repeating its final values (``pad_to_length``); longer samples are
-    left as they are. Samples of one length are stacked into one
-    ``(n, D, T)`` block and normalized and symbolized in one numpy pass, so
-    the cost is a few array operations per distinct length, not per sample.
-    """
-    samples = dataset.samples
-    lengths = [max(s.length, pad_to or 0) for s in samples]
-    sequences = [None] * len(samples)
-    for length in sorted(set(lengths)):
-        members = [i for i, n in enumerate(lengths) if n == length]
-        block = np.stack([pad_to_length(samples[i], length).values for i in members])
-        rows = event_codes(min_max_normalize(block), config.delta).tolist()
-        del block
-        for i, codes in zip(members, rows):
-            s = samples[i]
-            sequences[i] = EventSequence(s.id, s.label, dataset.dims, codes)
-    return sequences
+    """Per-sample view of :func:`symbolize_dataset`; output order matches dataset order."""
+    return symbolize_dataset(dataset, config, pad_to).sequences()
 
 
 def explain_event(code: int, dims: int, dim_names: Sequence[str] | None = None) -> str:
@@ -258,7 +341,9 @@ def load_events(path: str | Path) -> tuple[list[EventSequence], SymbolizerConfig
         raise SchemaError(f"{meta_file}: companion metadata file is missing")
     try:
         meta = json.loads(meta_file.read_text(encoding="utf-8"))
-        dims = int(meta["dims"])
+        dims = meta["dims"]
+        if type(dims) is not int:  # JSON floats, booleans and strings are not counts
+            raise ValueError(f"dims {dims!r} is not an integer")
         config = SymbolizerConfig(float(meta["delta"]))
     except (KeyError, TypeError, ValueError) as exc:
         raise SchemaError(f"{meta_file}: bad metadata: {exc}") from None

@@ -7,6 +7,11 @@ occurrence count divided by the number of window positions of that length,
 which keeps every entry in [0, 1] and removes sequence-length bias. Tuples
 longer than the sequence contribute 0. Codes not covered by any vocabulary
 tuple are simply ignored.
+
+``vectorize_batch`` vectorizes an ``events.EventBatch`` into one read-only
+``(n, K)`` matrix, row i for sample i. ``vectorize_dataset`` and
+``vectorize`` are its per-sample views: they vectorize the batch of their
+sequences and hand out one ``FeatureVector`` per matrix row.
 """
 
 from __future__ import annotations
@@ -15,6 +20,7 @@ import json
 import warnings
 from collections import Counter
 from dataclasses import dataclass, field
+from itertools import chain
 from pathlib import Path
 from typing import Sequence
 
@@ -26,7 +32,7 @@ from .errors import (
     InvalidCodeError,
     SchemaError,
 )
-from .events import EventSequence, alphabet_size
+from .events import EventBatch, EventSequence, alphabet_size
 from .mining import EventTuple, MinerConfig, window_states
 
 __all__ = [
@@ -35,6 +41,7 @@ __all__ = [
     "build_vocabulary",
     "full_alphabet_vocabulary",
     "vectorize",
+    "vectorize_batch",
     "vectorize_dataset",
     "save_vocabulary",
     "load_vocabulary",
@@ -132,10 +139,11 @@ def _lookup_tables(vocab: FeatureVocabulary) -> tuple[np.ndarray, list, list]:
     The tables come from walking the vocabulary's own tuples; ``targets[l - 1]``
     maps a row to the index of the tuple it equals, or -1.
     """
-    alphabet = np.unique([c for t in vocab.features for c in t])
+    codes = np.fromiter(chain.from_iterable(vocab.features), dtype=np.int64)
     lengths = np.array([len(t) for t in vocab.features])
+    alphabet = np.unique(codes)
     tables, targets = [], []
-    walk = window_states(vocab.features, alphabet, lengths.max())
+    walk = window_states(codes, np.cumsum([0, *lengths]), alphabet, lengths.max())
     for level, (table, rows, owners) in enumerate(walk, 1):
         whole = lengths[owners] == level
         targets.append(np.full(len(table), -1))
@@ -144,15 +152,40 @@ def _lookup_tables(vocab: FeatureVocabulary) -> tuple[np.ndarray, list, list]:
     return alphabet, tables, targets
 
 
+def vectorize_batch(batch: EventBatch, vocab: FeatureVocabulary) -> np.ndarray:
+    """The batch's read-only ``(n, K)`` matrix of normalized occurrence counts.
+
+    Entry (i, j) is the count of tuple j in sample i over
+    ``len(codes_i) - len(tuple_j) + 1``, and 0 for a tuple longer than the
+    sample. One ``window_states`` walk looks every window of the batch up in
+    the vocabulary's tables and one ``bincount`` counts the hits per
+    (sample, tuple).
+    """
+    if batch.dims != vocab.dims:
+        raise IncompatibleVocabularyError(
+            f"batch has {batch.dims} dimensions, vocabulary expects {vocab.dims}"
+        )
+    n, width = len(batch), len(vocab)
+    hits = [np.empty(0, dtype=np.int64)]
+    if n and width:
+        alphabet, tables, targets = _lookup_tables(vocab)
+        walk = window_states(batch.codes, batch.offsets, alphabet, len(tables), tables)
+        for (_, rows, owners), target in zip(walk, targets):
+            feature = target[rows]
+            hits.append(owners[feature >= 0] * width + feature[feature >= 0])
+    counts = np.bincount(np.concatenate(hits), minlength=n * width).reshape(n, width)
+    positions = np.subtract.outer(np.diff(batch.offsets), [len(t) for t in vocab.features]) + 1
+    values = np.divide(counts, positions, out=np.zeros((n, width)), where=positions > 0)
+    values.setflags(write=False)
+    return values
+
+
 def vectorize_dataset(
     sequences: Sequence[EventSequence], vocab: FeatureVocabulary
 ) -> list[FeatureVector]:
-    """Count overlapping occurrences of each vocabulary tuple, normalized.
+    """Per-sample view of :func:`vectorize_batch`: one vector per sequence, in input order.
 
-    Entry j of a sequence's vector is count / (len(codes) - len(tuple_j) + 1),
-    and 0 for a tuple longer than the sequence. One ``window_states`` walk
-    looks every window of the batch up in the vocabulary's tables and one
-    ``bincount`` counts the hits per (sequence, tuple), in input order.
+    The vectors share the batch matrix's rows: small per-row copies fragment the heap.
     """
     for seq in sequences:
         if seq.dims != vocab.dims:
@@ -160,19 +193,7 @@ def vectorize_dataset(
                 f"sample {seq.sample_id!r}: sequence has {seq.dims} dimensions, "
                 f"vocabulary expects {vocab.dims}"
             )
-    n, width = len(sequences), len(vocab)
-    hits = [np.empty(0, dtype=np.int64)]
-    if n and width:
-        alphabet, tables, targets = _lookup_tables(vocab)
-        walk = window_states([s.codes for s in sequences], alphabet, len(tables), tables)
-        for (_, rows, owners), target in zip(walk, targets):
-            feature = target[rows]
-            hits.append(owners[feature >= 0] * width + feature[feature >= 0])
-    counts = np.bincount(np.concatenate(hits), minlength=n * width).reshape(n, width)
-    lengths = [len(s) for s in sequences], [len(t) for t in vocab.features]
-    positions = np.subtract.outer(*lengths) + 1
-    values = np.divide(counts, positions, out=np.zeros((n, width)), where=positions > 0)
-    values.setflags(write=False)  # share rows: small per-row copies fragment the heap
+    values = vectorize_batch(EventBatch.from_sequences(sequences, vocab.dims), vocab)
     return [FeatureVector(s.sample_id, s.label, row) for s, row in zip(sequences, values)]
 
 
@@ -204,8 +225,8 @@ def load_vocabulary(path: str | Path) -> FeatureVocabulary:
 
     The features must pass :func:`build_vocabulary`'s checks (non-empty
     tuples, codes inside the alphabet, no duplicates), hold only integer
-    codes and already be in its canonical order; anything else is a
-    ``SchemaError`` naming the file.
+    codes and already be in its canonical order, and ``dims`` must be an
+    integer; anything else is a ``SchemaError`` naming the file.
     """
     path = Path(path)
     try:
@@ -220,11 +241,10 @@ def load_vocabulary(path: str | Path) -> FeatureVocabulary:
                 max_len=payload["miner"]["max_len"],
                 gain_gamma=payload["miner"]["gain_gamma"],
             )
-        features = [tuple(t) for t in payload["features"]]
-        for code in (c for t in features for c in t):
-            if type(code) is not int:  # JSON floats and booleans are not codes
-                raise ValueError(f"code {code!r} is not an integer")
-        dims = int(payload["dims"])
+        features, dims = [tuple(t) for t in payload["features"]], payload["dims"]
+        for name, value in [("dims", dims)] + [("code", c) for t in features for c in t]:
+            if type(value) is not int:  # JSON floats, booleans and strings are not integers
+                raise ValueError(f"{name} {value!r} is not an integer")
         canon = _canonical(features, dims)
         delta = payload["delta"]
         delta = None if delta is None else float(delta)

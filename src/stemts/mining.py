@@ -1,14 +1,17 @@
 """Variable-length tuple mining over event sequences.
 
 Tuples are contiguous windows of event codes (lengths 1..max_len). One
-kernel, ``window_states``, shared with ``features.vectorize_dataset``, walks
+kernel, ``window_states``, shared with ``features.vectorize_batch``, walks
 every window of a batch one length at a time, as Apriori and PrefixSpan do:
-a window's state follows from its prefix's state and its last code. Mining
-counts, per distinct tuple, ``doc_support`` (distinct samples containing it)
-and ``occ_count`` (overlapping windows across all samples). Pruning keeps the
-tuples at or above the minimum document support (and, optionally, drops those
-adding little support over their prefix); the kept tuples no kept tuple
-extends are the features, prefix-free by construction.
+a window's state follows from its prefix's state and its last code. It reads
+the batch in the ``events.EventBatch`` layout, joined codes plus offsets;
+``build_forest`` counts an ``EventBatch``, or the batch of a list of
+``EventSequence`` views. Mining counts, per distinct tuple, ``doc_support``
+(distinct samples containing it) and ``occ_count`` (overlapping windows
+across all samples). Pruning keeps the tuples at or above the minimum
+document support (and, optionally, drops those adding little support over
+their prefix); the kept tuples no kept tuple extends are the features,
+prefix-free by construction.
 
 ``brute_force_mine`` re-derives the same feature list by exhaustive, slow
 window enumeration; tests hold the array path to it exactly.
@@ -20,14 +23,13 @@ import json
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import chain
 from pathlib import Path
 from typing import Iterator, NamedTuple, Sequence
 
 import numpy as np
 
 from .errors import ConfigError, EmptyInputError, MalformedDatasetError, SchemaError
-from .events import EventSequence, explain_tuple
+from .events import EventBatch, EventSequence, explain_tuple
 
 __all__ = [
     "EventTuple",
@@ -120,37 +122,42 @@ class PrefixForest:
         return children[()]
 
 
-def _check_sequences(sequences: Sequence[EventSequence]) -> None:
-    if not sequences:
+def _check_sequences(sequences: Sequence[EventSequence] | EventBatch) -> EventBatch:
+    """The batch to count; the sequences of a list must share one dimension count."""
+    if not len(sequences):
         raise EmptyInputError("no event sequences to mine")
-    dims = sequences[0].dims
-    if any(s.dims != dims for s in sequences):
-        raise ValueError("all sequences must share one dimension count")
-    ids = [s.sample_id for s in sequences]
-    if len(set(ids)) != len(ids):
+    if not isinstance(sequences, EventBatch):
+        if any(s.dims != sequences[0].dims for s in sequences):
+            raise ValueError("all sequences must share one dimension count")
+        sequences = EventBatch.from_sequences(sequences, sequences[0].dims)
+    if len(set(sequences.ids)) != len(sequences.ids):
         raise MalformedDatasetError("sample ids must be unique for support counting")
+    return sequences
 
 
 def window_states(
-    batch: Sequence[Sequence[int]], alphabet: np.ndarray, max_len: int, tables: list | None = None
+    codes: np.ndarray,
+    offsets: np.ndarray,
+    alphabet: np.ndarray,
+    max_len: int,
+    tables: list | None = None,
 ) -> Iterator[tuple[np.ndarray, np.ndarray, np.ndarray]]:
     """Yield ``(table, rows, owners)`` for window lengths l = 1..max_len.
 
     The walk stops after the first length with no window in ``table``.
 
-    The batch's code tuples are joined into one array with a stop code after
-    each, which no window spans. A length-l window's key is its
-    length-(l-1) prefix's state x len(alphabet) + its last code's rank in the
-    sorted ``alphabet`` (the empty prefix has state 0), which fits in int64
-    for any dimension count.
+    Tuple i of the batch is ``codes[offsets[i]:offsets[i + 1]]``. A stop code
+    goes after each tuple, so no window spans two. A length-l window's key is
+    its length-(l-1) prefix's state x len(alphabet) + its last code's rank in
+    the sorted ``alphabet`` (the empty prefix has state 0), which fits in
+    int64 for any dimension count.
     ``table`` holds the level's sorted keys: those that occur when mining, or
     ``tables[l - 1]`` when looking up. For each window whose key is in
     ``table``, ``rows`` holds its state (the key's row in ``table``) and
     ``owners`` the batch index of its tuple.
     """
-    codes = np.fromiter(chain.from_iterable((*c, -1) for c in batch), dtype=np.int64)
-    sizes = np.fromiter((len(c) + 1 for c in batch), dtype=np.int64, count=len(batch))
-    owner = np.repeat(np.arange(len(batch)), sizes)
+    owner = np.repeat(np.arange(len(offsets) - 1), np.diff(offsets) + 1)
+    codes = np.insert(codes, offsets[1:], -1)
     rank = np.searchsorted(alphabet, codes)
     rank[(codes < 0) | ~np.isin(codes, alphabet)] = -1  # stops, and codes no event has
     states = np.zeros(len(codes), dtype=np.int64)
@@ -171,18 +178,19 @@ def window_states(
             return  # no window of this length, so none longer: max_len may be huge
 
 
-def build_forest(sequences: Sequence[EventSequence], config: MinerConfig) -> PrefixForest:
+def build_forest(
+    sequences: Sequence[EventSequence] | EventBatch, config: MinerConfig
+) -> PrefixForest:
     """Count every window of length 1..max_len of every sequence.
 
     ``occ_count`` counts a tuple's windows and ``doc_support`` its distinct
     samples, so a tuple occurring many times in one sample counts it once.
     """
-    _check_sequences(sequences)
-    batch = [s.codes for s in sequences]
-    alphabet = np.unique(np.fromiter(chain.from_iterable(batch), dtype=np.int64))
+    batch = _check_sequences(sequences)
+    alphabet = np.unique(batch.codes)
     nodes: dict[EventTuple, Support] = {}
     prefixes: list[EventTuple] = [()]
-    for table, rows, owners in window_states(batch, alphabet, config.max_len):
+    for table, rows, owners in window_states(batch.codes, batch.offsets, alphabet, config.max_len):
         pairs = np.unique(owners * len(table) + rows)
         docs = np.bincount(pairs % len(table), minlength=len(table)).tolist()
         occs = np.bincount(rows, minlength=len(table)).tolist()
@@ -190,7 +198,7 @@ def build_forest(sequences: Sequence[EventSequence], config: MinerConfig) -> Pre
         tuples = [prefixes[p] + (c,) for p, c in zip(prefix.tolist(), alphabet[last].tolist())]
         nodes.update(zip(tuples, map(Support, docs, occs)))
         prefixes = tuples
-    return PrefixForest(nodes=nodes, max_len=config.max_len, n_samples=len(sequences))
+    return PrefixForest(nodes=nodes, max_len=config.max_len, n_samples=len(batch))
 
 
 def prune_bottom_up(forest: PrefixForest, config: MinerConfig) -> PrefixForest:

@@ -1,5 +1,6 @@
 import json
 import tracemalloc
+import warnings
 from collections import Counter
 from unittest import mock
 
@@ -18,16 +19,23 @@ from stemts import (
     SplitSpec,
     SymbolizerConfig,
     baseline_histogram_eval,
+    build_forest,
     class_centroids,
+    convert_dataset,
     evaluate_pipeline,
+    extract_rts_features,
     generate_synthetic,
     knn_classify,
     nearest_centroid_classify,
+    prune_bottom_up,
     render_report_table,
     reports_to_json,
     split_dataset,
+    vectorize_dataset,
 )
 from stemts import evaluate
+from stemts.events import symbolize_dataset
+from stemts.features import vectorize_batch
 from stemts.errors import (
     DegenerateTaskError,
     IncompatibleVectorError,
@@ -40,6 +48,12 @@ from conftest import make_sample, run_length_spec
 
 def vec(values, sample_id="v", label=None):
     return FeatureVector(sample_id, label, np.asarray(values, dtype=float))
+
+
+def predict(train, queries, classifier):
+    """``evaluate._predict`` on the matrices of FeatureVector lists."""
+    matrix, labels = evaluate._check_train_vectors(train)
+    return evaluate._predict(matrix, labels, np.vstack([q.values for q in queries]), classifier)
 
 
 def labeled_dataset(per_class, labels=("a", "b"), length=4):
@@ -234,14 +248,14 @@ class TestKernels:
         cells = distinct_train * max(1, distinct_queries // 3)
         expected = reference_labels(train, queries, k, metric)
         with mock.patch.object(evaluate, "_BLOCK_CELLS", cells):
-            assert evaluate._predict(train, queries, ClassifierConfig("knn", k, metric)) == expected
+            assert predict(train, queries, ClassifierConfig("knn", k, metric)) == expected
         for query, label in list(zip(queries, expected))[:20]:
             assert knn_classify(train, query, k, metric) == label
         # 128/64/64 members per class keep the centroids on a dyadic grid;
         # leaving out the all-nan vectors keeps them off nan on the finite grid
         kept = [t for i, t in enumerate(train) if i % 5 != 4][:256]
         members = [vec(t.values, t.sample_id, "aabc"[i % 4]) for i, t in enumerate(kept)]
-        centroid = evaluate._predict(members, queries, ClassifierConfig("centroid", 1, metric))
+        centroid = predict(members, queries, ClassifierConfig("centroid", 1, metric))
         assert centroid == reference_centroid_labels(members, queries, metric)
 
     @pytest.mark.parametrize("metric, k", [("euclidean", 1), ("cosine", 5)])
@@ -252,7 +266,7 @@ class TestKernels:
         queries = [vec(rng.random(8), f"q{i}") for i in range(n_queries)]
         tracemalloc.start()
         try:
-            evaluate._predict(train, queries, ClassifierConfig("knn", k, metric))
+            predict(train, queries, ClassifierConfig("knn", k, metric))
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -269,7 +283,7 @@ class TestKernels:
         queries = [vec(asked[i % 5], f"q{i}") for i in range(n_queries)]
         tracemalloc.start()
         try:
-            labels = evaluate._predict(train, queries, ClassifierConfig("knn", k, metric))
+            labels = predict(train, queries, ClassifierConfig("knn", k, metric))
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -424,6 +438,59 @@ class TestPipeline:
         assert len(report.vocabulary) == 0
         assert 0.0 <= report.accuracy <= 1.0
         assert report.confusion.sum() == report.n_test
+
+
+@st.composite
+def ragged_tasks(draw):
+    """Two classes in shuffled order, lengths 2..12; few distinct values make ties common."""
+    dims = draw(st.integers(1, 2))
+    samples = []
+    for label in ("a", "b"):
+        for i in range(draw(st.integers(2, 6))):
+            shape = (dims, draw(st.integers(2, 12)))
+            values = draw(arrays(np.float64, shape, elements=st.sampled_from([0.0, 1.0, 2.0, 5.0])))
+            samples.append(make_sample(values, f"{label}{i}", label))
+    return MtsDataset(tuple(draw(st.permutations(samples))))
+
+
+class TestBatchPath:
+    @settings(max_examples=100, deadline=None)
+    @given(ragged_tasks(), st.booleans(), st.integers(1, 4), st.integers(1, 4), st.integers(0, 9))
+    def test_equals_the_per_sample_public_chain(self, dataset, pad, support, max_len, seed):
+        symbolizer, miner = SymbolizerConfig(0.05), MinerConfig(support, max_len)
+        split, classifier = SplitSpec(seed=seed), ClassifierConfig("knn", 1, "euclidean")
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")  # an empty vocabulary warns
+            report = evaluate_pipeline(dataset, symbolizer, miner, split, classifier, pad=pad)
+        vocab = report.vocabulary
+
+        train_ids, test_ids = split_dataset(dataset, split)
+        length = {s.id: s.length for s in dataset.samples}
+        pad_to = max(length[i] for i in train_ids) if pad else None
+        by_id = {q.sample_id: q for q in convert_dataset(dataset, symbolizer, pad_to)}
+        train, test = [by_id[i] for i in train_ids], [by_id[i] for i in test_ids]
+        features = extract_rts_features(prune_bottom_up(build_forest(train, miner), miner))
+        assert vocab.features == tuple(features)
+
+        batch = symbolize_dataset(dataset, symbolizer, pad_to)
+        row = {sample_id: i for i, sample_id in enumerate(batch.ids)}
+        train_matrix = vectorize_batch(batch.take([row[i] for i in train_ids]), vocab)
+        test_matrix = vectorize_batch(batch.take([row[i] for i in test_ids]), vocab)
+        train_vecs, test_vecs = vectorize_dataset(train, vocab), vectorize_dataset(test, vocab)
+        assert np.array_equal(train_matrix, np.vstack([v.values for v in train_vecs]))
+        assert np.array_equal(test_matrix, np.vstack([v.values for v in test_vecs]))
+
+        labels = [q.label for q in train]
+        predictions = evaluate._predict(train_matrix, labels, test_matrix, classifier)
+        truth = [q.label for q in test]
+        assert np.array_equal(report.confusion, evaluate._confusion(("a", "b"), truth, predictions))
+        for query, label in zip(test_vecs, predictions):
+            # where the nearest vectors tie within rounding and disagree on the
+            # label, which one wins may depend on the batch (a known open item)
+            distance = np.linalg.norm(train_matrix - query.values, axis=1)
+            near = {labels[i] for i in np.flatnonzero(distance <= distance.min() + 1e-9)}
+            if len(near) == 1:
+                assert knn_classify(train_vecs, query, 1) == label
 
 
 class TestReportRendering:

@@ -20,6 +20,7 @@ from stemts import (
     write_events,
 )
 from stemts.dataset import MtsDataset
+from stemts.events import EventBatch, symbolize_dataset
 from stemts.errors import (
     ConfigError,
     InvalidCodeError,
@@ -334,3 +335,40 @@ class TestEventFileErrors:
         path = self.write(tmp_path, "a,,0,1\na,,1,3\n")
         with pytest.raises(InvalidCodeError, match="code 3"):
             load_events(path)
+
+    @pytest.mark.parametrize("dims", ["2.5", "true", '"2"'])
+    def test_non_integer_dims_is_a_schema_error(self, tmp_path, dims):
+        path = self.write(tmp_path, "a,,0,1\n", meta=f'{{"dims": {dims}, "delta": 0.05}}')
+        with pytest.raises(SchemaError, match="meta.json: bad metadata: dims .* is not an integer"):
+            load_events(path)
+
+
+class TestEventBatch:
+    @given(
+        st.lists(st.lists(st.integers(0, 8), min_size=1, max_size=6), min_size=1, max_size=6),
+        st.data(),
+    )
+    def test_take_equals_slicing_each_sample(self, rows, data):
+        sequences = [EventSequence(f"s{i}", "ab"[i % 2], 2, codes) for i, codes in enumerate(rows)]
+        batch = EventBatch.from_sequences(sequences, 2)
+        picked = data.draw(st.lists(st.integers(0, len(rows) - 1), max_size=8))
+        taken = batch.take(picked)
+        assert [(q.sample_id, q.label, q.codes) for q in taken.sequences()] == [
+            (sequences[i].sample_id, sequences[i].label, sequences[i].codes) for i in picked
+        ]
+
+    def test_first_bad_sample_is_named(self):
+        codes, offsets = np.array([0, 1, 2, 9, 1, 10]), np.array([0, 3, 4, 6])
+        with pytest.raises(InvalidCodeError, match=r"^sequence 'b': code 9 outside \[0, 9\)$"):
+            EventBatch(codes, offsets, ("a", "b", "c"), (None,) * 3, 2)
+        with pytest.raises(TooShortError, match="'b' has no events"):
+            EventBatch(np.array([0, 1]), np.array([0, 1, 1, 2]), ("a", "b", "c"), (None,) * 3, 2)
+        with pytest.raises(ValueError, match="offsets"):
+            EventBatch(np.array([0, 1]), np.array([0, 1]), ("a",), (None,), 2)
+
+    def test_same_message_as_a_sequence(self):
+        with pytest.raises(InvalidCodeError) as one:
+            EventSequence("s", None, 1, (0, -2, 4))
+        with pytest.raises(InvalidCodeError) as batch:
+            EventBatch(np.array([0, -2, 4]), np.array([0, 3]), ("s",), (None,), 1)
+        assert str(batch.value) == str(one.value)

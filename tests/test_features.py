@@ -23,6 +23,8 @@ from stemts.errors import (
     InvalidCodeError,
     SchemaError,
 )
+from stemts.events import EventBatch
+from stemts.features import vectorize_batch
 
 
 def seq(codes, sample_id="s", label=None, dims=2):
@@ -132,6 +134,12 @@ class TestVectorizeDataset:
         with pytest.raises(IncompatibleVocabularyError, match="'bad'"):
             vectorize_dataset([seq([0, 1], "bad", dims=1)], vocab)
 
+    def test_batch_of_other_dims_rejected(self):
+        vocab = build_vocabulary([(8,)], dims=2)
+        batch = EventBatch.from_sequences([seq([0, 1], "a", dims=1)], 1)
+        with pytest.raises(IncompatibleVocabularyError, match="batch has 1 dimensions"):
+            vectorize_batch(batch, vocab)
+
 
 @st.composite
 def vectorize_instances(draw):
@@ -198,17 +206,20 @@ class TestVocabularyFiles:
         assert load_vocabulary(path).miner.min_support == 0.05
 
     @pytest.mark.parametrize(
-        "features, problem",
+        "features, problem, dims",
         [
-            ([[9]], "code 9 outside [0, 9)"),
-            ([[-1, 4]], "code -1 outside [0, 9)"),
-            ([[4], []], "must be non-empty"),
-            ([[1], [1]], "duplicate feature tuples: [(1,)]"),
-            ([[8], [4]], "not in canonical order"),
-            ([[4, 8], [8]], "not in canonical order"),
-            ([[1.9]], "code 1.9 is not an integer"),
-            ([[1.9], [True]], "code 1.9 is not an integer"),
-            ([[True]], "code True is not an integer"),
+            ([[9]], "code 9 outside [0, 9)", 2),
+            ([[-1, 4]], "code -1 outside [0, 9)", 2),
+            ([[4], []], "must be non-empty", 2),
+            ([[1], [1]], "duplicate feature tuples: [(1,)]", 2),
+            ([[8], [4]], "not in canonical order", 2),
+            ([[4, 8], [8]], "not in canonical order", 2),
+            ([[1.9]], "code 1.9 is not an integer", 2),
+            ([[1.9], [True]], "code 1.9 is not an integer", 2),
+            ([[True]], "code True is not an integer", 2),
+            ([[1]], "dims 2.5 is not an integer", 2.5),
+            ([[1]], "dims True is not an integer", True),
+            ([[1]], "dims '2' is not an integer", "2"),
         ],
         ids=[
             "code-too-large",
@@ -220,11 +231,14 @@ class TestVocabularyFiles:
             "float-code",
             "float-and-bool-codes",
             "bool-code",
+            "float-dims",
+            "bool-dims",
+            "string-dims",
         ],
     )
-    def test_rejects_what_build_vocabulary_rejects(self, tmp_path, features, problem):
+    def test_rejects_what_build_vocabulary_rejects(self, tmp_path, features, problem, dims):
         path = tmp_path / "vocab.json"
-        payload = {"dims": 2, "delta": None, "miner": None, "features": features}
+        payload = {"dims": dims, "delta": None, "miner": None, "features": features}
         path.write_text(json.dumps(payload))
         with pytest.raises(SchemaError) as info:
             load_vocabulary(path)

@@ -1,6 +1,7 @@
 import math
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -17,6 +18,8 @@ from stemts import (
     write_feature_list,
 )
 from stemts.errors import EmptyInputError, MalformedDatasetError
+from stemts.events import EventBatch
+from stemts.mining import window_states
 
 
 def seq(sample_id, codes, dims=2):
@@ -292,6 +295,36 @@ class TestBruteForceOracle:
             prune_bottom_up(build_forest(sequences, config), config)
         )
         assert mined == brute_force_mine(sequences, config)
+
+
+class TestWindowStates:
+    @settings(max_examples=200)
+    @given(mining_instances())
+    def test_walk_over_codes_and_offsets_names_every_window(self, instance):
+        sequences, config = instance
+        tuples = [s.codes for s in sequences]
+        codes = np.array([c for t in tuples for c in t])
+        offsets = np.cumsum([0] + [len(t) for t in tuples])
+        alphabet = np.unique(codes)
+        walk = list(window_states(codes, offsets, alphabet, config.max_len))
+        batch = EventBatch.from_sequences(sequences, sequences[0].dims)
+        again = window_states(batch.codes, batch.offsets, alphabet, config.max_len)
+        for (table, rows, owners), other in zip(walk, again, strict=True):
+            assert all(np.array_equal(a, b) for a, b in zip((table, rows, owners), other))
+        # each level's (owner, tuple) pairs, the tuple read back through the
+        # states as build_forest reads it, are the windows of that length
+        prefixes = [()]
+        for length, (table, rows, owners) in enumerate(walk, 1):
+            prefix, last = np.divmod(table, len(alphabet))
+            level = [prefixes[p] + (int(alphabet[c]),) for p, c in zip(prefix, last)]
+            got = sorted((int(o), level[r]) for o, r in zip(owners, rows))
+            expected = sorted(
+                (i, t[j : j + length])
+                for i, t in enumerate(tuples)
+                for j in range(len(t) - length + 1)
+            )
+            assert got == expected
+            prefixes = level
 
 
 class TestDeterminism:

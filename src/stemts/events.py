@@ -122,6 +122,8 @@ class EventBatch:
 
     def __post_init__(self) -> None:
         offsets, n = self.offsets, alphabet_size(self.dims)
+        if self.codes.dtype != np.int64:  # a cast would truncate float codes silently
+            raise TypeError(f"codes must be int64, got {self.codes.dtype}")
         if not len(offsets) - 1 == len(self.ids) == len(self.labels):
             raise ValueError("need one label per id and one offset more than ids")
         if offsets[0] != 0 or offsets[-1] != len(self.codes):

@@ -365,6 +365,8 @@ class TestEventBatch:
             EventBatch(np.array([0, 1]), np.array([0, 1, 1, 2]), ("a", "b", "c"), (None,) * 3, 2)
         with pytest.raises(ValueError, match="offsets"):
             EventBatch(np.array([0, 1]), np.array([0, 1]), ("a",), (None,), 2)
+        with pytest.raises(TypeError, match="int64"):
+            EventBatch(np.array([1.5]), np.array([0, 1]), ("a",), (None,), 2)
 
     def test_same_message_as_a_sequence(self):
         with pytest.raises(InvalidCodeError) as one:

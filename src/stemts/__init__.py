@@ -39,6 +39,7 @@ from .evaluate import (
     write_report_files,
 )
 from .events import (
+    EventBatch,
     EventSequence,
     SymbolizerConfig,
     alphabet_size,
@@ -89,6 +90,7 @@ __all__ = [
     "noiseless_trend",
     "load_synth_spec",
     "SymbolizerConfig",
+    "EventBatch",
     "EventSequence",
     "alphabet_size",
     "symbolize_dimension",

@@ -71,9 +71,25 @@ def build_parser() -> argparse.ArgumentParser:
     p_synth.add_argument("--out", required=True, help="output dataset CSV path")
     p_synth.set_defaults(func=cmd_synth)
 
-    p_convert = sub.add_parser("convert", help="normalize and symbolize a dataset CSV")
+    # flags shared by several commands, declared once
+    symbolizing = argparse.ArgumentParser(add_help=False)
+    symbolizing.add_argument("--delta", type=float, default=0.05, help="flatness threshold")
+    mining = argparse.ArgumentParser(add_help=False)
+    mining.add_argument(
+        "--min-support",
+        type=_support_value,
+        default=0.05,
+        help="document support: integer count or fraction of samples",
+    )
+    mining.add_argument("--max-len", type=int, default=5, help="maximum tuple length")
+    mining.add_argument(
+        "--gain-gamma", type=float, default=0.0, help="optional leaf gain test (0 disables)"
+    )
+
+    p_convert = sub.add_parser(
+        "convert", parents=[symbolizing], help="normalize and symbolize a dataset CSV"
+    )
     p_convert.add_argument("--in", dest="input", required=True, help="input dataset CSV")
-    p_convert.add_argument("--delta", type=float, default=0.05, help="flatness threshold")
     p_convert.add_argument(
         "--pad",
         action=argparse.BooleanOptionalAction,
@@ -83,30 +99,17 @@ def build_parser() -> argparse.ArgumentParser:
     p_convert.add_argument("--out", required=True, help="output events CSV path")
     p_convert.set_defaults(func=cmd_convert)
 
-    p_mine = sub.add_parser("mine", help="mine root-to-leaf tuple features from events")
+    p_mine = sub.add_parser(
+        "mine", parents=[mining], help="mine root-to-leaf tuple features from events"
+    )
     p_mine.add_argument("--in", dest="input", required=True, help="input events CSV")
-    p_mine.add_argument(
-        "--min-support",
-        type=_support_value,
-        default=0.05,
-        help="document support: integer count or fraction of samples",
-    )
-    p_mine.add_argument("--max-len", type=int, default=5, help="maximum tuple length")
-    p_mine.add_argument(
-        "--gain-gamma",
-        type=float,
-        default=0.0,
-        help="optional leaf gain test (0 disables)",
-    )
     p_mine.add_argument("--out", required=True, help="output feature list path (JSON)")
     p_mine.set_defaults(func=cmd_mine)
 
-    p_eval = sub.add_parser("eval", help="run the pipeline and write report files")
+    p_eval = sub.add_parser(
+        "eval", parents=[symbolizing, mining], help="run the pipeline and write report files"
+    )
     p_eval.add_argument("--in", dest="input", required=True, help="input dataset CSV")
-    p_eval.add_argument("--delta", type=float, default=0.05)
-    p_eval.add_argument("--min-support", type=_support_value, default=0.05)
-    p_eval.add_argument("--max-len", type=int, default=5)
-    p_eval.add_argument("--gain-gamma", type=float, default=0.0)
     p_eval.add_argument("--k", type=int, default=1, help="neighbors for the knn classifier")
     p_eval.add_argument("--metric", choices=["euclidean", "cosine"], default="euclidean")
     p_eval.add_argument(
@@ -180,24 +183,24 @@ def cmd_convert(args: argparse.Namespace) -> int:
     dataset = load_csv(args.input)
     config = SymbolizerConfig(delta=args.delta)
     _say_verbose(args, f"delta {config.delta}, pad {args.pad}")
-    sequences = convert_dataset(dataset, config, dataset.t_max if args.pad else None)
-    write_events(sequences, config, args.out)
-    _say(args, f"wrote {len(sequences)} event sequences to {args.out}")
+    batch = convert_dataset(dataset, config, dataset.t_max if args.pad else None)
+    write_events(batch, config, args.out)
+    _say(args, f"wrote {len(batch)} event sequences to {args.out}")
     return 0
 
 
 def cmd_mine(args: argparse.Namespace) -> int:
-    sequences, sym_config, dims = load_events(args.input)
+    batch, sym_config, dims = load_events(args.input)
     config = MinerConfig(
         min_support=args.min_support, max_len=args.max_len, gain_gamma=args.gain_gamma
     )
     _say_verbose(
         args,
-        f"{len(sequences)} sequences, support threshold "
-        f"{resolve_min_support(config.min_support, len(sequences))} samples, "
+        f"{len(batch)} sequences, support threshold "
+        f"{resolve_min_support(config.min_support, len(batch))} samples, "
         f"max_len {config.max_len}",
     )
-    forest = build_forest(sequences, config)
+    forest = build_forest(batch, config)
     pruned = prune_bottom_up(forest, config)
     features = extract_rts_features(pruned)
     if not features:

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import csv
 import io
-from contextlib import contextmanager
+from contextlib import contextmanager, suppress
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterator, TextIO
@@ -166,8 +166,8 @@ def pad_to_length(sample: MtsSample, length: int) -> MtsSample:
         )
     if length == sample.length:
         return sample
-    tail = np.repeat(sample.values[:, -1:], length - sample.length, axis=1)
-    return MtsSample(sample.id, sample.label, np.hstack([sample.values, tail]))
+    padded = np.pad(sample.values, [(0, 0), (0, length - sample.length)], mode="edge")
+    return MtsSample(sample.id, sample.label, padded)
 
 
 # ---------------------------------------------------------------------------
@@ -195,17 +195,16 @@ def read_header(fh) -> list[str] | None:
     return next(csv.reader([line])) if line else None
 
 
-def iter_long_form(
-    path: Path, fh, width: int, value_type: type
-) -> Iterator[tuple[str, str | None, np.ndarray]]:
-    """Group the rows of a long-form CSV by sample, reading ``fh`` from after the header.
+def read_long_form(path: Path, fh, width: int, value_type: type):
+    """The rows of a long-form CSV grouped by sample, reading ``fh`` from after the header.
 
     Rows are ``sample_id,label,t,<width - 3 value columns>`` parsed as
-    ``value_type`` (``float`` or ``int``). Yields ``(sample_id, label, rows)``
-    in the order each sample's first row appears, ``rows`` being the
-    ``(T, width - 3)`` value block sorted by ``t``. Raises when labels
-    conflict within a sample, and, when its turn comes, when a sample's ``t``
-    values do not cover 0..T-1.
+    ``value_type`` (``float`` or ``int``). Returns ``(ids, labels, offsets,
+    values)``: sample ids and labels (None when empty) in the order each
+    sample's first row appears, and the value block sorted by sample, then by
+    ``t``, sample i's rows being ``values[offsets[i]:offsets[i + 1]]``. Raises
+    when labels conflict within a sample, or, naming the first such sample in
+    file order, when a sample's ``t`` values do not cover 0..T-1.
 
     The body is parsed in one ``np.loadtxt`` call; when numpy rejects it, a
     row-by-row ``csv`` parser reads it instead and names the offending row.
@@ -218,8 +217,6 @@ def iter_long_form(
         fh.seek(body_start)
         columns = _row_columns(path, fh, width, value_type)
     ids, labels, t, values = columns
-    if not ids:
-        return
     index = {sid: k for k, sid in enumerate(dict.fromkeys(ids))}
     sample = np.fromiter(map(index.__getitem__, ids), np.intp, len(ids))
     _, first_row = np.unique(sample, return_index=True)
@@ -229,21 +226,18 @@ def iter_long_form(
         raise MalformedDatasetError(f"{path}: sample {sid!r} carries conflicting labels")
 
     order = np.lexsort((t, sample))
-    counts = np.bincount(sample)
-    starts = np.cumsum(counts) - counts
+    offsets = np.concatenate(([0], np.cumsum(np.bincount(sample), dtype=np.int64)))
     t = t[order]
-    gapped = np.zeros(len(counts), dtype=bool)
-    gapped[sample[order][t != np.arange(len(t)) - np.repeat(starts, counts)]] = True
-    values = values[order]
-    for k, row in enumerate(first_row):
-        rows = slice(starts[k], starts[k] + counts[k])
-        if gapped[k]:
-            ts = [int(x) for x in t[rows]]
-            raise MalformedDatasetError(
-                f"{path}: sample {ids[row]!r}: t values must cover 0..{len(ts) - 1} "
-                f"without gaps or duplicates, got {ts}"
-            )
-        yield ids[row], labels[row] or None, values[rows]
+    gaps = np.flatnonzero(t != np.arange(len(t)) - np.repeat(offsets[:-1], np.diff(offsets)))
+    if len(gaps):
+        k = sample[order[gaps[0]]]  # rows are sorted by sample: this is the first gapped one
+        ts = [int(x) for x in t[offsets[k] : offsets[k + 1]]]
+        raise MalformedDatasetError(
+            f"{path}: sample {ids[first_row[k]]!r}: t values must cover 0..{len(ts) - 1} "
+            f"without gaps or duplicates, got {ts}"
+        )
+    sample_labels = tuple(label or None for label in labels[first_row].tolist())
+    return tuple(index), sample_labels, offsets, values[order]
 
 
 def _numpy_columns(fh, width: int, value_type: type):
@@ -301,13 +295,11 @@ def _row_columns(path: Path, fh, width: int, value_type: type):
         labels.append(row[1])
         ts.append(t)
         values.append(cells)
-    # object arrays keep Python ints that int64 cannot hold
-    return (
-        ids,
-        np.array(labels, dtype=object),
-        np.array(ts, dtype=object),
-        np.array(values, dtype=object).reshape(len(values), width - 3),
-    )
+    # as numpy types them, except that ints int64 cannot hold stay Python ints
+    values = np.array(values, dtype=object).reshape(len(values), width - 3)
+    with suppress(OverflowError):
+        values = values.astype(value_type)
+    return ids, np.array(labels, dtype=object), np.array(ts, dtype=object), values
 
 
 def load_csv(path: str | Path) -> MtsDataset:
@@ -330,13 +322,12 @@ def load_csv(path: str | Path) -> MtsDataset:
             raise SchemaError(
                 f"{path}: dimension columns must be named dim_0..dim_{dims - 1} in order"
             )
-        samples = tuple(
-            MtsSample(sid, label, rows.T)
-            for sid, label, rows in iter_long_form(path, fh, len(header), float)
-        )
-    if not samples:
+        ids, labels, offsets, values = read_long_form(path, fh, len(header), float)
+    if not ids:
         raise EmptyDatasetError(f"{path}: no data rows after the header")
-    return MtsDataset(samples)
+    ends = offsets.tolist()
+    rows = zip(ids, labels, ends, ends[1:])
+    return MtsDataset(tuple(MtsSample(sid, label, values[a:b].T) for sid, label, a, b in rows))
 
 
 def csv_prefix(sample_id: str, label: str | None) -> str:

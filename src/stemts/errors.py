@@ -54,8 +54,8 @@ class DuplicateFeatureError(StemError):
     """The same tuple appears twice in a feature list."""
 
 
-class IncompatibleVocabularyError(StemError):
-    """A sequence and a vocabulary disagree on the dimension count."""
+class IncompatibleVocabularyError(StemError, ValueError):
+    """Sequences, or a sequence and a vocabulary, disagree on the dimension count."""
 
 
 class IncompatibleVectorError(StemError):

@@ -47,7 +47,7 @@ from .errors import (
     NoModelError,
     UnlabeledDataError,
 )
-from .events import SymbolizerConfig, symbolize_dataset
+from .events import SymbolizerConfig, convert_dataset
 from .features import (
     FeatureVector,
     FeatureVocabulary,
@@ -467,7 +467,7 @@ def _run_eval(
     if pad:
         length = {s.id: s.length for s in dataset.samples}
         pad_to = max(length[i] for i in train_ids)
-    batch = symbolize_dataset(dataset, symbolizer, pad_to)
+    batch = convert_dataset(dataset, symbolizer, pad_to)
     row = {sample_id: i for i, sample_id in enumerate(batch.ids)}
     train = batch.take([row[i] for i in train_ids])
     test = batch.take([row[i] for i in test_ids])

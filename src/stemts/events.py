@@ -7,12 +7,13 @@ combine into a single event code via base-3 positional encoding with
 dimension 0 least significant, so the alphabet has exactly 3**D codes and
 encoding is a bijection.
 
-The pipeline keeps a dataset's codes in one ``EventBatch``: every sample's
-codes joined into one int64 array, with ``offsets`` marking where each sample
-starts (the CSR ``indptr`` layout), validated once per batch.
-``symbolize_dataset`` writes each group of equal-length samples straight into
-it. ``EventSequence`` is the per-sample view that ``convert_dataset``,
-``symbolize_sample`` and the event files hand out.
+A dataset's codes live in one ``EventBatch``: every sample's codes joined
+into one int64 array, with ``offsets`` marking where each sample starts (the
+CSR ``indptr`` layout), validated once per batch. ``convert_dataset`` writes
+each group of equal-length samples straight into it, and the event files are
+read into and written from it. ``EventSequence`` is one sample's codes: what
+indexing or iterating a batch hands out, built on access, and what
+``symbolize_sample`` returns.
 
 Event sequences are stored as a CSV (``sample_id,label,t,event_code``) plus a
 companion ``<path>.meta.json`` holding the dimension count and delta, which
@@ -33,13 +34,14 @@ from .dataset import (
     MtsDataset,
     MtsSample,
     csv_prefix,
-    iter_long_form,
     min_max_normalize,
     open_long_form,
     read_header,
+    read_long_form,
 )
 from .errors import (
     ConfigError,
+    IncompatibleVocabularyError,
     InvalidCodeError,
     MalformedDatasetError,
     SchemaError,
@@ -56,7 +58,6 @@ __all__ = [
     "encode_event",
     "decode_event",
     "symbolize_sample",
-    "symbolize_dataset",
     "convert_dataset",
     "explain_event",
     "explain_tuple",
@@ -80,7 +81,10 @@ class SymbolizerConfig:
 
 @dataclass(frozen=True)
 class EventSequence:
-    """Event codes for one sample; always one code per step, so T-1 of them."""
+    """Event codes for one sample; always one code per step, so T-1 of them.
+
+    Codes are Python or numpy integers; floats and booleans are rejected, not truncated.
+    """
 
     sample_id: str
     label: str | None
@@ -89,7 +93,12 @@ class EventSequence:
 
     def __post_init__(self) -> None:
         n = alphabet_size(self.dims)
-        codes = tuple(map(int, self.codes))
+        codes = tuple(self.codes.tolist() if isinstance(self.codes, np.ndarray) else self.codes)
+        if not set(map(type, codes)) <= {int}:
+            odd = [c for c in codes if isinstance(c, bool) or not isinstance(c, (int, np.integer))]
+            if odd:
+                raise InvalidCodeError(f"sequence {self.sample_id!r}: non-integer code {odd[0]!r}")
+            codes = tuple(map(int, codes))
         object.__setattr__(self, "codes", codes)
         if not codes:
             raise TooShortError(f"sequence {self.sample_id!r} has no events")
@@ -112,6 +121,8 @@ class EventBatch:
 
     Sample i's codes are ``codes[offsets[i]:offsets[i + 1]]``. The batch is
     checked once, failing like ``EventSequence`` on the first bad sample.
+    ``batch[i]`` (negative ``i`` counts from the end) and iteration, which
+    goes through it, hand out one ``EventSequence`` per sample, built on access.
     """
 
     codes: np.ndarray
@@ -122,8 +133,6 @@ class EventBatch:
 
     def __post_init__(self) -> None:
         offsets, n = self.offsets, alphabet_size(self.dims)
-        if self.codes.dtype != np.int64:  # a cast would truncate float codes silently
-            raise TypeError(f"codes must be int64, got {self.codes.dtype}")
         if not len(offsets) - 1 == len(self.ids) == len(self.labels):
             raise ValueError("need one label per id and one offset more than ids")
         if offsets[0] != 0 or offsets[-1] != len(self.codes):
@@ -131,19 +140,39 @@ class EventBatch:
         empty = np.flatnonzero(np.diff(offsets) < 1)
         if len(empty):
             raise TooShortError(f"sequence {self.ids[empty[0]]!r} has no events")
+        # before the dtype check, so codes too large for int64 are named too
         bad = np.flatnonzero((self.codes < 0) | (self.codes >= n))
         if len(bad):
             sample = np.searchsorted(offsets, bad[0], side="right") - 1
             raise InvalidCodeError(
                 f"sequence {self.ids[sample]!r}: code {self.codes[bad[0]]} outside [0, {n})"
             )
+        if self.codes.dtype != np.int64:  # a cast would truncate float codes silently
+            raise TypeError(f"codes must be int64, got {self.codes.dtype}")
 
     def __len__(self) -> int:
         return len(self.ids)
 
+    def __getitem__(self, i: int) -> EventSequence:
+        """Sample ``i``'s sequence; negative ``i`` counts from the end."""
+        i = range(len(self))[i]  # an IndexError past either end
+        codes = self.codes[self.offsets[i] : self.offsets[i + 1]].tolist()
+        return EventSequence(self.ids[i], self.labels[i], self.dims, codes)
+
     @classmethod
-    def from_sequences(cls, sequences: Sequence[EventSequence], dims: int) -> EventBatch:
-        """The batch of per-sample sequences, in order; each must have ``dims`` dimensions."""
+    def from_sequences(
+        cls, sequences: Sequence[EventSequence] | EventBatch, dims: int | None = None
+    ) -> EventBatch:
+        """The batch of these sequences, in order, each of ``dims`` dimensions (by
+        default the first one's); a batch is returned as it is."""
+        if isinstance(sequences, EventBatch):
+            return sequences
+        dims = sequences[0].dims if dims is None else dims
+        other = next((s for s in sequences if s.dims != dims), None)
+        if other is not None:
+            raise IncompatibleVocabularyError(
+                f"sample {other.sample_id!r} has {other.dims} dimensions, expected {dims}"
+            )
         offsets = _offsets([len(s) for s in sequences])
         codes = np.fromiter(chain.from_iterable(s.codes for s in sequences), np.int64, offsets[-1])
         ids, labels = (s.sample_id for s in sequences), (s.label for s in sequences)
@@ -157,14 +186,6 @@ class EventBatch:
         at = np.arange(offsets[-1]) + np.repeat(self.offsets[rows] - offsets[:-1], sizes)
         ids, labels = [self.ids[r] for r in rows.tolist()], [self.labels[r] for r in rows.tolist()]
         return EventBatch(self.codes[at], offsets, tuple(ids), tuple(labels), self.dims)
-
-    def sequences(self) -> list[EventSequence]:
-        """One ``EventSequence`` per sample, in order."""
-        flat, ends = self.codes.tolist(), self.offsets.tolist()
-        return [
-            EventSequence(sid, label, self.dims, flat[a:b])
-            for sid, label, a, b in zip(self.ids, self.labels, ends, ends[1:])
-        ]
 
 
 def alphabet_size(dims: int) -> int:
@@ -242,15 +263,10 @@ def symbolize_sample(sample: MtsSample, config: SymbolizerConfig) -> EventSequen
         raise ValueError(
             f"sample {sample.id!r}: values must be normalized to [0, 1] before symbolization"
         )
-    return EventSequence(
-        sample_id=sample.id,
-        label=sample.label,
-        dims=sample.dims,
-        codes=tuple(event_codes(v, config.delta).tolist()),
-    )
+    return EventSequence(sample.id, sample.label, sample.dims, event_codes(v, config.delta))
 
 
-def symbolize_dataset(
+def convert_dataset(
     dataset: MtsDataset, config: SymbolizerConfig, pad_to: int | None = None
 ) -> EventBatch:
     """Normalize and symbolize every sample into one batch, in dataset order.
@@ -280,13 +296,6 @@ def symbolize_dataset(
     return EventBatch(codes, offsets, tuple(ids), tuple(labels), dataset.dims)
 
 
-def convert_dataset(
-    dataset: MtsDataset, config: SymbolizerConfig, pad_to: int | None = None
-) -> list[EventSequence]:
-    """Per-sample view of :func:`symbolize_dataset`; output order matches dataset order."""
-    return symbolize_dataset(dataset, config, pad_to).sequences()
-
-
 def explain_event(code: int, dims: int, dim_names: Sequence[str] | None = None) -> str:
     """Human-readable reading of one event code, e.g. ``dim_0: up, dim_1: flat``."""
     symbols = decode_event(code, dims)  # checks dims before names are made for them
@@ -314,28 +323,28 @@ def _meta_path(path: Path) -> Path:
 
 
 def write_events(
-    sequences: Sequence[EventSequence], config: SymbolizerConfig, path: str | Path
+    sequences: Sequence[EventSequence] | EventBatch, config: SymbolizerConfig, path: str | Path
 ) -> None:
-    """Write event sequences as CSV plus a ``.meta.json`` companion."""
+    """Write a batch (or a list of sequences, joined into one) as CSV plus a ``.meta.json``."""
     path = Path(path)
-    if not sequences:
+    if not len(sequences):
         raise MalformedDatasetError("no event sequences to write")
-    dims = sequences[0].dims
+    batch = EventBatch.from_sequences(sequences)
+    flat, ends = batch.codes.tolist(), batch.offsets.tolist()
     with path.open("w", newline="", encoding="utf-8") as fh:
         fh.write("sample_id,label,t,event_code\n")
-        for seq in sequences:
-            prefix = csv_prefix(seq.sample_id, seq.label)
-            fh.writelines(f"{prefix},{t},{code}\n" for t, code in enumerate(seq.codes))
-    meta = {"dims": dims, "delta": config.delta}
+        for sid, label, a, b in zip(batch.ids, batch.labels, ends, ends[1:]):
+            prefix = csv_prefix(sid, label)
+            fh.writelines(f"{prefix},{t},{code}\n" for t, code in enumerate(flat[a:b]))
+    meta = {"dims": batch.dims, "delta": config.delta}
     _meta_path(path).write_text(json.dumps(meta, indent=2) + "\n", encoding="utf-8")
 
 
-def load_events(path: str | Path) -> tuple[list[EventSequence], SymbolizerConfig, int]:
-    """Load event sequences; returns (sequences, symbolizer config, dims).
+def load_events(path: str | Path) -> tuple[EventBatch, SymbolizerConfig, int]:
+    """Load an events file into one batch; returns (batch, symbolizer config, dims).
 
-    Rows are read like dataset rows (``dataset.iter_long_form``): one numpy
-    pass, with the row-by-row parser naming the first bad row when numpy
-    rejects the file.
+    Rows are read like dataset rows (``dataset.read_long_form``); the batch is
+    built from the file's columns and checked once.
     """
     path = Path(path)
     meta_file = _meta_path(path)
@@ -353,10 +362,7 @@ def load_events(path: str | Path) -> tuple[list[EventSequence], SymbolizerConfig
     with open_long_form(path) as fh:
         if read_header(fh) != ["sample_id", "label", "t", "event_code"]:
             raise SchemaError(f"{path}: header must be sample_id,label,t,event_code")
-        sequences = [
-            EventSequence(sid, label, dims, tuple(rows[:, 0].tolist()))
-            for sid, label, rows in iter_long_form(path, fh, 4, int)
-        ]
-    if not sequences:
+        ids, labels, offsets, values = read_long_form(path, fh, 4, int)
+    if not ids:
         raise MalformedDatasetError(f"{path}: no event rows after the header")
-    return sequences, config, dims
+    return EventBatch(values[:, 0], offsets, ids, labels, dims), config, dims

@@ -10,8 +10,9 @@ tuple are simply ignored.
 
 ``vectorize_batch`` vectorizes an ``events.EventBatch`` into one read-only
 ``(n, K)`` matrix, row i for sample i. ``vectorize_dataset`` and
-``vectorize`` are its per-sample views: they vectorize the batch of their
-sequences and hand out one ``FeatureVector`` per matrix row.
+``vectorize`` are its per-sample views: they vectorize a batch (a list of
+``EventSequence`` is joined into one first) and hand out one
+``FeatureVector`` per matrix row.
 """
 
 from __future__ import annotations
@@ -181,20 +182,17 @@ def vectorize_batch(batch: EventBatch, vocab: FeatureVocabulary) -> np.ndarray:
 
 
 def vectorize_dataset(
-    sequences: Sequence[EventSequence], vocab: FeatureVocabulary
+    sequences: Sequence[EventSequence] | EventBatch, vocab: FeatureVocabulary
 ) -> list[FeatureVector]:
     """Per-sample view of :func:`vectorize_batch`: one vector per sequence, in input order.
 
-    The vectors share the batch matrix's rows: small per-row copies fragment the heap.
+    A list of sequences is joined into one batch first; a sequence of other
+    dimensions than the vocabulary's is named in the error. The vectors share
+    the batch matrix's rows: small per-row copies fragment the heap.
     """
-    for seq in sequences:
-        if seq.dims != vocab.dims:
-            raise IncompatibleVocabularyError(
-                f"sample {seq.sample_id!r}: sequence has {seq.dims} dimensions, "
-                f"vocabulary expects {vocab.dims}"
-            )
-    values = vectorize_batch(EventBatch.from_sequences(sequences, vocab.dims), vocab)
-    return [FeatureVector(s.sample_id, s.label, row) for s, row in zip(sequences, values)]
+    batch = EventBatch.from_sequences(sequences, vocab.dims)
+    values = vectorize_batch(batch, vocab)
+    return [FeatureVector(*sample) for sample in zip(batch.ids, batch.labels, values)]
 
 
 # ---------------------------------------------------------------------------

@@ -4,14 +4,14 @@ Tuples are contiguous windows of event codes (lengths 1..max_len). One
 kernel, ``window_states``, shared with ``features.vectorize_batch``, walks
 every window of a batch one length at a time, as Apriori and PrefixSpan do:
 a window's state follows from its prefix's state and its last code. It reads
-the batch in the ``events.EventBatch`` layout, joined codes plus offsets;
-``build_forest`` counts an ``EventBatch``, or the batch of a list of
-``EventSequence`` views. Mining counts, per distinct tuple, ``doc_support``
-(distinct samples containing it) and ``occ_count`` (overlapping windows
-across all samples). Pruning keeps the tuples at or above the minimum
-document support (and, optionally, drops those adding little support over
-their prefix); the kept tuples no kept tuple extends are the features,
-prefix-free by construction.
+the batch in the ``events.EventBatch`` layout, joined codes plus offsets.
+``build_forest`` counts an ``EventBatch``; a list of ``EventSequence`` is
+first joined into one (``EventBatch.from_sequences``). Mining counts, per
+distinct tuple, ``doc_support`` (distinct samples containing it) and
+``occ_count`` (overlapping windows across all samples). Pruning keeps the
+tuples at or above the minimum document support (and, optionally, drops
+those adding little support over their prefix); the kept tuples no kept
+tuple extends are the features, prefix-free by construction.
 
 ``brute_force_mine`` re-derives the same feature list by exhaustive, slow
 window enumeration; tests hold the array path to it exactly.
@@ -126,13 +126,10 @@ def _check_sequences(sequences: Sequence[EventSequence] | EventBatch) -> EventBa
     """The batch to count; the sequences of a list must share one dimension count."""
     if not len(sequences):
         raise EmptyInputError("no event sequences to mine")
-    if not isinstance(sequences, EventBatch):
-        if any(s.dims != sequences[0].dims for s in sequences):
-            raise ValueError("all sequences must share one dimension count")
-        sequences = EventBatch.from_sequences(sequences, sequences[0].dims)
-    if len(set(sequences.ids)) != len(sequences.ids):
+    batch = EventBatch.from_sequences(sequences)
+    if len(set(batch.ids)) != len(batch.ids):
         raise MalformedDatasetError("sample ids must be unique for support counting")
-    return sequences
+    return batch
 
 
 def window_states(
@@ -229,7 +226,7 @@ def extract_rts_features(forest: PrefixForest) -> list[EventTuple]:
 
 
 def brute_force_mine(
-    sequences: Sequence[EventSequence], config: MinerConfig
+    sequences: Sequence[EventSequence] | EventBatch, config: MinerConfig
 ) -> list[EventTuple]:
     """Reference miner: exhaustive window enumeration, no trees.
 

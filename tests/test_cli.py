@@ -1,9 +1,10 @@
+import argparse
 import json
 
 import pytest
 
 from stemts import EventSequence, SymbolizerConfig, load_csv, load_events, write_events
-from stemts.cli import main
+from stemts.cli import build_parser, main
 
 SPEC_YAML = """\
 classes:
@@ -243,6 +244,49 @@ class TestPipelineContract:
         assert len(out.strip().splitlines()) == len(json.loads(features.read_text())["features"])
 
 
+    def test_commands_build_no_event_sequence(self, spec_file, tmp_path, monkeypatch):
+        """convert, mine and eval pass batches from file to file, never one object per sample."""
+
+        def refuse(self):
+            raise AssertionError("an EventSequence was built")
+
+        data, events = tmp_path / "data.csv", tmp_path / "events.csv"
+        assert main(["-q", "synth", str(spec_file), "--out", str(data)]) == 0
+        monkeypatch.setattr(EventSequence, "__post_init__", refuse)
+        assert main(["-q", "convert", "--in", str(data), "--out", str(events)]) == 0
+        mine = ["mine", "--in", str(events), "--min-support", "5"]
+        assert main(["-q", *mine, "--out", str(tmp_path / "features.json")]) == 0
+        evaluate = ["eval", "--in", str(data), "--baseline", "--out", str(tmp_path / "report")]
+        assert main(["-q", *evaluate]) == 0
+
+
+class TestSharedFlags:
+    @staticmethod
+    def helps(flag):
+        """Help text of ``flag`` under each subcommand that takes it."""
+        sub = next(a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+        return {
+            name: action.help
+            for name, command in sub.choices.items()
+            for action in command._actions
+            if flag in action.option_strings
+        }
+
+    @pytest.mark.parametrize(
+        "flag, commands",
+        [
+            ("--delta", {"convert", "eval"}),
+            ("--min-support", {"mine", "eval"}),
+            ("--max-len", {"mine", "eval"}),
+            ("--gain-gamma", {"mine", "eval"}),
+        ],
+    )
+    def test_same_help_under_every_command(self, flag, commands):
+        helps = self.helps(flag)
+        assert set(helps) == commands
+        assert len(set(helps.values())) == 1 and None not in helps.values(), helps
+
+
 class TestErrorSurface:
     """Bad flags and bad files end in one ``error:`` line and exit 1, never a traceback."""
 
@@ -304,3 +348,13 @@ class TestErrorSurface:
         else:
             assert err == ""
             assert load_events(tmp_path / "e.csv")[0][0].codes == (3**39 - 1,) * 2
+
+    def test_code_beyond_int64(self, tmp_path, capsys):
+        # numpy rejects the file, so the row parser reads it and keeps the Python int
+        events = tmp_path / "events.csv"
+        events.write_text("sample_id,label,t,event_code\na,,0,1\na,,1,99999999999999999999\n")
+        (tmp_path / "events.csv.meta.json").write_text('{"dims": 1, "delta": 0.05}')
+        capsys.readouterr()
+        assert main(["mine", "--in", str(events), "--out", str(tmp_path / "f.json")]) == 1
+        err = capsys.readouterr().err
+        assert err == "error: sequence 'a': code 99999999999999999999 outside [0, 3)\n"

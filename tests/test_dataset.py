@@ -237,6 +237,15 @@ class TestCsv:
         with pytest.raises(MalformedDatasetError, match="'a'"):
             load_csv(path)
 
+    def test_first_gapped_sample_in_file_order_is_named(self, tmp_path):
+        # "c" appears before "b"; the bad value of "a" is checked only after every gap
+        path = tmp_path / "d.csv"
+        path.write_text(
+            "sample_id,label,t,dim_0\na,,0,nan\na,,1,1.0\nc,,0,1.0\nb,,1,1.0\nb,,2,2.0\nc,,2,1.0\n"
+        )
+        with pytest.raises(MalformedDatasetError, match=r"sample 'c': t values .* got \[0, 2\]$"):
+            load_csv(path)
+
     def test_duplicate_t(self, tmp_path):
         path = tmp_path / "d.csv"
         path.write_text("sample_id,label,t,dim_0\na,,0,1.0\na,,0,2.0\na,,1,2.0\n")

@@ -34,7 +34,6 @@ from stemts import (
     vectorize_dataset,
 )
 from stemts import evaluate
-from stemts.events import symbolize_dataset
 from stemts.features import vectorize_batch
 from stemts.errors import (
     DegenerateTaskError,
@@ -472,7 +471,7 @@ class TestBatchPath:
         features = extract_rts_features(prune_bottom_up(build_forest(train, miner), miner))
         assert vocab.features == tuple(features)
 
-        batch = symbolize_dataset(dataset, symbolizer, pad_to)
+        batch = convert_dataset(dataset, symbolizer, pad_to)
         row = {sample_id: i for i, sample_id in enumerate(batch.ids)}
         train_matrix = vectorize_batch(batch.take([row[i] for i in train_ids]), vocab)
         test_matrix = vectorize_batch(batch.take([row[i] for i in test_ids]), vocab)

@@ -1,3 +1,6 @@
+import tempfile
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given
@@ -20,9 +23,10 @@ from stemts import (
     write_events,
 )
 from stemts.dataset import MtsDataset
-from stemts.events import EventBatch, symbolize_dataset
+from stemts.events import EventBatch
 from stemts.errors import (
     ConfigError,
+    IncompatibleVocabularyError,
     InvalidCodeError,
     ParseError,
     SchemaError,
@@ -260,6 +264,24 @@ class TestEventFiles:
         with pytest.raises(TooShortError):
             EventSequence("s", None, 1, ())
 
+    @pytest.mark.parametrize(
+        "codes, bad", [((1.5, True), "1.5"), (np.array([2.9]), "2.9"), ((True,), "True")]
+    )
+    def test_sequence_rejects_non_integer_codes(self, codes, bad):
+        with pytest.raises(InvalidCodeError, match=f"^sequence 's': non-integer code {bad}$"):
+            EventSequence("s", None, 1, codes)
+
+    def test_sequence_takes_numpy_integers(self):
+        assert EventSequence("s", None, 1, np.array([2, 0], dtype=np.uint8)).codes == (2, 0)
+        codes = EventSequence("s", None, 1, (np.int64(1), 2)).codes
+        assert codes == (1, 2) and all(type(c) is int for c in codes)
+
+    def test_mixed_dims_rejected_naming_the_sample(self, tmp_path):
+        seqs = [EventSequence("a", None, 2, (8,)), EventSequence("b", None, 1, (2,))]
+        with pytest.raises(IncompatibleVocabularyError, match="sample 'b' has 1 dimensions"):
+            write_events(seqs, SymbolizerConfig(0.05), tmp_path / "events.csv")
+        assert not (tmp_path / "events.csv").exists()
+
 
 @st.composite
 def mixed_datasets(draw):
@@ -353,7 +375,7 @@ class TestEventBatch:
         batch = EventBatch.from_sequences(sequences, 2)
         picked = data.draw(st.lists(st.integers(0, len(rows) - 1), max_size=8))
         taken = batch.take(picked)
-        assert [(q.sample_id, q.label, q.codes) for q in taken.sequences()] == [
+        assert [(q.sample_id, q.label, q.codes) for q in taken] == [
             (sequences[i].sample_id, sequences[i].label, sequences[i].codes) for i in picked
         ]
 
@@ -367,6 +389,40 @@ class TestEventBatch:
             EventBatch(np.array([0, 1]), np.array([0, 1]), ("a",), (None,), 2)
         with pytest.raises(TypeError, match="int64"):
             EventBatch(np.array([1.5]), np.array([0, 1]), ("a",), (None,), 2)
+
+    @given(
+        st.lists(
+            st.tuples(
+                st.lists(st.integers(0, 26), min_size=1, max_size=7),
+                st.sampled_from([None, "a", "b,c", 'q"t']),
+            ),
+            min_size=1,
+            max_size=6,
+        )
+    )
+    def test_event_file_round_trip(self, rows):
+        sequences = [EventSequence(f"s{i}", label, 3, codes) for i, (codes, label) in enumerate(rows)]
+        batch = EventBatch.from_sequences(sequences)
+        with tempfile.TemporaryDirectory() as tmp:
+            write_events(batch, SymbolizerConfig(0.1), Path(tmp) / "events.csv")
+            loaded, config, dims = load_events(Path(tmp) / "events.csv")
+        assert (config.delta, dims, loaded.dims) == (0.1, 3, 3)
+        assert loaded.ids == batch.ids and loaded.labels == batch.labels
+        assert np.array_equal(loaded.codes, batch.codes)
+        assert np.array_equal(loaded.offsets, batch.offsets)
+        assert loaded.codes.dtype == np.int64
+        for i, seq in enumerate(sequences):
+            assert loaded[i] == seq
+            assert tuple(loaded.codes[loaded.offsets[i] : loaded.offsets[i + 1]]) == seq.codes
+        assert loaded[-1] == sequences[-1]
+        assert list(loaded) == sequences
+
+    def test_index_past_the_end(self):
+        batch = EventBatch.from_sequences([EventSequence("a", None, 1, (0, 2))])
+        assert batch[0] == batch[-1]
+        for i in (1, -2):
+            with pytest.raises(IndexError):
+                batch[i]
 
     def test_same_message_as_a_sequence(self):
         with pytest.raises(InvalidCodeError) as one:

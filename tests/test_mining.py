@@ -17,7 +17,7 @@ from stemts import (
     resolve_min_support,
     write_feature_list,
 )
-from stemts.errors import EmptyInputError, MalformedDatasetError
+from stemts.errors import EmptyInputError, IncompatibleVocabularyError, MalformedDatasetError
 from stemts.events import EventBatch
 from stemts.mining import window_states
 
@@ -139,6 +139,10 @@ class TestBuildForest:
     def test_duplicate_ids_rejected(self):
         with pytest.raises(MalformedDatasetError):
             build_forest([seq("a", [0]), seq("a", [1])], MinerConfig(1))
+
+    def test_mixed_dims_error_names_the_sample(self):
+        with pytest.raises(IncompatibleVocabularyError, match="sample 'b' has 2 dimensions"):
+            build_forest([seq("a", [0], dims=1), seq("b", [0], dims=2)], MinerConfig(1))
 
     @given(mining_instances())
     def test_anti_monotonicity(self, instance):

@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import csv
 import io
+from collections import Counter
 from contextlib import contextmanager, suppress
 from dataclasses import dataclass
 from pathlib import Path
@@ -110,9 +111,9 @@ class MtsDataset:
                 raise SchemaError(
                     f"sample {s.id!r} has {s.dims} dimensions, expected {dims}"
                 )
-        ids = [s.id for s in samples]
-        if len(set(ids)) != len(ids):
-            dupes = sorted({i for i in ids if ids.count(i) > 1})
+        counts = Counter(s.id for s in samples)
+        if len(counts) != len(samples):
+            dupes = sorted(i for i, c in counts.items() if c > 1)
             raise MalformedDatasetError(f"duplicate sample ids: {dupes}")
 
     def __len__(self) -> int:

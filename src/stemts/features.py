@@ -172,8 +172,8 @@ def vectorize_batch(batch: EventBatch, vocab: FeatureVocabulary) -> np.ndarray:
         alphabet, tables, targets = _lookup_tables(vocab)
         walk = window_states(batch.codes, batch.offsets, alphabet, len(tables), tables)
         for (_, rows, owners), target in zip(walk, targets):
-            feature = target[rows]
-            hits.append(owners[feature >= 0] * width + feature[feature >= 0])
+            feature = target[rows]  # int64 products: int32 owners x width could wrap
+            hits.append(owners[feature >= 0] * np.int64(width) + feature[feature >= 0])
     counts = np.bincount(np.concatenate(hits), minlength=n * width).reshape(n, width)
     positions = np.subtract.outer(np.diff(batch.offsets), [len(t) for t in vocab.features]) + 1
     values = np.divide(counts, positions, out=np.zeros((n, width)), where=positions > 0)

@@ -2,13 +2,13 @@
 
 Tuples are contiguous windows of event codes (lengths 1..max_len). One
 kernel, ``window_states``, shared with ``features.vectorize_batch``, walks
-every window of a batch one length at a time, as Apriori and PrefixSpan do:
-a window's state follows from its prefix's state and its last code. It reads
-the batch in the ``events.EventBatch`` layout, joined codes plus offsets.
-``build_forest`` counts an ``EventBatch``; a list of ``EventSequence`` is
-first joined into one (``EventBatch.from_sequences``). Mining counts, per
-distinct tuple, ``doc_support`` (distinct samples containing it) and
-``occ_count`` (overlapping windows across all samples). Pruning keeps the
+every window of an ``events.EventBatch`` (joined codes plus offsets) one
+length at a time, as Apriori and PrefixSpan do: a window's state follows from
+its prefix's state and its last code. Each length's keys lie in a small dense
+space, so a counting sort, not a sort, finds and numbers the tuples, and a
+dense array looks keys up. ``build_forest`` counts, per distinct tuple,
+``doc_support`` (distinct samples containing it, from a sample x tuple bitmap)
+and ``occ_count`` (overlapping windows across all samples). Pruning keeps the
 tuples at or above the minimum document support (and, optionally, drops
 those adding little support over their prefix); the kept tuples no kept
 tuple extends are the features, prefix-free by construction.
@@ -29,7 +29,7 @@ from typing import Iterator, NamedTuple, Sequence
 import numpy as np
 
 from .errors import ConfigError, EmptyInputError, MalformedDatasetError, SchemaError
-from .events import EventBatch, EventSequence, explain_tuple
+from .events import EventBatch, EventSequence, alphabet_size, explain_tuple
 
 __all__ = [
     "EventTuple",
@@ -132,6 +132,25 @@ def _check_sequences(sequences: Sequence[EventSequence] | EventBatch) -> EventBa
     return batch
 
 
+_KEY_CELLS = 8  # key spaces up to this many cells per key are counted, not sorted
+_DOC_CELLS = 64  # doc support uses a bitmap up to this many cells per window
+_BLOCK_CELLS = 1 << 17  # bitmap cells held at once: one block of samples
+
+
+def _rows(keys: np.ndarray, space: int, index: type, table=None) -> tuple[np.ndarray, np.ndarray]:
+    """``table`` (by default the sorted distinct keys in [0, space)) and each key's row in
+    it or -1: a counting sort up to ``_KEY_CELLS`` cells per key, else a sort and search."""
+    if space > _KEY_CELLS * len(keys):
+        table = np.unique(keys) if table is None else table
+        rows = np.searchsorted(table, keys).astype(index)
+        rows[table[np.minimum(rows, len(table) - 1)] != keys] = -1
+        return table, rows
+    table = np.flatnonzero(np.bincount(keys, minlength=space)) if table is None else table
+    remap = np.full(space, -1, dtype=index)
+    remap[table] = np.arange(len(table), dtype=index)
+    return table, remap[keys]
+
+
 def window_states(
     codes: np.ndarray,
     offsets: np.ndarray,
@@ -144,35 +163,50 @@ def window_states(
     The walk stops after the first length with no window in ``table``.
 
     Tuple i of the batch is ``codes[offsets[i]:offsets[i + 1]]``. A stop code
-    goes after each tuple, so no window spans two. A length-l window's key is
-    its length-(l-1) prefix's state x len(alphabet) + its last code's rank in
-    the sorted ``alphabet`` (the empty prefix has state 0), which fits in
-    int64 for any dimension count.
-    ``table`` holds the level's sorted keys: those that occur when mining, or
-    ``tables[l - 1]`` when looking up. For each window whose key is in
-    ``table``, ``rows`` holds its state (the key's row in ``table``) and
-    ``owners`` the batch index of its tuple.
+    goes after each tuple, so no window spans two. A length-l window's int64
+    key is its length-(l-1) prefix's state x len(alphabet) + its last code's
+    rank in the sorted ``alphabet`` (the empty prefix has state 0), so keys
+    lie below the previous table's size x len(alphabet). ``table`` holds the
+    level's sorted keys: those that occur when mining, counted (or sorted, see
+    ``_rows``), or ``tables[l - 1]`` when looking up. For each window whose key
+    is in ``table``, ``rows`` holds its state (the key's row in ``table``) and
+    ``owners`` the batch index of its tuple, both int32 below 2**31 positions.
     """
-    owner = np.repeat(np.arange(len(offsets) - 1), np.diff(offsets) + 1)
-    codes = np.insert(codes, offsets[1:], -1)
-    rank = np.searchsorted(alphabet, codes)
-    rank[(codes < 0) | ~np.isin(codes, alphabet)] = -1  # stops, and codes no event has
-    states = np.zeros(len(codes), dtype=np.int64)
+    index = np.int32 if len(codes) + len(offsets) < 2**31 else np.int64
+    owner = np.repeat(np.arange(len(offsets) - 1, dtype=index), np.diff(offsets) + 1)
+    lo = min(codes.min(initial=0), alphabet.min(initial=0))  # a vocabulary may hold any int
+    space = int(max(codes.max(initial=0), alphabet.max(initial=0)) - lo) + 1
+    rank = np.insert(_rows(codes - lo, space, index, alphabet - lo)[1], offsets[1:], -1)  # stops
+    states, width = np.zeros(len(rank), dtype=index), 1  # the empty prefix: one state
     for level in range(max_len):
         last = rank[level:]
         valid = (states[: len(last)] >= 0) & (last >= 0)
-        keys = states[: len(last)][valid] * len(alphabet) + last[valid]
-        table = np.unique(keys) if tables is None else tables[level]
-        rows = np.searchsorted(table, keys)
+        keys = states[: len(last)][valid] * np.int64(len(alphabet)) + last[valid]
+        table, rows = _rows(keys, width * len(alphabet), index, tables[level] if tables else None)
         if tables is not None:
-            found = np.searchsorted(table, keys, side="right") > rows
-            valid[valid] = found
-            rows = rows[found]
-        states = np.full(len(last), -1, dtype=np.int64)
+            valid[valid] = rows >= 0
+            rows = rows[rows >= 0]
+        states = np.full(len(last), -1, dtype=index)
         states[valid] = rows
+        width = len(table)
         yield table, rows, owner[: len(last)][valid]
         if not valid.any():
             return  # no window of this length, so none longer: max_len may be huge
+
+
+def _doc_support(rows: np.ndarray, owners: np.ndarray, width: int, n: int) -> np.ndarray:
+    """Distinct owners per row, counted on one sample block's (block x width) bitmap at a time."""
+    if n * width >= _DOC_CELLS * len(rows):  # also when there is no window
+        pairs = np.unique(owners.astype(np.int64) * width + rows)
+        return np.bincount(pairs % width, minlength=width)
+    docs = np.zeros(width, dtype=np.int64)
+    step = max(1, _BLOCK_CELLS // width)
+    bounds = np.searchsorted(owners, np.arange(0, n + step, step))  # owners are sorted
+    for start, lo, hi in zip(range(0, n, step), bounds, bounds[1:]):
+        seen = np.zeros((step, width), dtype=bool)
+        seen[owners[lo:hi] - start, rows[lo:hi]] = True
+        docs += np.count_nonzero(seen, axis=0)
+    return docs
 
 
 def build_forest(
@@ -184,12 +218,11 @@ def build_forest(
     samples, so a tuple occurring many times in one sample counts it once.
     """
     batch = _check_sequences(sequences)
-    alphabet = np.unique(batch.codes)
+    alphabet = _rows(batch.codes, alphabet_size(batch.dims), np.int32)[0]
     nodes: dict[EventTuple, Support] = {}
     prefixes: list[EventTuple] = [()]
     for table, rows, owners in window_states(batch.codes, batch.offsets, alphabet, config.max_len):
-        pairs = np.unique(owners * len(table) + rows)
-        docs = np.bincount(pairs % len(table), minlength=len(table)).tolist()
+        docs = _doc_support(rows, owners, len(table), len(batch)).tolist()
         occs = np.bincount(rows, minlength=len(table)).tolist()
         prefix, last = np.divmod(table, len(alphabet))
         tuples = [prefixes[p] + (c,) for p, c in zip(prefix.tolist(), alphabet[last].tolist())]

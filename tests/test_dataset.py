@@ -1,3 +1,4 @@
+import time
 import tracemalloc
 import warnings
 from unittest import mock
@@ -98,6 +99,21 @@ class TestDatasetInvariants:
         a = make_sample([[1.0, 2.0]], "a")
         with pytest.raises(MalformedDatasetError):
             MtsDataset((a, make_sample([[3.0, 4.0]], "a")))
+
+    def test_duplicate_ids_listed_sorted_once_each(self):
+        ids = ["c", "b", "x", "c", "a", "b", "c"]
+        samples = [make_sample([[float(i), 0.0]], sample_id) for i, sample_id in enumerate(ids)]
+        with pytest.raises(MalformedDatasetError, match=r"^duplicate sample ids: \['b', 'c'\]$"):
+            MtsDataset(samples)
+
+    def test_duplicate_ids_found_in_linear_time(self):
+        # counting each id's occurrences one by one took 8 s for 20,000 samples
+        samples = [make_sample([[0.0, 1.0]], f"s{i}") for i in range(50_000)]
+        samples += [make_sample([[0.0, 1.0]], "s17"), make_sample([[0.0, 1.0]], "s49999")]
+        start = time.perf_counter()
+        with pytest.raises(MalformedDatasetError, match=r"\['s17', 's49999'\]$"):
+            MtsDataset(samples)
+        assert time.perf_counter() - start < 5.0
 
     def test_label_set_sorted(self):
         ds = MtsDataset(

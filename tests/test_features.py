@@ -23,6 +23,7 @@ from stemts.errors import (
     InvalidCodeError,
     SchemaError,
 )
+from stemts import mining
 from stemts.events import EventBatch
 from stemts.features import vectorize_batch
 
@@ -97,6 +98,18 @@ class TestVectorize:
         vocab = FeatureVocabulary(features=((-1,), (8, -1, 4), (8,)), dims=2)
         vectors = vectorize_dataset([seq([4, 8], "a"), seq([4, 4], "b")], vocab)
         assert [v.values.tolist() for v in vectors] == [[0.0, 0.0, 0.5], [0.0, 0.0, 0.0]]
+
+    @pytest.mark.parametrize("key_cells", [8, 0])
+    def test_codes_outside_either_alphabet(self, monkeypatch, key_cells):
+        # the batch holds codes the vocabulary lacks (0, 3, 8) and the
+        # vocabulary codes the batch lacks (-1, 5, 7), on the counted lookup
+        # path and on the sorted one
+        monkeypatch.setattr(mining, "_KEY_CELLS", key_cells)
+        vocab = FeatureVocabulary(features=((-1,), (5,), (2, 8), (2, 7), (2, 8, 3)), dims=2)
+        sequences = [seq(c, f"s{i}") for i, c in enumerate([[8, 2, 8], [0, 8], [2, 8, 3, 3], [8]])]
+        batch = EventBatch.from_sequences(sequences)
+        matrix = vectorize_batch(batch, vocab)
+        assert matrix.tolist() == [naive_values(s.codes, vocab) for s in sequences]
 
     def test_dimension_mismatch(self):
         vocab = build_vocabulary([(8,)], dims=2)

@@ -1,4 +1,5 @@
 import math
+from collections import Counter, defaultdict
 from fractions import Fraction
 
 import numpy as np
@@ -9,17 +10,23 @@ from hypothesis import strategies as st
 from stemts import (
     EventSequence,
     MinerConfig,
+    SymbolizerConfig,
     brute_force_mine,
     build_forest,
+    convert_dataset,
     extract_rts_features,
+    generate_synthetic,
     load_feature_list,
     prune_bottom_up,
     resolve_min_support,
     write_feature_list,
 )
 from stemts.errors import EmptyInputError, IncompatibleVocabularyError, MalformedDatasetError
+from stemts import mining
 from stemts.events import EventBatch
-from stemts.mining import window_states
+from stemts.mining import Support, window_states
+
+from conftest import run_length_spec
 
 
 def seq(sample_id, codes, dims=2):
@@ -329,6 +336,72 @@ class TestWindowStates:
             )
             assert got == expected
             prefixes = level
+
+
+def recount(sequences, max_len):
+    """Every window of every sequence counted one by one: samples holding it, windows."""
+    holders, windows = defaultdict(set), Counter()
+    for i, s in enumerate(sequences):
+        for length in range(1, max_len + 1):
+            for j in range(len(s.codes) - length + 1):
+                holders[s.codes[j : j + length]].add(i)
+                windows[s.codes[j : j + length]] += 1
+    return {t: Support(len(holders[t]), windows[t]) for t in windows}
+
+
+@pytest.fixture(scope="module")
+def run_length_batch():
+    """200 seeded 3-d run-length samples of 60 steps, as one event batch."""
+    dataset = generate_synthetic(run_length_spec(0.4, samples_per_class=50, length=60, seed=5))
+    return convert_dataset(dataset, SymbolizerConfig(0.05))
+
+
+class TestWalkBranches:
+    """Every branch of the window walk counts the full forest exactly.
+
+    At this size the walk counts keys densely and counts doc support on a
+    bitmap; patching the module's thresholds sends it down the sorting
+    branches and through many small sample blocks instead.
+    """
+
+    config = MinerConfig(min_support=0.05, max_len=6)
+
+    def features(self, sequences):
+        return extract_rts_features(prune_bottom_up(build_forest(sequences, self.config), self.config))
+
+    def test_forest_equals_recount(self, run_length_batch):
+        forest = build_forest(run_length_batch, self.config)
+        assert forest.nodes == recount(list(run_length_batch), self.config.max_len)
+        assert self.features(run_length_batch) == brute_force_mine(run_length_batch, self.config)
+
+    def test_walk_narrows_positions_to_int32(self, run_length_batch):
+        batch = run_length_batch
+        alphabet = np.unique(batch.codes)
+        for table, rows, owners in window_states(batch.codes, batch.offsets, alphabet, 6):
+            assert (table.dtype, rows.dtype, owners.dtype) == (np.int64, np.int32, np.int32)
+
+    @pytest.mark.parametrize("constant", ["_KEY_CELLS", "_DOC_CELLS"])
+    def test_sorting_branch_counts_the_same(self, run_length_batch, monkeypatch, constant):
+        dense = build_forest(run_length_batch, self.config)
+        monkeypatch.setattr(mining, constant, 0)
+        forest = build_forest(run_length_batch, self.config)
+        assert forest.nodes == dense.nodes == recount(list(run_length_batch), 6)
+        assert self.features(run_length_batch) == brute_force_mine(run_length_batch, self.config)
+
+    @pytest.mark.parametrize("budget", [1, 500, 1250])
+    def test_bitmap_in_sample_blocks(self, run_length_batch, monkeypatch, budget):
+        # eleven one- and two-code samples in the middle leave whole blocks
+        # without a window of length 3 or more
+        short = [seq(f"short{i}", [i % 27] * (1 + i % 2), dims=3) for i in range(11)]
+        sequences = list(run_length_batch)[:100] + short + list(run_length_batch)[100:]
+        monkeypatch.setattr(mining, "_BLOCK_CELLS", budget)
+        forest = build_forest(sequences, self.config)
+        assert forest.nodes == recount(sequences, self.config.max_len)
+        width = sum(len(t) == 4 for t in forest.nodes)
+        step = max(1, budget // width)
+        starts = range(0, len(sequences), step)
+        assert len(starts) >= 3
+        assert any(all(len(s) < 4 for s in sequences[i : i + step]) for i in starts)
 
 
 class TestDeterminism:

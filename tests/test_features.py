@@ -17,13 +17,13 @@ from stemts import (
     vectorize_dataset,
     write_feature_matrix,
 )
+from stemts import mining
 from stemts.errors import (
     DuplicateFeatureError,
     IncompatibleVocabularyError,
     InvalidCodeError,
     SchemaError,
 )
-from stemts import mining
 from stemts.events import EventBatch
 from stemts.features import vectorize_batch
 
@@ -101,12 +101,13 @@ class TestVectorize:
 
     @pytest.mark.parametrize("key_cells", [8, 0])
     def test_codes_outside_either_alphabet(self, monkeypatch, key_cells):
-        # the batch holds codes the vocabulary lacks (0, 3, 8) and the
+        # the batch holds codes the vocabulary lacks (0, 4, 6) and the
         # vocabulary codes the batch lacks (-1, 5, 7), on the counted lookup
         # path and on the sorted one
         monkeypatch.setattr(mining, "_KEY_CELLS", key_cells)
         vocab = FeatureVocabulary(features=((-1,), (5,), (2, 8), (2, 7), (2, 8, 3)), dims=2)
-        sequences = [seq(c, f"s{i}") for i, c in enumerate([[8, 2, 8], [0, 8], [2, 8, 3, 3], [8]])]
+        codes = [[8, 2, 8], [0, 8], [2, 8, 3, 3], [4, 8, 6]]
+        sequences = [seq(c, f"s{i}") for i, c in enumerate(codes)]
         batch = EventBatch.from_sequences(sequences)
         matrix = vectorize_batch(batch, vocab)
         assert matrix.tolist() == [naive_values(s.codes, vocab) for s in sequences]

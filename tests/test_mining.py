@@ -21,8 +21,8 @@ from stemts import (
     resolve_min_support,
     write_feature_list,
 )
-from stemts.errors import EmptyInputError, IncompatibleVocabularyError, MalformedDatasetError
 from stemts import mining
+from stemts.errors import EmptyInputError, IncompatibleVocabularyError, MalformedDatasetError
 from stemts.events import EventBatch
 from stemts.mining import Support, window_states
 
@@ -367,7 +367,8 @@ class TestWalkBranches:
     config = MinerConfig(min_support=0.05, max_len=6)
 
     def features(self, sequences):
-        return extract_rts_features(prune_bottom_up(build_forest(sequences, self.config), self.config))
+        forest = build_forest(sequences, self.config)
+        return extract_rts_features(prune_bottom_up(forest, self.config))
 
     def test_forest_equals_recount(self, run_length_batch):
         forest = build_forest(run_length_batch, self.config)
@@ -377,7 +378,8 @@ class TestWalkBranches:
     def test_walk_narrows_positions_to_int32(self, run_length_batch):
         batch = run_length_batch
         alphabet = np.unique(batch.codes)
-        for table, rows, owners in window_states(batch.codes, batch.offsets, alphabet, 6):
+        walk = window_states(batch.codes, batch.offsets, alphabet, self.config.max_len)
+        for table, rows, owners in walk:
             assert (table.dtype, rows.dtype, owners.dtype) == (np.int64, np.int32, np.int32)
 
     @pytest.mark.parametrize("constant", ["_KEY_CELLS", "_DOC_CELLS"])
@@ -385,7 +387,7 @@ class TestWalkBranches:
         dense = build_forest(run_length_batch, self.config)
         monkeypatch.setattr(mining, constant, 0)
         forest = build_forest(run_length_batch, self.config)
-        assert forest.nodes == dense.nodes == recount(list(run_length_batch), 6)
+        assert forest.nodes == dense.nodes == recount(list(run_length_batch), self.config.max_len)
         assert self.features(run_length_batch) == brute_force_mine(run_length_batch, self.config)
 
     @pytest.mark.parametrize("budget", [1, 500, 1250])

@@ -21,8 +21,7 @@ from .errors import StemError
 from .evaluate import (
     ClassifierConfig,
     SplitSpec,
-    baseline_histogram_eval,
-    evaluate_pipeline,
+    evaluate,
     render_report_table,
     write_report_files,
 )
@@ -226,10 +225,9 @@ def cmd_eval(args: argparse.Namespace) -> int:
         f"max_len {miner.max_len}, {classifier.kind} k={classifier.k} "
         f"{classifier.metric}, train_frac {split.train_fraction}, seed {split.seed}",
     )
+    methods = ("stem", "baseline") if args.baseline else ("stem",)
     same = {"pad": args.pad, "resubstitution": args.resubstitution, "dataset_name": name}
-    reports = [evaluate_pipeline(dataset, symbolizer, miner, split, classifier, **same)]
-    if args.baseline:
-        reports.append(baseline_histogram_eval(dataset, split, symbolizer, classifier, **same))
+    reports = evaluate(dataset, symbolizer, miner, split, classifier, methods=methods, **same)
     json_path, text_path = write_report_files(reports, args.out)
     save_vocabulary(reports[0].vocabulary, str(args.out) + ".vocab.json")
     if not args.quiet:

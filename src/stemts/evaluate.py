@@ -5,16 +5,19 @@ only training samples. Test samples are symbolized and vectorized against the
 training vocabulary, never the other way around, so removing or mutating a
 test sample can never change the mined features.
 
+``evaluate`` is the one entry point. It splits the dataset into train and
+test rows, symbolizes it once into one ``events.EventBatch`` and takes the
+train and test batches from it. Per method it then mines the training batch,
+vectorizes both into matrices with ``features.vectorize_batch`` and
+classifies the test matrix against the training matrix; no per-sample object
+is built. ``evaluate_pipeline`` and ``baseline_histogram_eval`` are its
+one-method calls; ``knn_classify`` and ``nearest_centroid_classify`` are
+per-sample views over the same matrix classifier.
+
 Timings are process CPU seconds (user+system via ``time.process_time``), not
 wall clock, reported per stage: symbolize (which includes taking the train
-and test batches), mine, featurize, classify, total.
-
-An evaluation symbolizes the dataset into one ``events.EventBatch`` and takes
-the train and test batches from it, mines the training batch, vectorizes
-both into matrices with ``features.vectorize_batch`` and classifies the test
-matrix against the training matrix; no per-sample object is built.
-``knn_classify`` and ``nearest_centroid_classify`` are per-sample views over
-the same matrix classifier.
+and test batches), mine, featurize, classify, total. The shared symbolize
+stage is charged to the first report; a later report's is 0.0.
 
 Classifying a test set groups the queries and the training vectors into
 distinct vectors (equal float64 bytes) and builds one distinct queries x
@@ -71,6 +74,7 @@ __all__ = [
     "class_centroids",
     "knn_classify",
     "nearest_centroid_classify",
+    "evaluate",
     "evaluate_pipeline",
     "baseline_histogram_eval",
     "reports_to_json",
@@ -80,6 +84,7 @@ __all__ = [
 
 METRICS = ("euclidean", "cosine")
 CLASSIFIERS = ("knn", "centroid")
+METHODS = ("stem", "baseline")
 
 
 @dataclass(frozen=True)
@@ -112,18 +117,30 @@ class ClassifierConfig:
             raise ConfigError(f"k must be >= 1, got {self.k}")
 
 
-def _split_group(ids: list[str], train_fraction: float, rng: np.random.Generator):
-    n = len(ids)
-    if n == 1:
-        warnings.warn(f"group with a single sample ({ids[0]!r}) goes to train entirely")
-        return list(ids), []
-    n_test = max(1, math.floor((1.0 - train_fraction) * n))
-    n_test = min(n_test, n - 1)
-    perm = rng.permutation(n)
-    test_positions = {int(p) for p in perm[:n_test]}
-    train = [ids[i] for i in range(n) if i not in test_positions]
-    test = [ids[i] for i in range(n) if i in test_positions]
-    return train, test
+def _split_rows(dataset: MtsDataset, spec: SplitSpec) -> tuple[list[int], list[int]]:
+    """Split into ascending (train rows, test rows), the row positions in
+    ``dataset.samples``; see :func:`split_dataset`."""
+    unlabeled = [s.id for s in dataset.samples if s.label is None]
+    if unlabeled:
+        raise UnlabeledDataError(f"cannot split unlabeled samples: {unlabeled[:5]}")
+    rng = np.random.default_rng(spec.seed)
+    labels = [s.label for s in dataset.samples]
+    groups = [list(range(len(labels)))]
+    if spec.stratified:
+        groups = [[i for i, l in enumerate(labels) if l == label] for label in dataset.label_set]
+    test: list[int] = []
+    for rows in groups:
+        n = len(rows)
+        if n == 1:
+            only = dataset.samples[rows[0]].id
+            warnings.warn(f"group with a single sample ({only!r}) goes to train entirely")
+            continue
+        n_test = max(1, math.floor((1.0 - spec.train_fraction) * n))
+        n_test = min(n_test, n - 1)
+        test.extend(rows[p] for p in rng.permutation(n)[:n_test].tolist())
+    test.sort()
+    in_test = set(test)
+    return [i for i in range(len(labels)) if i not in in_test], test
 
 
 def split_dataset(dataset: MtsDataset, spec: SplitSpec) -> tuple[list[str], list[str]]:
@@ -133,24 +150,8 @@ def split_dataset(dataset: MtsDataset, spec: SplitSpec) -> tuple[list[str], list
     at least one sample stays in train. Groups are classes when stratified,
     the whole dataset otherwise. Returned ids keep dataset order.
     """
-    unlabeled = [s.id for s in dataset.samples if s.label is None]
-    if unlabeled:
-        raise UnlabeledDataError(f"cannot split unlabeled samples: {unlabeled[:5]}")
-    rng = np.random.default_rng(spec.seed)
-    train: list[str] = []
-    test: list[str] = []
-    if spec.stratified:
-        for label in dataset.label_set:
-            ids = [s.id for s in dataset.samples if s.label == label]
-            tr, te = _split_group(ids, spec.train_fraction, rng)
-            train.extend(tr)
-            test.extend(te)
-    else:
-        train, test = _split_group([s.id for s in dataset.samples], spec.train_fraction, rng)
-    position = {s.id: i for i, s in enumerate(dataset.samples)}
-    train.sort(key=position.__getitem__)
-    test.sort(key=position.__getitem__)
-    return train, test
+    train, test = _split_rows(dataset, spec)
+    return [dataset.samples[i].id for i in train], [dataset.samples[i].id for i in test]
 
 
 # ---------------------------------------------------------------------------
@@ -404,114 +405,113 @@ def _confusion(labels: tuple[str, ...], truth: Sequence[str], predicted: Sequenc
     return matrix
 
 
-def _check_task(dataset: MtsDataset) -> None:
-    if any(s.label is None for s in dataset.samples):
-        raise UnlabeledDataError("every sample needs a label for evaluation")
-    if len(dataset.label_set) < 2:
-        raise DegenerateTaskError(
-            f"classification needs at least 2 classes, got {len(dataset.label_set)}"
-        )
-
-
-def _split_ids(
-    dataset: MtsDataset, split: SplitSpec, resubstitution: bool
-) -> tuple[list[str], list[str]]:
-    if resubstitution:
-        ids = [s.id for s in dataset.samples]
-        return ids, list(ids)
-    return split_dataset(dataset, split)
-
-
-def _run_eval(
+def evaluate(
     dataset: MtsDataset,
-    symbolizer: SymbolizerConfig | None,
-    miner: MinerConfig | None,
-    split: SplitSpec | None,
-    classifier: ClassifierConfig | None,
-    pad: bool,
-    resubstitution: bool,
-    dataset_name: str,
-) -> EvalReport:
-    """One method's report: the stem pipeline with ``miner``, the 1-gram baseline without."""
+    symbolizer: SymbolizerConfig | None = None,
+    miner: MinerConfig | None = None,
+    split: SplitSpec | None = None,
+    classifier: ClassifierConfig | None = None,
+    *,
+    methods: Sequence[str] = ("stem",),
+    pad: bool = False,
+    resubstitution: bool = False,
+    dataset_name: str = "dataset",
+) -> list[EvalReport]:
+    """One report per method in ``methods``, all on one split of one symbolized batch.
+
+    ``"stem"`` is the mined-tuple pipeline with ``miner``, ``"baseline"`` the
+    1-gram histogram. The dataset is split and symbolized once; only mining,
+    vectorizing and classifying run per method. The shared symbolize stage is
+    charged to the first report, so a later report's ``symbolize`` is 0.0.
+    See :func:`evaluate_pipeline` for ``pad`` and ``resubstitution``.
+    """
+    if not methods or not set(methods) <= set(METHODS):
+        raise ConfigError(f"methods must be a non-empty choice of {METHODS}, got {methods!r}")
     symbolizer = symbolizer or SymbolizerConfig()
+    miner = miner or MinerConfig()
     split = split or SplitSpec()
     classifier = classifier or ClassifierConfig()
-    _check_task(dataset)
-    train_ids, test_ids = _split_ids(dataset, split, resubstitution)
-    method: dict = {"features": "1-gram histogram"}
-    if miner is not None:
-        method = {
-            "min_support": miner.min_support,
-            "resolved_min_support": resolve_min_support(miner.min_support, len(train_ids)),
-            "max_len": miner.max_len,
-            "gain_gamma": miner.gain_gamma,
-        }
-    config = {
-        "delta": symbolizer.delta,
-        **method,
-        "classifier": classifier.kind,
-        "k": classifier.k,
-        "metric": classifier.metric,
-        "train_fraction": split.train_fraction,
-        "stratified": split.stratified,
-        "seed": split.seed,
-        "pad": pad,
-        "resubstitution": resubstitution,
-    }
+    if any(s.label is None for s in dataset.samples):
+        raise UnlabeledDataError("every sample needs a label for evaluation")
+    labels = dataset.label_set
+    if len(labels) < 2:
+        raise DegenerateTaskError(f"classification needs at least 2 classes, got {len(labels)}")
+    if resubstitution:
+        train_rows = test_rows = list(range(len(dataset)))
+    else:
+        train_rows, test_rows = _split_rows(dataset, split)
+    if not test_rows:
+        raise DegenerateTaskError("the split left no test samples")
     start = time.process_time()
-
-    t0 = time.process_time()
     # padding follows the training samples only, so a test sample's length
     # cannot reach the vocabulary through the padded training sequences
-    pad_to = None
-    if pad:
-        length = {s.id: s.length for s in dataset.samples}
-        pad_to = max(length[i] for i in train_ids)
+    pad_to = max(dataset.samples[i].length for i in train_rows) if pad else None
     batch = convert_dataset(dataset, symbolizer, pad_to)
-    row = {sample_id: i for i, sample_id in enumerate(batch.ids)}
-    train = batch.take([row[i] for i in train_ids])
-    test = batch.take([row[i] for i in test_ids])
+    train, test = batch.take(train_rows), batch.take(test_rows)
     del batch  # train and test hold every code the later stages read
-    t_symbolize = time.process_time() - t0
+    t_symbolize = time.process_time() - start
 
-    t0 = time.process_time()
-    if miner is None:
-        vocab = full_alphabet_vocabulary(dataset.dims, symbolizer.delta)
-    else:
-        features = extract_rts_features(prune_bottom_up(build_forest(train, miner), miner))
-        vocab = build_vocabulary(features, dataset.dims, symbolizer.delta, miner)
-    t_mine = time.process_time() - t0
+    reports = []
+    for method in methods:
+        t0 = time.process_time()
+        if method == "baseline":
+            method_config: dict = {"features": "1-gram histogram"}
+            vocab = full_alphabet_vocabulary(dataset.dims, symbolizer.delta)
+        else:
+            method_config = {
+                "min_support": miner.min_support,
+                "resolved_min_support": resolve_min_support(miner.min_support, len(train)),
+                "max_len": miner.max_len,
+                "gain_gamma": miner.gain_gamma,
+            }
+            features = extract_rts_features(prune_bottom_up(build_forest(train, miner), miner))
+            vocab = build_vocabulary(features, dataset.dims, symbolizer.delta, miner)
+        t_mine = time.process_time() - t0
 
-    t0 = time.process_time()
-    train_matrix = vectorize_batch(train, vocab)
-    test_matrix = vectorize_batch(test, vocab)
-    t_featurize = time.process_time() - t0
+        t0 = time.process_time()
+        train_matrix = vectorize_batch(train, vocab)
+        test_matrix = vectorize_batch(test, vocab)
+        t_featurize = time.process_time() - t0
 
-    t0 = time.process_time()
-    predictions = _predict(train_matrix, train.labels, test_matrix, classifier)
-    t_classify = time.process_time() - t0
+        t0 = time.process_time()
+        predictions = _predict(train_matrix, train.labels, test_matrix, classifier)
+        t_classify = time.process_time() - t0
 
-    labels = dataset.label_set
-    confusion = _confusion(labels, test.labels, predictions)
-    total = time.process_time() - start
-    timings = {
-        "symbolize": t_symbolize,
-        "mine": t_mine,
-        "featurize": t_featurize,
-        "classify": t_classify,
-        "total": total,
-    }
-    return EvalReport(
-        method="baseline" if miner is None else "stem",
-        dataset=dataset_name,
-        labels=labels,
-        confusion=confusion,
-        timings=timings,
-        config=config,
-        n_train=len(train_ids),
-        n_test=len(test_ids),
-        vocabulary=vocab,
-    )
+        confusion = _confusion(labels, test.labels, predictions)
+        timings = {
+            "symbolize": t_symbolize,
+            "mine": t_mine,
+            "featurize": t_featurize,
+            "classify": t_classify,
+            "total": time.process_time() - start,
+        }
+        config = {
+            "delta": symbolizer.delta,
+            **method_config,
+            "classifier": classifier.kind,
+            "k": classifier.k,
+            "metric": classifier.metric,
+            "train_fraction": split.train_fraction,
+            "stratified": split.stratified,
+            "seed": split.seed,
+            "pad": pad,
+            "resubstitution": resubstitution,
+        }
+        reports.append(
+            EvalReport(
+                method=method,
+                dataset=dataset_name,
+                labels=labels,
+                confusion=confusion,
+                timings=timings,
+                config=config,
+                n_train=len(train),
+                n_test=len(test),
+                vocabulary=vocab,
+            )
+        )
+        start, t_symbolize = time.process_time(), 0.0
+    return reports
 
 
 def evaluate_pipeline(
@@ -533,10 +533,8 @@ def evaluate_pipeline(
     lengths never shape the vocabulary either. ``resubstitution=True``
     evaluates on the training set itself (a sanity mode, not a benchmark).
     """
-    miner = miner or MinerConfig()
-    return _run_eval(
-        dataset, symbolizer, miner, split, classifier, pad, resubstitution, dataset_name
-    )
+    same = {"pad": pad, "resubstitution": resubstitution, "dataset_name": dataset_name}
+    return evaluate(dataset, symbolizer, miner, split, classifier, **same)[0]
 
 
 def baseline_histogram_eval(
@@ -555,9 +553,8 @@ def baseline_histogram_eval(
     report is shaped exactly like the main pipeline's and comparable on the
     same split.
     """
-    return _run_eval(
-        dataset, symbolizer, None, split, classifier, pad, resubstitution, dataset_name
-    )
+    same = {"pad": pad, "resubstitution": resubstitution, "dataset_name": dataset_name}
+    return evaluate(dataset, symbolizer, None, split, classifier, methods=("baseline",), **same)[0]
 
 
 # ---------------------------------------------------------------------------

@@ -333,6 +333,15 @@ class TestErrorSurface:
         err = capsys.readouterr().err
         assert len(err.splitlines()) == 1 and err.startswith("error: "), err
 
+    def test_split_without_test_samples(self, tmp_path, capsys):
+        # every class has one sample, so a stratified split puts all of them in train
+        data = tmp_path / "pair.csv"
+        data.write_text("sample_id,label,t,dim_0\na0,a,0,1.0\na0,a,1,2.0\nb0,b,0,2.0\nb0,b,1,1.0\n")
+        capsys.readouterr()
+        assert main(["eval", "--in", str(data), "--baseline", "--out", str(tmp_path / "r")]) == 1
+        assert capsys.readouterr().err == "error: the split left no test samples\n"
+        assert not (tmp_path / "r.json").exists()
+
     @pytest.mark.parametrize("dims, status", [(39, 0), (40, 1)])
     def test_dimension_limit(self, tmp_path, capsys, dims, status):
         data = tmp_path / "wide.csv"

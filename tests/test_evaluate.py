@@ -1,4 +1,5 @@
 import json
+import math
 import tracemalloc
 import warnings
 from collections import Counter
@@ -32,10 +33,13 @@ from stemts import (
     reports_to_json,
     split_dataset,
     vectorize_dataset,
+    write_csv,
 )
 from stemts import evaluate
+from stemts.cli import main
 from stemts.features import vectorize_batch
 from stemts.errors import (
+    ConfigError,
     DegenerateTaskError,
     IncompatibleVectorError,
     NoModelError,
@@ -108,6 +112,64 @@ class TestSplit:
             SplitSpec(train_fraction=1.0)
         with pytest.raises(ValueError):
             SplitSpec(train_fraction=0.0)
+
+
+def reference_split_group(ids, train_fraction, rng):
+    """The id-based group split ``split_dataset`` was written as, kept as its oracle."""
+    n = len(ids)
+    if n == 1:
+        warnings.warn(f"group with a single sample ({ids[0]!r}) goes to train entirely")
+        return list(ids), []
+    n_test = max(1, math.floor((1.0 - train_fraction) * n))
+    n_test = min(n_test, n - 1)
+    perm = rng.permutation(n)
+    test_positions = {int(p) for p in perm[:n_test]}
+    train = [ids[i] for i in range(n) if i not in test_positions]
+    test = [ids[i] for i in range(n) if i in test_positions]
+    return train, test
+
+
+def reference_split_dataset(dataset, spec):
+    rng = np.random.default_rng(spec.seed)
+    train, test = [], []
+    if spec.stratified:
+        for label in dataset.label_set:
+            ids = [s.id for s in dataset.samples if s.label == label]
+            tr, te = reference_split_group(ids, spec.train_fraction, rng)
+            train.extend(tr)
+            test.extend(te)
+    else:
+        train, test = reference_split_group(
+            [s.id for s in dataset.samples], spec.train_fraction, rng
+        )
+    position = {s.id: i for i, s in enumerate(dataset.samples)}
+    train.sort(key=position.__getitem__)
+    test.sort(key=position.__getitem__)
+    return train, test
+
+
+class TestSplitOracle:
+    """The split draws the same permutations per label group as the id-based reference."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        st.lists(st.sampled_from("abcd"), min_size=1, max_size=40),
+        st.floats(0.0, 1.0, exclude_min=True, exclude_max=True),
+        st.integers(0, 2**32),
+        st.booleans(),
+    )
+    def test_equals_the_id_based_reference(self, labels, train_fraction, seed, stratified):
+        ds = MtsDataset(
+            tuple(make_sample([[0.0, 1.0]], f"s{i}", label) for i, label in enumerate(labels))
+        )
+        spec = SplitSpec(train_fraction, seed, stratified)
+        with warnings.catch_warnings(record=True) as expected:
+            warnings.simplefilter("always")
+            reference = reference_split_dataset(ds, spec)
+        with warnings.catch_warnings(record=True) as got:
+            warnings.simplefilter("always")
+            assert split_dataset(ds, spec) == reference
+        assert [str(w.message) for w in got] == [str(w.message) for w in expected]
 
 
 class TestKnn:
@@ -490,6 +552,89 @@ class TestBatchPath:
             near = {labels[i] for i in np.flatnonzero(distance <= distance.min() + 1e-9)}
             if len(near) == 1:
                 assert knn_classify(train_vecs, query, 1) == label
+
+
+def counted(calls, name, fn):
+    def wrapper(*args, **kwargs):
+        calls[name] += 1
+        return fn(*args, **kwargs)
+
+    return wrapper
+
+
+class TestOnePass:
+    """``evaluate`` splits and symbolizes once for every method it runs."""
+
+    def test_eval_baseline_splits_and_symbolizes_once(self, tmp_path, monkeypatch):
+        data = tmp_path / "data.csv"
+        write_csv(generate_synthetic(run_length_spec(0.4, samples_per_class=5, length=30)), data)
+        calls = Counter()
+        monkeypatch.setattr(
+            evaluate, "convert_dataset", counted(calls, "convert", evaluate.convert_dataset)
+        )
+        monkeypatch.setattr(evaluate, "_split_rows", counted(calls, "split", evaluate._split_rows))
+        argv = ["-q", "eval", "--in", str(data), "--baseline", "--out", str(tmp_path / "r")]
+        assert main(argv) == 0
+        assert calls == {"convert": 1, "split": 1}
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        ragged_tasks(),
+        st.booleans(),
+        st.booleans(),
+        st.booleans(),
+        st.integers(1, 4),
+        st.integers(0, 9),
+    )
+    def test_equals_the_one_method_calls(
+        self, dataset, pad, resubstitution, stratified, support, seed
+    ):
+        symbolizer, miner = SymbolizerConfig(0.05), MinerConfig(support, 3)
+        split, classifier = SplitSpec(0.7, seed, stratified), ClassifierConfig("knn", 1)
+        same = {"pad": pad, "resubstitution": resubstitution, "dataset_name": "d"}
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")  # an empty vocabulary warns
+            both = evaluate.evaluate(
+                dataset, symbolizer, miner, split, classifier, methods=("stem", "baseline"), **same
+            )
+            stem = evaluate_pipeline(dataset, symbolizer, miner, split, classifier, **same)
+            base = baseline_histogram_eval(dataset, split, symbolizer, classifier, **same)
+        assert [r.method for r in both] == ["stem", "baseline"]
+        for one_pass, alone in zip(both, (stem, base)):
+            assert one_pass.to_dict(include_timings=False) == alone.to_dict(include_timings=False)
+            assert list(one_pass.config) == list(alone.config)
+            assert one_pass.dataset == alone.dataset == "d"
+            assert one_pass.vocabulary.features == alone.vocabulary.features
+
+    @pytest.mark.parametrize("methods", [(), ("unknown",), ("stem", "histogram"), "stem"])
+    def test_empty_or_unknown_methods_rejected(self, methods):
+        with pytest.raises(ConfigError):
+            evaluate.evaluate(labeled_dataset(3), methods=methods)
+
+    def test_first_report_keeps_the_stage_sums(self):
+        dataset = generate_synthetic(run_length_spec(0.4))
+        first, second = evaluate.evaluate(
+            dataset,
+            SymbolizerConfig(0.05),
+            MinerConfig(min_support=0.05, max_len=5),
+            SplitSpec(train_fraction=0.8, seed=0),
+            ClassifierConfig("knn", 1, "euclidean"),
+            methods=("stem", "baseline"),
+        )
+        stages = {k: v for k, v in first.timings.items() if k != "total"}
+        total = first.timings["total"]
+        assert all(v > 0.0 for v in stages.values()), stages
+        assert total >= max(stages.values())
+        assert sum(stages.values()) >= 0.9 * total
+        assert sum(stages.values()) <= total + 1e-6
+        assert second.timings["symbolize"] == 0.0
+        rest = sum(v for k, v in second.timings.items() if k != "total")
+        assert rest <= second.timings["total"] + 1e-6
+
+    def test_split_without_test_samples_rejected(self):
+        ds = labeled_dataset(1, labels=("a", "b", "c"))
+        with pytest.warns(UserWarning), pytest.raises(DegenerateTaskError, match="no test samples"):
+            evaluate_pipeline(ds)
 
 
 class TestReportRendering:

@@ -124,10 +124,10 @@ def _split_rows(dataset: MtsDataset, spec: SplitSpec) -> tuple[list[int], list[i
     if unlabeled:
         raise UnlabeledDataError(f"cannot split unlabeled samples: {unlabeled[:5]}")
     rng = np.random.default_rng(spec.seed)
-    labels = [s.label for s in dataset.samples]
-    groups = [list(range(len(labels)))]
+    groups = [list(range(len(dataset)))]
     if spec.stratified:
-        groups = [[i for i, l in enumerate(labels) if l == label] for label in dataset.label_set]
+        samples = dataset.samples
+        groups = [[i for i, s in enumerate(samples) if s.label == l] for l in dataset.label_set]
     test: list[int] = []
     for rows in groups:
         n = len(rows)
@@ -140,7 +140,7 @@ def _split_rows(dataset: MtsDataset, spec: SplitSpec) -> tuple[list[int], list[i
         test.extend(rows[p] for p in rng.permutation(n)[:n_test].tolist())
     test.sort()
     in_test = set(test)
-    return [i for i in range(len(labels)) if i not in in_test], test
+    return [i for i in range(len(dataset)) if i not in in_test], test
 
 
 def split_dataset(dataset: MtsDataset, spec: SplitSpec) -> tuple[list[str], list[str]]:
@@ -425,8 +425,8 @@ def evaluate(
     charged to the first report, so a later report's ``symbolize`` is 0.0.
     See :func:`evaluate_pipeline` for ``pad`` and ``resubstitution``.
     """
-    if not methods or not set(methods) <= set(METHODS):
-        raise ConfigError(f"methods must be a non-empty choice of {METHODS}, got {methods!r}")
+    if not methods or len(set(methods)) < len(methods) or not set(methods) <= set(METHODS):
+        raise ConfigError(f"methods must be distinct choices of {METHODS}, got {methods!r}")
     symbolizer = symbolizer or SymbolizerConfig()
     miner = miner or MinerConfig()
     split = split or SplitSpec()

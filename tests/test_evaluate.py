@@ -606,8 +606,10 @@ class TestOnePass:
             assert one_pass.dataset == alone.dataset == "d"
             assert one_pass.vocabulary.features == alone.vocabulary.features
 
-    @pytest.mark.parametrize("methods", [(), ("unknown",), ("stem", "histogram"), "stem"])
-    def test_empty_or_unknown_methods_rejected(self, methods):
+    @pytest.mark.parametrize(
+        "methods", [(), ("unknown",), ("stem", "histogram"), "stem", ("stem", "stem")]
+    )
+    def test_empty_unknown_or_repeated_methods_rejected(self, methods):
         with pytest.raises(ConfigError):
             evaluate.evaluate(labeled_dataset(3), methods=methods)
 

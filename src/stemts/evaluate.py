@@ -117,18 +117,18 @@ class ClassifierConfig:
             raise ConfigError(f"k must be >= 1, got {self.k}")
 
 
-def _split_rows(dataset: MtsDataset, spec: SplitSpec) -> tuple[list[int], list[int]]:
+def _split_rows(dataset: MtsDataset, spec: SplitSpec) -> tuple[np.ndarray, np.ndarray]:
     """Split into ascending (train rows, test rows), the row positions in
     ``dataset.samples``; see :func:`split_dataset`."""
     unlabeled = [s.id for s in dataset.samples if s.label is None]
     if unlabeled:
         raise UnlabeledDataError(f"cannot split unlabeled samples: {unlabeled[:5]}")
     rng = np.random.default_rng(spec.seed)
-    groups = [list(range(len(dataset)))]
+    groups = [np.arange(len(dataset))]
     if spec.stratified:
-        samples = dataset.samples
-        groups = [[i for i, s in enumerate(samples) if s.label == l] for l in dataset.label_set]
-    test: list[int] = []
+        labels = np.array([s.label for s in dataset.samples], dtype=object)
+        groups = [np.flatnonzero(labels == label) for label in dataset.label_set]
+    in_test = np.zeros(len(dataset), dtype=bool)
     for rows in groups:
         n = len(rows)
         if n == 1:
@@ -137,10 +137,8 @@ def _split_rows(dataset: MtsDataset, spec: SplitSpec) -> tuple[list[int], list[i
             continue
         n_test = max(1, math.floor((1.0 - spec.train_fraction) * n))
         n_test = min(n_test, n - 1)
-        test.extend(rows[p] for p in rng.permutation(n)[:n_test].tolist())
-    test.sort()
-    in_test = set(test)
-    return [i for i in range(len(dataset)) if i not in in_test], test
+        in_test[rows[rng.permutation(n)[:n_test]]] = True
+    return np.flatnonzero(~in_test), np.flatnonzero(in_test)
 
 
 def split_dataset(dataset: MtsDataset, spec: SplitSpec) -> tuple[list[str], list[str]]:
@@ -151,7 +149,8 @@ def split_dataset(dataset: MtsDataset, spec: SplitSpec) -> tuple[list[str], list
     the whole dataset otherwise. Returned ids keep dataset order.
     """
     train, test = _split_rows(dataset, spec)
-    return [dataset.samples[i].id for i in train], [dataset.samples[i].id for i in test]
+    ids = [s.id for s in dataset.samples]
+    return [ids[i] for i in train.tolist()], [ids[i] for i in test.tolist()]
 
 
 # ---------------------------------------------------------------------------
@@ -437,15 +436,15 @@ def evaluate(
     if len(labels) < 2:
         raise DegenerateTaskError(f"classification needs at least 2 classes, got {len(labels)}")
     if resubstitution:
-        train_rows = test_rows = list(range(len(dataset)))
+        train_rows = test_rows = np.arange(len(dataset))
     else:
         train_rows, test_rows = _split_rows(dataset, split)
-    if not test_rows:
+    if not len(test_rows):
         raise DegenerateTaskError("the split left no test samples")
     start = time.process_time()
     # padding follows the training samples only, so a test sample's length
     # cannot reach the vocabulary through the padded training sequences
-    pad_to = max(dataset.samples[i].length for i in train_rows) if pad else None
+    pad_to = max(dataset.samples[i].length for i in train_rows.tolist()) if pad else None
     batch = convert_dataset(dataset, symbolizer, pad_to)
     train, test = batch.take(train_rows), batch.take(test_rows)
     del batch  # train and test hold every code the later stages read

@@ -1,5 +1,10 @@
 """Raw multidimensional time series: data model, CSV interchange, synthesis.
 
+A dataset is one ``MtsDataset``: every sample's time steps in one read-only
+``(ΣT, D)`` value block with CSR ``offsets`` and id and label columns, which
+``load_csv`` and ``generate_synthetic`` fill and ``events.convert_dataset``
+symbolizes; an ``MtsSample`` is one sample's ``(D, T)`` view of it.
+
 The on-disk interchange format is a long-form CSV (UTF-8, LF line endings):
 
     sample_id,label,t,dim_0,...,dim_{D-1}
@@ -21,7 +26,7 @@ from collections import Counter
 from contextlib import contextmanager, suppress
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterator, TextIO
+from typing import Iterable, Iterator, TextIO
 
 import numpy as np
 
@@ -78,10 +83,10 @@ class MtsSample:
             raise MalformedDatasetError(
                 f"sample {self.id!r}: needs at least 2 time points, got {arr.shape[1]}"
             )
-        if not np.all(np.isfinite(arr)):
+        if not np.isfinite(arr).all():
             raise MalformedDatasetError(f"sample {self.id!r}: values must be finite")
-        if arr is self.values:
-            arr = arr.copy()
+        if arr is self.values and arr.flags.writeable:
+            arr = arr.copy()  # the caller could still write to it
         arr.setflags(write=False)
         object.__setattr__(self, "values", arr)
 
@@ -94,51 +99,91 @@ class MtsSample:
         return self.values.shape[1]
 
 
+def _offsets(sizes) -> np.ndarray:
+    """Start of each of the ragged rows of these sizes, then their total: n + 1 int64s."""
+    return np.concatenate(([0], np.cumsum(sizes, dtype=np.int64)))
+
+
 @dataclass(frozen=True, eq=False)
 class MtsDataset:
-    """An ordered collection of samples sharing one dimension count."""
+    """Samples of one dimension count in one read-only ``(ΣT, D)`` float64 block.
 
-    samples: tuple[MtsSample, ...]
+    Sample i's steps are the rows ``values[offsets[i]:offsets[i + 1]]``, checked
+    once, failing like ``MtsSample`` on the first bad sample. ``dataset[i]``
+    (negative ``i`` counts from the end), iteration and ``samples`` hand out
+    read-only ``MtsSample`` views, built on each access and never cached.
+    """
+
+    values: np.ndarray
+    offsets: np.ndarray
+    ids: tuple[str, ...]
+    labels: tuple[str | None, ...]
 
     def __post_init__(self) -> None:
-        samples = tuple(self.samples)
-        object.__setattr__(self, "samples", samples)
+        values, offsets, ids = np.asarray(self.values, dtype=np.float64), self.offsets, self.ids
+        if values is self.values and values.flags.writeable:
+            values = values.copy()  # the caller could still write to it
+        values.setflags(write=False)
+        object.__setattr__(self, "values", values)
+        if not ids:
+            raise EmptyDatasetError("dataset contains no samples")
+        if values.ndim != 2 or not len(offsets) - 1 == len(ids) == len(self.labels):
+            raise ValueError("need a (steps, dims) block and one offset more than ids and labels")
+        if offsets[0] != 0 or offsets[-1] != len(values):
+            raise ValueError("offsets must run from 0 to the number of rows")
+        if not values.shape[1] or np.diff(offsets).min() < 2 or not np.isfinite(values).all():
+            for i in range(len(ids)):
+                self[i]  # the first bad sample fails as MtsSample does
+        if len(set(ids)) != len(ids):
+            dupes = sorted(i for i, c in Counter(ids).items() if c > 1)
+            raise MalformedDatasetError(f"duplicate sample ids: {dupes}")
+
+    @classmethod
+    def from_samples(cls, samples: Iterable[MtsSample]) -> MtsDataset:
+        """The dataset of these samples, in order, each of the first one's dimension count."""
+        samples = tuple(samples)
         if not samples:
             raise EmptyDatasetError("dataset contains no samples")
         dims = samples[0].dims
-        for s in samples:
-            if s.dims != dims:
-                raise SchemaError(
-                    f"sample {s.id!r} has {s.dims} dimensions, expected {dims}"
-                )
-        counts = Counter(s.id for s in samples)
-        if len(counts) != len(samples):
-            dupes = sorted(i for i, c in counts.items() if c > 1)
-            raise MalformedDatasetError(f"duplicate sample ids: {dupes}")
+        other = next((s for s in samples if s.dims != dims), None)
+        if other is not None:
+            raise SchemaError(f"sample {other.id!r} has {other.dims} dimensions, expected {dims}")
+        values = np.concatenate([s.values.T for s in samples])
+        values.setflags(write=False)
+        ids, labels = (s.id for s in samples), (s.label for s in samples)
+        return cls(values, _offsets([s.length for s in samples]), tuple(ids), tuple(labels))
 
     def __len__(self) -> int:
-        return len(self.samples)
+        return len(self.ids)
 
-    def __iter__(self):
-        return iter(self.samples)
+    def __getitem__(self, i: int) -> MtsSample:
+        """Sample ``i``'s view; negative ``i`` counts from the end."""
+        i = range(len(self))[i]  # an IndexError past either end
+        rows = self.values[self.offsets[i] : self.offsets[i + 1]]
+        return MtsSample(self.ids[i], self.labels[i], rows.T)
+
+    @property
+    def samples(self) -> tuple[MtsSample, ...]:
+        """Every sample's view, in order, built on each access."""
+        return tuple(self)
 
     @property
     def dims(self) -> int:
-        return self.samples[0].dims
+        return self.values.shape[1]
 
     @property
     def t_max(self) -> int:
-        return max(s.length for s in self.samples)
+        return int(np.diff(self.offsets).max())
 
     @property
     def label_set(self) -> tuple[str, ...]:
-        return tuple(sorted({s.label for s in self.samples if s.label is not None}))
+        return tuple(sorted({label for label in self.labels if label is not None}))
 
     def by_id(self, sample_id: str) -> MtsSample:
-        for s in self.samples:
-            if s.id == sample_id:
-                return s
-        raise KeyError(sample_id)
+        try:
+            return self[self.ids.index(sample_id)]
+        except ValueError:
+            raise KeyError(sample_id) from None
 
 
 def min_max_normalize(values: np.ndarray) -> np.ndarray:
@@ -148,9 +193,13 @@ def min_max_normalize(values: np.ndarray) -> np.ndarray:
     series maps to all zeros so downstream symbolization sees a motionless
     coordinate instead of NaNs.
     """
-    lo = values.min(axis=-1, keepdims=True)
-    span = values.max(axis=-1, keepdims=True) - lo
-    shifted = values - lo  # a constant series is all zeros already
+    lo, hi = values.min(axis=-1, keepdims=True), values.max(axis=-1, keepdims=True)
+    with np.errstate(over="ignore"):
+        wide = np.isinf(hi - lo)  # the range of a finite series can overflow float64
+    if wide.any():  # halve those series, exactly at their magnitudes; others stay as they are
+        scale = np.where(wide, 0.5, 1.0)
+        values, lo, hi = values * scale, lo * scale, hi * scale
+    shifted, span = values - lo, hi - lo  # a constant series is all zeros already
     return np.divide(shifted, span, out=shifted, where=span > 0.0)
 
 
@@ -326,9 +375,8 @@ def load_csv(path: str | Path) -> MtsDataset:
         ids, labels, offsets, values = read_long_form(path, fh, len(header), float)
     if not ids:
         raise EmptyDatasetError(f"{path}: no data rows after the header")
-    ends = offsets.tolist()
-    rows = zip(ids, labels, ends, ends[1:])
-    return MtsDataset(tuple(MtsSample(sid, label, values[a:b].T) for sid, label, a, b in rows))
+    values.setflags(write=False)  # the dataset keeps this block as it is
+    return MtsDataset(values, offsets, ids, labels)
 
 
 def csv_prefix(sample_id: str, label: str | None) -> str:
@@ -347,11 +395,12 @@ def write_csv(dataset: MtsDataset, path: str | Path) -> None:
     path = Path(path)
     with path.open("w", newline="", encoding="utf-8") as fh:
         fh.write(",".join(_expected_header(dataset.dims)) + "\n")
-        for s in dataset.samples:
-            prefix = csv_prefix(s.id, s.label)
+        ends = dataset.offsets.tolist()
+        for sid, label, a, b in zip(dataset.ids, dataset.labels, ends, ends[1:]):
+            prefix = csv_prefix(sid, label)
             fh.writelines(
                 f"{prefix},{t},{','.join(map(repr, row))}\n"
-                for t, row in enumerate(s.values.T.tolist())
+                for t, row in enumerate(dataset.values[a:b].tolist())
             )
 
 
@@ -469,15 +518,18 @@ def noiseless_trend(motif, length: int, step_size: float = 1.0) -> np.ndarray:
 def generate_synthetic(spec: SynthSpec) -> MtsDataset:
     """Generate a dataset from a spec; identical specs yield identical data."""
     rng = np.random.default_rng(spec.seed)
-    samples = []
-    for label, motif in spec.classes:
-        trend = noiseless_trend(motif, spec.length, spec.step_size)
-        for k in range(spec.samples_per_class):
-            values = trend + rng.uniform(
-                -spec.noise_amplitude, spec.noise_amplitude, size=trend.shape
-            )
-            samples.append(MtsSample(f"{label}_{k:03d}", label, values))
-    return MtsDataset(tuple(samples))
+    k, amplitude = spec.samples_per_class, spec.noise_amplitude
+    block = np.empty((len(spec.classes), k, spec.length, spec.dims))
+    for c, (_, motif) in enumerate(spec.classes):
+        # one draw per class gives the same stream as one (D, T) draw per sample
+        noise = rng.uniform(-amplitude, amplitude, size=(k, spec.dims, spec.length))
+        noise += noiseless_trend(motif, spec.length, spec.step_size)
+        block[c] = noise.transpose(0, 2, 1)
+    values = block.reshape(-1, spec.dims)
+    values.setflags(write=False)
+    ids = tuple(f"{label}_{i:03d}" for label, _ in spec.classes for i in range(k))
+    labels = tuple(label for label, _ in spec.classes for _ in range(k))
+    return MtsDataset(values, np.arange(len(ids) + 1, dtype=np.int64) * spec.length, ids, labels)
 
 
 _SPEC_KEYS = {

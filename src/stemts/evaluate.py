@@ -118,21 +118,21 @@ class ClassifierConfig:
 
 
 def _split_rows(dataset: MtsDataset, spec: SplitSpec) -> tuple[np.ndarray, np.ndarray]:
-    """Split into ascending (train rows, test rows), the row positions in
-    ``dataset.samples``; see :func:`split_dataset`."""
-    unlabeled = [s.id for s in dataset.samples if s.label is None]
+    """Split into ascending (train rows, test rows), the sample positions in
+    ``dataset``; see :func:`split_dataset`."""
+    unlabeled = [sid for sid, label in zip(dataset.ids, dataset.labels) if label is None]
     if unlabeled:
         raise UnlabeledDataError(f"cannot split unlabeled samples: {unlabeled[:5]}")
     rng = np.random.default_rng(spec.seed)
     groups = [np.arange(len(dataset))]
     if spec.stratified:
-        labels = np.array([s.label for s in dataset.samples], dtype=object)
+        labels = np.array(dataset.labels, dtype=object)
         groups = [np.flatnonzero(labels == label) for label in dataset.label_set]
     in_test = np.zeros(len(dataset), dtype=bool)
     for rows in groups:
         n = len(rows)
         if n == 1:
-            only = dataset.samples[rows[0]].id
+            only = dataset.ids[rows[0]]
             warnings.warn(f"group with a single sample ({only!r}) goes to train entirely")
             continue
         n_test = max(1, math.floor((1.0 - spec.train_fraction) * n))
@@ -149,7 +149,7 @@ def split_dataset(dataset: MtsDataset, spec: SplitSpec) -> tuple[list[str], list
     the whole dataset otherwise. Returned ids keep dataset order.
     """
     train, test = _split_rows(dataset, spec)
-    ids = [s.id for s in dataset.samples]
+    ids = dataset.ids
     return [ids[i] for i in train.tolist()], [ids[i] for i in test.tolist()]
 
 
@@ -430,7 +430,7 @@ def evaluate(
     miner = miner or MinerConfig()
     split = split or SplitSpec()
     classifier = classifier or ClassifierConfig()
-    if any(s.label is None for s in dataset.samples):
+    if None in dataset.labels:
         raise UnlabeledDataError("every sample needs a label for evaluation")
     labels = dataset.label_set
     if len(labels) < 2:
@@ -444,7 +444,7 @@ def evaluate(
     start = time.process_time()
     # padding follows the training samples only, so a test sample's length
     # cannot reach the vocabulary through the padded training sequences
-    pad_to = max(dataset.samples[i].length for i in train_rows.tolist()) if pad else None
+    pad_to = int(np.diff(dataset.offsets)[train_rows].max()) if pad else None
     batch = convert_dataset(dataset, symbolizer, pad_to)
     train, test = batch.take(train_rows), batch.take(test_rows)
     del batch  # train and test hold every code the later stages read

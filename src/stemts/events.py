@@ -33,6 +33,7 @@ import numpy as np
 from .dataset import (
     MtsDataset,
     MtsSample,
+    _offsets,
     csv_prefix,
     min_max_normalize,
     open_long_form,
@@ -108,11 +109,6 @@ class EventSequence:
 
     def __len__(self) -> int:
         return len(self.codes)
-
-
-def _offsets(sizes) -> np.ndarray:
-    """Start of each of the ragged rows of these sizes, then their total: n + 1 int64s."""
-    return np.concatenate(([0], np.cumsum(sizes, dtype=np.int64)))
 
 
 @dataclass(frozen=True, eq=False)
@@ -273,27 +269,29 @@ def convert_dataset(
 
     With ``pad_to``, a sample shorter than that length is first extended to
     it by repeating its final values (as ``pad_to_length`` does); longer
-    samples are left as they are. Samples of one length are stacked into one
-    ``(n, D, T)`` block, padded, normalized and symbolized in one numpy pass
-    and written straight into the batch's codes, so the cost is a few array
-    operations per distinct length, not per sample.
+    samples are left as they are. The samples of one length are taken from
+    the dataset's value block as one ``(n, D, T)`` group, padded, normalized
+    and symbolized in one numpy pass and written straight into the batch's
+    codes, so the cost is a few array operations per distinct length.
     """
-    samples = dataset.samples
-    observed = np.array([s.length for s in samples])
-    offsets = _offsets(np.maximum(observed, pad_to or 0) - 1)
+    lengths = np.diff(dataset.offsets)
+    offsets = _offsets(np.maximum(lengths, pad_to or 0) - 1)
     codes = np.empty(offsets[-1], dtype=np.int64)
-    for length in np.unique(observed).tolist():
-        members = np.flatnonzero(observed == length)
-        block = np.stack([samples[i].values for i in members.tolist()])
+    for length in np.unique(lengths).tolist():
+        members = np.flatnonzero(lengths == length)
+        block = dataset.values  # a plain view when every sample has this length
+        if len(members) < len(dataset):
+            block = block[(dataset.offsets[members, None] + np.arange(length)).ravel()]
+        # (n, D, T) in memory order: numpy reduces a strided last axis several times slower
+        block = np.ascontiguousarray(block.reshape(len(members), length, -1).transpose(0, 2, 1))
         padding = max(length, pad_to or 0) - length
         if padding:
             block = np.pad(block, [(0, 0), (0, 0), (0, padding)], mode="edge")
-        block = min_max_normalize(block)  # rebinding frees the raw values early
+        block = min_max_normalize(block)  # rebinding frees the gathered raw values early
         group = event_codes(block, config.delta)
         del block  # before the scatter's index array is made
         codes[offsets[members, None] + np.arange(group.shape[1])] = group
-    ids, labels = (s.id for s in samples), (s.label for s in samples)
-    return EventBatch(codes, offsets, tuple(ids), tuple(labels), dataset.dims)
+    return EventBatch(codes, offsets, dataset.ids, dataset.labels, dataset.dims)
 
 
 def explain_event(code: int, dims: int, dim_names: Sequence[str] | None = None) -> str:

@@ -311,7 +311,7 @@ def test_leakage_via_vocabulary_file(tmp_path):
         for s in dataset.samples
     )
     mutated = tmp_path / "mutated.csv"
-    write_csv(MtsDataset(mutated_samples), mutated)
+    write_csv(MtsDataset.from_samples(mutated_samples), mutated)
 
     assert main(_eval_args(data, tmp_path / "base")) == 0
     assert main(_eval_args(mutated, tmp_path / "moved")) == 0
@@ -337,7 +337,7 @@ def test_pad_leakage_via_vocabulary_file(tmp_path):
         for s in dataset.samples
     )
     lengthened = tmp_path / "lengthened.csv"
-    write_csv(MtsDataset(lengthened_samples), lengthened)
+    write_csv(MtsDataset.from_samples(lengthened_samples), lengthened)
 
     assert main(_eval_args(data, tmp_path / "base") + ["--pad"]) == 0
     assert main(_eval_args(lengthened, tmp_path / "longer") + ["--pad"]) == 0

@@ -1,6 +1,10 @@
+import hashlib
+import json
 import time
 import tracemalloc
 import warnings
+from collections import Counter
+from pathlib import Path
 from unittest import mock
 
 import numpy as np
@@ -11,13 +15,16 @@ from hypothesis import strategies as st
 from stemts import (
     MtsDataset,
     MtsSample,
+    SymbolizerConfig,
     SynthSpec,
+    convert_dataset,
     generate_synthetic,
     load_csv,
     load_synth_spec,
     noiseless_trend,
     normalize_sample,
     pad_to_length,
+    symbolize_sample,
     write_csv,
 )
 from stemts import dataset as dataset_module
@@ -87,24 +94,24 @@ class TestSampleInvariants:
 class TestDatasetInvariants:
     def test_empty_rejected(self):
         with pytest.raises(EmptyDatasetError):
-            MtsDataset(())
+            MtsDataset.from_samples(())
 
     def test_mixed_dims_rejected(self):
         a = make_sample([[1.0, 2.0]], "a")
         b = make_sample([[1.0, 2.0], [3.0, 4.0]], "b")
         with pytest.raises(SchemaError):
-            MtsDataset((a, b))
+            MtsDataset.from_samples((a, b))
 
     def test_duplicate_ids_rejected(self):
         a = make_sample([[1.0, 2.0]], "a")
         with pytest.raises(MalformedDatasetError):
-            MtsDataset((a, make_sample([[3.0, 4.0]], "a")))
+            MtsDataset.from_samples((a, make_sample([[3.0, 4.0]], "a")))
 
     def test_duplicate_ids_listed_sorted_once_each(self):
         ids = ["c", "b", "x", "c", "a", "b", "c"]
         samples = [make_sample([[float(i), 0.0]], sample_id) for i, sample_id in enumerate(ids)]
         with pytest.raises(MalformedDatasetError, match=r"^duplicate sample ids: \['b', 'c'\]$"):
-            MtsDataset(samples)
+            MtsDataset.from_samples(samples)
 
     def test_duplicate_ids_found_in_linear_time(self):
         # counting each id's occurrences one by one took 8 s for 20,000 samples
@@ -112,11 +119,11 @@ class TestDatasetInvariants:
         samples += [make_sample([[0.0, 1.0]], "s17"), make_sample([[0.0, 1.0]], "s49999")]
         start = time.perf_counter()
         with pytest.raises(MalformedDatasetError, match=r"\['s17', 's49999'\]$"):
-            MtsDataset(samples)
+            MtsDataset.from_samples(samples)
         assert time.perf_counter() - start < 5.0
 
     def test_label_set_sorted(self):
-        ds = MtsDataset(
+        ds = MtsDataset.from_samples(
             (
                 make_sample([[1.0, 2.0]], "a", "walk"),
                 make_sample([[1.0, 2.0]], "b", "sit"),
@@ -146,6 +153,19 @@ class TestNormalize:
     def test_dimensions_independent(self):
         s = normalize_sample(make_sample([[0.0, 10.0], [7.0, 7.0]]))
         assert s.values.tolist() == [[0.0, 1.0], [0.0, 0.0]]
+
+    def test_range_overflowing_float64(self):
+        # -1e308..1e308 spans 2e308, past the largest float64
+        sample = make_sample([[-1e308, 0.0, 1e308, -1e308], [1.0, 2.0, 3.0, 5.0]])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            s = normalize_sample(sample)
+            codes = symbolize_sample(s, SymbolizerConfig(0.05)).codes
+        assert s.values[0].tolist() == [0.0, 0.5, 1.0, 0.0]
+        # a dimension whose range fits is normalized exactly as on its own
+        alone = normalize_sample(make_sample([[1.0, 2.0, 3.0, 5.0]]))
+        assert s.values[1].tobytes() == alone.values[0].tobytes()
+        assert codes == (8, 8, 6)
 
     @given(
         st.lists(
@@ -313,13 +333,117 @@ class TestCsv:
         )
         first = tmp_path / "a.csv"
         second = tmp_path / "b.csv"
-        write_csv(MtsDataset(samples), first)
+        write_csv(MtsDataset.from_samples(samples), first)
         write_csv(load_csv(first), second)
         assert first.read_bytes() == second.read_bytes()
         reloaded = load_csv(second)
         for s, r in zip(samples, reloaded.samples):
             assert s.id == r.id and s.label == r.label
             assert np.array_equal(s.values, r.values)
+
+
+# --- the columnar dataset against its samples -------------------------------
+
+
+CELLS = st.sampled_from([0.0, 1.0, 2.5, -3.0, 1e-9]) | st.floats(-1e6, 1e6)
+
+
+@st.composite
+def sample_blocks(draw, min_length=2, bad_cells=()):
+    """(ids, labels, one (T, D) float block per sample): ragged lengths, labels
+    of interleaved classes, ids that need CSV quoting; ``bad_cells`` may
+    replace some values."""
+    dims = draw(st.integers(1, 3))
+    n = draw(st.integers(1, 8))
+    ids = [draw(st.sampled_from(["s", "q,", 'q"', "#"])) + str(i) for i in range(n)]
+    labels = draw(st.lists(st.sampled_from([None, "a", "b", "c"]), min_size=n, max_size=n))
+    cells = CELLS | st.sampled_from(bad_cells) if bad_cells else CELLS
+    blocks = []
+    for _ in range(n):
+        length = draw(st.integers(min_length, 7))
+        rows = draw(st.lists(cells, min_size=length * dims, max_size=length * dims))
+        blocks.append(np.array(rows, dtype=np.float64).reshape(length, dims))
+    order = draw(st.permutations(range(n)))
+    return [ids[i] for i in order], [labels[i] for i in order], [blocks[i] for i in order]
+
+
+def todays_error(ids, labels, blocks):
+    """The message the per-sample constructors give: each sample's own checks
+    in dataset order, then the duplicate ids; None for a valid dataset."""
+    for sid, label, rows in zip(ids, labels, blocks):
+        try:
+            MtsSample(sid, label, rows.T)
+        except MalformedDatasetError as exc:
+            return str(exc)
+    dupes = sorted(i for i, c in Counter(ids).items() if c > 1)
+    return f"duplicate sample ids: {dupes}" if dupes else None
+
+
+class TestColumnarParity:
+    @given(sample_blocks())
+    def test_views_equal_the_joined_samples(self, columns):
+        samples = [MtsSample(sid, label, rows.T) for sid, label, rows in zip(*columns)]
+        ds = MtsDataset.from_samples(samples)
+        assert (ds.ids, ds.labels) == tuple(map(tuple, columns[:2]))
+        assert not ds.values.flags.writeable
+        listed, iterated = ds.samples, list(ds)
+        for i, s in enumerate(samples):
+            for view in (ds[i], ds[i - len(ds)], listed[i], iterated[i], ds.by_id(s.id)):
+                assert (view.id, view.label, view.values.shape) == (s.id, s.label, s.values.shape)
+                assert view.values.tobytes() == s.values.tobytes()
+                assert np.shares_memory(view.values, ds.values)  # a view, not a copy
+                assert not view.values.flags.writeable
+        with pytest.raises(ValueError):
+            ds[0].values[0, 0] = 7.0
+
+    def test_writeable_values_are_copied(self):
+        values = np.array([[1.0], [2.0]])
+        ds = MtsDataset(values, np.array([0, 2]), ("a",), (None,))
+        values[0, 0] = 9.0
+        assert ds[0].values.tolist() == [[1.0, 2.0]]
+        with pytest.raises(IndexError):
+            ds[1]
+
+    @given(sample_blocks(), st.booleans(), st.sampled_from([0.0, 0.05, 0.3]))
+    def test_convert_equals_the_per_sample_path(self, columns, pad, delta):
+        samples = [MtsSample(sid, label, rows.T) for sid, label, rows in zip(*columns)]
+        ds = MtsDataset.from_samples(samples)
+        pad_to = ds.t_max if pad else None
+        config = SymbolizerConfig(delta)
+        expected = [
+            symbolize_sample(normalize_sample(pad_to_length(s, max(s.length, pad_to or 0))), config)
+            for s in samples
+        ]
+        assert list(convert_dataset(ds, config, pad_to)) == expected
+
+    @settings(deadline=None)
+    @given(columns=sample_blocks())
+    def test_csv_round_trip(self, tmp_path_factory, columns):
+        ds = MtsDataset.from_samples(
+            MtsSample(sid, label, rows.T) for sid, label, rows in zip(*columns)
+        )
+        path = tmp_path_factory.mktemp("csv") / "d.csv"
+        write_csv(ds, path)
+        back = load_csv(path)
+        assert (back.ids, back.labels) == (ds.ids, ds.labels)
+        assert back.offsets.tolist() == ds.offsets.tolist()
+        assert back.values.tobytes() == ds.values.tobytes()
+
+    @settings(max_examples=300)
+    @given(sample_blocks(min_length=0, bad_cells=(np.nan, np.inf, -np.inf)), st.data())
+    def test_invalid_columns_raise_todays_message(self, columns, data):
+        ids, labels, blocks = columns
+        if data.draw(st.booleans()):  # a repeated id
+            ids[data.draw(st.integers(0, len(ids) - 1))] = ids[0]
+        values = np.concatenate(blocks)
+        offsets = np.cumsum([0] + [len(rows) for rows in blocks])
+        expected = todays_error(ids, labels, blocks)
+        if expected is None:
+            assert len(MtsDataset(values, offsets, tuple(ids), tuple(labels))) == len(ids)
+        else:
+            with pytest.raises(MalformedDatasetError) as exc:
+                MtsDataset(values, offsets, tuple(ids), tuple(labels))
+            assert str(exc.value) == expected
 
 
 # --- synthetic generation ---------------------------------------------------
@@ -364,6 +488,35 @@ class TestSynthetic:
         ds = generate_synthetic(two_class_spec(samples_per_class=4))
         assert len(ds) == 8
         assert ds.label_set == ("down", "up")
+
+    @pytest.mark.parametrize("workload", ["eval-cli", "many-short"])
+    def test_benchmark_inputs_match_their_recorded_digest(self, workload):
+        # perfbench's generator spec and input digest, restated: a reordered
+        # noise draw fails here as well as in the benchmark
+        bench = Path(__file__).resolve().parents[1] / "perfbench"
+        spec = json.loads((bench / "workloads.json").read_text(encoding="utf-8"))
+        generator, record = spec["generator"], spec["workloads"][workload]
+        classes = tuple(
+            (f"run{r}", ((("up", r), ("down", r)),) * generator["dims"])
+            for r in generator["run_lengths"]
+        )
+        dataset = generate_synthetic(
+            SynthSpec(
+                classes=classes,
+                samples_per_class=record["samples"] // len(classes),
+                length=record["length"],
+                noise_amplitude=generator["noise_amplitude"],
+                seed=0,
+                step_size=generator["step_size"],
+                separable=generator["separable"],
+            )
+        )
+        digest = hashlib.sha256()
+        for s in dataset:
+            digest.update(f"{s.id}\0{s.label}\0{s.values.shape}\0".encode())
+            digest.update(np.ascontiguousarray(s.values).tobytes())
+        recorded = json.loads((bench / "fingerprints.json").read_text(encoding="utf-8"))
+        assert digest.hexdigest() == recorded[workload]["0"]["inputs"]
 
     def test_empty_spec_errors(self):
         with pytest.raises(EmptySpecError):
@@ -556,7 +709,7 @@ class TestFastPathEquivalence:
             make_sample([[5.0, 5.0]], "#", "x"),
         )
         path = tmp_path / "d.csv"
-        write_csv(MtsDataset(samples), path)
+        write_csv(MtsDataset.from_samples(samples), path)
         with mock.patch.object(
             dataset_module, "_row_columns", side_effect=AssertionError("row parser used")
         ):

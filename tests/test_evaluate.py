@@ -67,7 +67,7 @@ def labeled_dataset(per_class, labels=("a", "b"), length=4):
             samples.append(
                 make_sample(rng.normal(size=(1, length)), f"{label}{i}", label)
             )
-    return MtsDataset(tuple(samples))
+    return MtsDataset.from_samples(tuple(samples))
 
 
 class TestSplit:
@@ -91,7 +91,7 @@ class TestSplit:
         assert len(train) == 9 and len(test) == 1
 
     def test_single_sample_class_goes_to_train(self):
-        ds = MtsDataset(
+        ds = MtsDataset.from_samples(
             (
                 make_sample([[1.0, 2.0]], "a0", "a"),
                 make_sample([[2.0, 1.0]], "b0", "b"),
@@ -103,7 +103,7 @@ class TestSplit:
         assert "a0" in train
 
     def test_unlabeled_rejected(self):
-        ds = MtsDataset((make_sample([[1.0, 2.0]], "a0", None),))
+        ds = MtsDataset.from_samples((make_sample([[1.0, 2.0]], "a0", None),))
         with pytest.raises(UnlabeledDataError):
             split_dataset(ds, SplitSpec(seed=0))
 
@@ -159,7 +159,7 @@ class TestSplitOracle:
         st.booleans(),
     )
     def test_equals_the_id_based_reference(self, labels, train_fraction, seed, stratified):
-        ds = MtsDataset(
+        ds = MtsDataset.from_samples(
             tuple(make_sample([[0.0, 1.0]], f"s{i}", label) for i, label in enumerate(labels))
         )
         spec = SplitSpec(train_fraction, seed, stratified)
@@ -380,7 +380,7 @@ class TestBaseline:
         # constant values normalize to zeros, so every event is the flat code
         from stemts import convert_dataset, full_alphabet_vocabulary, vectorize
 
-        ds = MtsDataset(
+        ds = MtsDataset.from_samples(
             (make_sample([[3.0, 3.0, 3.0, 3.0]], "c0", "c"),)
         )
         seq = convert_dataset(ds, SymbolizerConfig(0.05))[0]
@@ -395,7 +395,7 @@ class TestBaseline:
                 samples.append(
                     make_sample(rng.uniform(size=(1, 30)), f"{label}{i}", label)
                 )
-        ds = MtsDataset(tuple(samples))
+        ds = MtsDataset.from_samples(tuple(samples))
         report = baseline_histogram_eval(ds, SplitSpec(train_fraction=0.8, seed=5))
         assert 0.25 <= report.accuracy <= 0.75
 
@@ -442,7 +442,7 @@ class TestPipeline:
             evaluate_pipeline(ds)
 
     def test_unlabeled_rejected(self):
-        ds = MtsDataset(
+        ds = MtsDataset.from_samples(
             (
                 make_sample([[1.0, 2.0]], "a0", "a"),
                 make_sample([[2.0, 1.0]], "u0", None),
@@ -478,7 +478,7 @@ class TestPipeline:
                 )
             else:
                 mutated_samples.append(s)
-        mutated = MtsDataset(tuple(mutated_samples))
+        mutated = MtsDataset.from_samples(tuple(mutated_samples))
         base = evaluate_pipeline(ds, split=split)
         moved = evaluate_pipeline(mutated, split=split)
         assert base.vocabulary.features == moved.vocabulary.features
@@ -511,7 +511,7 @@ def ragged_tasks(draw):
             shape = (dims, draw(st.integers(2, 12)))
             values = draw(arrays(np.float64, shape, elements=st.sampled_from([0.0, 1.0, 2.0, 5.0])))
             samples.append(make_sample(values, f"{label}{i}", label))
-    return MtsDataset(tuple(draw(st.permutations(samples))))
+    return MtsDataset.from_samples(tuple(draw(st.permutations(samples))))
 
 
 class TestBatchPath:

@@ -1,4 +1,5 @@
 import tempfile
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -22,7 +23,7 @@ from stemts import (
     symbolize_sample,
     write_events,
 )
-from stemts.dataset import MtsDataset
+from stemts.dataset import MtsDataset, min_max_normalize
 from stemts.events import EventBatch
 from stemts.errors import (
     ConfigError,
@@ -231,7 +232,7 @@ class TestExplain:
 class TestEventFiles:
     def make_sequences(self):
         rng = np.random.default_rng(9)
-        ds = MtsDataset(
+        ds = MtsDataset.from_samples(
             tuple(
                 make_sample(rng.random((2, 6)), f"s{i}", "c" if i % 2 else None)
                 for i in range(3)
@@ -299,7 +300,7 @@ def mixed_datasets(draw):
             )
         )
         samples.append(make_sample(values, f"s{i}", draw(st.sampled_from([None, "a", "b"]))))
-    return MtsDataset(tuple(samples))
+    return MtsDataset.from_samples(tuple(samples))
 
 
 class TestBatchedConvert:
@@ -321,8 +322,25 @@ class TestBatchedConvert:
             (q.sample_id, q.label, q.dims, q.codes) for q in expected
         ]
 
+    def test_range_overflowing_float64(self):
+        # -1e308..1e308 spans 2e308, past the largest float64
+        ds = MtsDataset.from_samples(
+            (
+                make_sample([[-1e308, 0.0, 1e308, -1e308]], "wide"),
+                make_sample([[0.0, 1.0, 2.0, 0.5]], "narrow"),
+            )
+        )
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            wide, narrow = convert_dataset(ds, SymbolizerConfig(0.05))
+        assert wide.codes == (2, 2, 0)
+        assert narrow.codes == (2, 2, 0)
+        # in a stacked block, a series whose range fits is normalized as on its own
+        block = np.stack([s.values for s in ds])
+        assert min_max_normalize(block)[1].tobytes() == min_max_normalize(block[1]).tobytes()
+
     def test_longer_samples_are_not_cut(self):
-        ds = MtsDataset(
+        ds = MtsDataset.from_samples(
             (make_sample([[0.0, 1.0, 0.0, 1.0]], "long"), make_sample([[0.0, 1.0]], "short"))
         )
         long, short = convert_dataset(ds, SymbolizerConfig(0.05), pad_to=3)

@@ -17,7 +17,6 @@ from stemts import (
     MtsSample,
     SymbolizerConfig,
     SynthSpec,
-    convert_dataset,
     generate_synthetic,
     load_csv,
     load_synth_spec,
@@ -403,18 +402,6 @@ class TestColumnarParity:
         assert ds[0].values.tolist() == [[1.0, 2.0]]
         with pytest.raises(IndexError):
             ds[1]
-
-    @given(sample_blocks(), st.booleans(), st.sampled_from([0.0, 0.05, 0.3]))
-    def test_convert_equals_the_per_sample_path(self, columns, pad, delta):
-        samples = [MtsSample(sid, label, rows.T) for sid, label, rows in zip(*columns)]
-        ds = MtsDataset.from_samples(samples)
-        pad_to = ds.t_max if pad else None
-        config = SymbolizerConfig(delta)
-        expected = [
-            symbolize_sample(normalize_sample(pad_to_length(s, max(s.length, pad_to or 0))), config)
-            for s in samples
-        ]
-        assert list(convert_dataset(ds, config, pad_to)) == expected
 
     @settings(deadline=None)
     @given(columns=sample_blocks())

@@ -7,9 +7,15 @@ The pipeline has four stages, each usable on its own:
    fuse the per-dimension symbols into one event code per step.
 3. ``mining``   — mine frequent variable-length code tuples with one array
    walk over every window, shared with vectorizing, and support pruning.
-4. ``features``/``evaluate`` — vectorize sequences over the mined tuples and
-   run a leakage-safe classification benchmark with CPU-time accounting.
+4. ``features``/``evaluate`` — vectorize an event batch over the mined tuples
+   into one matrix (``vectorize_batch``) and run a leakage-safe
+   classification benchmark with CPU-time accounting.
+
+The imports below declare the public API once. ``stemts.evaluate`` stays the
+module: exporting its ``evaluate`` function would hide it.
 """
+
+from types import ModuleType as _Module
 
 from .dataset import (
     MtsDataset,
@@ -29,10 +35,7 @@ from .evaluate import (
     EvalReport,
     SplitSpec,
     baseline_histogram_eval,
-    class_centroids,
     evaluate_pipeline,
-    knn_classify,
-    nearest_centroid_classify,
     render_report_table,
     reports_to_json,
     split_dataset,
@@ -60,9 +63,8 @@ from .features import (
     full_alphabet_vocabulary,
     load_vocabulary,
     save_vocabulary,
-    vectorize,
+    vectorize_batch,
     vectorize_dataset,
-    write_feature_matrix,
 )
 from .mining import (
     MinerConfig,
@@ -78,59 +80,5 @@ from .mining import (
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "MtsSample",
-    "MtsDataset",
-    "SynthSpec",
-    "load_csv",
-    "write_csv",
-    "normalize_sample",
-    "pad_to_length",
-    "generate_synthetic",
-    "noiseless_trend",
-    "load_synth_spec",
-    "SymbolizerConfig",
-    "EventBatch",
-    "EventSequence",
-    "alphabet_size",
-    "symbolize_dimension",
-    "encode_event",
-    "decode_event",
-    "symbolize_sample",
-    "convert_dataset",
-    "explain_event",
-    "explain_tuple",
-    "write_events",
-    "load_events",
-    "MinerConfig",
-    "PrefixForest",
-    "resolve_min_support",
-    "build_forest",
-    "prune_bottom_up",
-    "extract_rts_features",
-    "brute_force_mine",
-    "write_feature_list",
-    "load_feature_list",
-    "FeatureVocabulary",
-    "FeatureVector",
-    "build_vocabulary",
-    "full_alphabet_vocabulary",
-    "vectorize",
-    "vectorize_dataset",
-    "save_vocabulary",
-    "load_vocabulary",
-    "write_feature_matrix",
-    "SplitSpec",
-    "ClassifierConfig",
-    "EvalReport",
-    "split_dataset",
-    "class_centroids",
-    "knn_classify",
-    "nearest_centroid_classify",
-    "evaluate_pipeline",
-    "baseline_histogram_eval",
-    "reports_to_json",
-    "render_report_table",
-    "write_report_files",
-    "StemError",
-]
+# every name imported above, but not the submodules those imports bind
+__all__ = [n for n, v in globals().items() if not (n[0] == "_" or isinstance(v, _Module))]

@@ -17,7 +17,7 @@ import warnings
 from pathlib import Path
 
 from .dataset import generate_synthetic, load_csv, load_synth_spec, write_csv
-from .errors import StemError
+from .errors import ConfigError, StemError
 from .evaluate import (
     ClassifierConfig,
     SplitSpec,
@@ -41,7 +41,11 @@ __all__ = ["main"]
 
 
 def _default_seed() -> int:
-    return int(os.environ.get("STEM_SEED", "0"))
+    text = os.environ.get("STEM_SEED", "0")
+    try:
+        return int(text)
+    except ValueError:
+        raise ConfigError(f"STEM_SEED must be an integer, got {text!r}") from None
 
 
 def _support_value(text: str) -> int | float:
@@ -210,8 +214,8 @@ def cmd_mine(args: argparse.Namespace) -> int:
 
 
 def cmd_eval(args: argparse.Namespace) -> int:
-    dataset = load_csv(args.input)
     seed = args.seed if args.seed is not None else _default_seed()
+    dataset = load_csv(args.input)
     symbolizer = SymbolizerConfig(delta=args.delta)
     miner = MinerConfig(
         min_support=args.min_support, max_len=args.max_len, gain_gamma=args.gain_gamma

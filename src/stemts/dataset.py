@@ -56,6 +56,15 @@ __all__ = [
 DIRECTIONS = {"up": 1, "flat": 0, "down": -1}
 
 
+def _read_only(array, dtype=None) -> np.ndarray:
+    """``array`` as a read-only ndarray, copied first if the caller could still write to it."""
+    out = np.asarray(array, dtype=dtype)
+    if out is array and out.flags.writeable:
+        out = out.copy()
+    out.setflags(write=False)
+    return out
+
+
 @dataclass(frozen=True, eq=False)
 class MtsSample:
     """One multidimensional sample: a dimension-major (D, T) matrix of reals.
@@ -70,7 +79,7 @@ class MtsSample:
 
     def __post_init__(self) -> None:
         try:
-            arr = np.asarray(self.values, dtype=np.float64)
+            arr = _read_only(self.values, np.float64)
         except (ValueError, TypeError) as exc:
             raise MalformedDatasetError(
                 f"sample {self.id!r}: values are not a rectangular numeric matrix: {exc}"
@@ -85,9 +94,6 @@ class MtsSample:
             )
         if not np.isfinite(arr).all():
             raise MalformedDatasetError(f"sample {self.id!r}: values must be finite")
-        if arr is self.values and arr.flags.writeable:
-            arr = arr.copy()  # the caller could still write to it
-        arr.setflags(write=False)
         object.__setattr__(self, "values", arr)
 
     @property
@@ -100,18 +106,20 @@ class MtsSample:
 
 
 def _offsets(sizes) -> np.ndarray:
-    """Start of each of the ragged rows of these sizes, then their total: n + 1 int64s."""
-    return np.concatenate(([0], np.cumsum(sizes, dtype=np.int64)))
+    """Start of each ragged row of these sizes, then their total: n + 1 read-only int64s."""
+    offsets = np.concatenate(([0], np.cumsum(sizes, dtype=np.int64)))
+    offsets.setflags(write=False)
+    return offsets
 
 
 @dataclass(frozen=True, eq=False)
 class MtsDataset:
     """Samples of one dimension count in one read-only ``(ΣT, D)`` float64 block.
 
-    Sample i's steps are the rows ``values[offsets[i]:offsets[i + 1]]``, checked
-    once, failing like ``MtsSample`` on the first bad sample. ``dataset[i]``
-    (negative ``i`` counts from the end), iteration and ``samples`` hand out
-    read-only ``MtsSample`` views, built on each access and never cached.
+    Sample i's steps are the rows ``values[offsets[i]:offsets[i + 1]]`` (``offsets``
+    is read-only too), checked once, failing like ``MtsSample`` on the first bad
+    sample. ``dataset[i]`` (negative ``i`` counts from the end), iteration and
+    ``samples`` hand out read-only ``MtsSample`` views, built on each access.
     """
 
     values: np.ndarray
@@ -120,11 +128,10 @@ class MtsDataset:
     labels: tuple[str | None, ...]
 
     def __post_init__(self) -> None:
-        values, offsets, ids = np.asarray(self.values, dtype=np.float64), self.offsets, self.ids
-        if values is self.values and values.flags.writeable:
-            values = values.copy()  # the caller could still write to it
-        values.setflags(write=False)
+        ids = self.ids
+        values, offsets = _read_only(self.values, np.float64), _read_only(self.offsets)
         object.__setattr__(self, "values", values)
+        object.__setattr__(self, "offsets", offsets)
         if not ids:
             raise EmptyDatasetError("dataset contains no samples")
         if values.ndim != 2 or not len(offsets) - 1 == len(ids) == len(self.labels):
@@ -178,12 +185,6 @@ class MtsDataset:
     @property
     def label_set(self) -> tuple[str, ...]:
         return tuple(sorted({label for label in self.labels if label is not None}))
-
-    def by_id(self, sample_id: str) -> MtsSample:
-        try:
-            return self[self.ids.index(sample_id)]
-        except ValueError:
-            raise KeyError(sample_id) from None
 
 
 def min_max_normalize(values: np.ndarray) -> np.ndarray:
@@ -251,8 +252,8 @@ def read_long_form(path: Path, fh, width: int, value_type: type):
     Rows are ``sample_id,label,t,<width - 3 value columns>`` parsed as
     ``value_type`` (``float`` or ``int``). Returns ``(ids, labels, offsets,
     values)``: sample ids and labels (None when empty) in the order each
-    sample's first row appears, and the value block sorted by sample, then by
-    ``t``, sample i's rows being ``values[offsets[i]:offsets[i + 1]]``. Raises
+    sample's first row appears, and the read-only value block sorted by sample,
+    then by ``t``, sample i's rows being ``values[offsets[i]:offsets[i + 1]]``. Raises
     when labels conflict within a sample, or, naming the first such sample in
     file order, when a sample's ``t`` values do not cover 0..T-1.
 
@@ -276,7 +277,7 @@ def read_long_form(path: Path, fh, width: int, value_type: type):
         raise MalformedDatasetError(f"{path}: sample {sid!r} carries conflicting labels")
 
     order = np.lexsort((t, sample))
-    offsets = np.concatenate(([0], np.cumsum(np.bincount(sample), dtype=np.int64)))
+    offsets = _offsets(np.bincount(sample))
     t = t[order]
     gaps = np.flatnonzero(t != np.arange(len(t)) - np.repeat(offsets[:-1], np.diff(offsets)))
     if len(gaps):
@@ -287,7 +288,9 @@ def read_long_form(path: Path, fh, width: int, value_type: type):
             f"without gaps or duplicates, got {ts}"
         )
     sample_labels = tuple(label or None for label in labels[first_row].tolist())
-    return tuple(index), sample_labels, offsets, values[order]
+    values = values[order]
+    values.setflags(write=False)
+    return tuple(index), sample_labels, offsets, values
 
 
 def _numpy_columns(fh, width: int, value_type: type):
@@ -375,7 +378,6 @@ def load_csv(path: str | Path) -> MtsDataset:
         ids, labels, offsets, values = read_long_form(path, fh, len(header), float)
     if not ids:
         raise EmptyDatasetError(f"{path}: no data rows after the header")
-    values.setflags(write=False)  # the dataset keeps this block as it is
     return MtsDataset(values, offsets, ids, labels)
 
 
@@ -529,7 +531,7 @@ def generate_synthetic(spec: SynthSpec) -> MtsDataset:
     values.setflags(write=False)
     ids = tuple(f"{label}_{i:03d}" for label, _ in spec.classes for i in range(k))
     labels = tuple(label for label, _ in spec.classes for _ in range(k))
-    return MtsDataset(values, np.arange(len(ids) + 1, dtype=np.int64) * spec.length, ids, labels)
+    return MtsDataset(values, _offsets(np.full(len(ids), spec.length)), ids, labels)
 
 
 _SPEC_KEYS = {

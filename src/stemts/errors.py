@@ -58,14 +58,6 @@ class IncompatibleVocabularyError(StemError, ValueError):
     """Sequences, or a sequence and a vocabulary, disagree on the dimension count."""
 
 
-class IncompatibleVectorError(StemError):
-    """Feature vectors of different lengths were mixed in one operation."""
-
-
-class NoModelError(StemError):
-    """A classifier was asked to predict without any training vectors."""
-
-
 class UnlabeledDataError(StemError):
     """A labeled-data operation received samples without labels."""
 

@@ -9,24 +9,20 @@ test sample can never change the mined features.
 test rows, symbolizes it once into one ``events.EventBatch`` and takes the
 train and test batches from it. Per method it then mines the training batch,
 vectorizes both into matrices with ``features.vectorize_batch`` and
-classifies the test matrix against the training matrix; no per-sample object
-is built. ``evaluate_pipeline`` and ``baseline_histogram_eval`` are its
-one-method calls; ``knn_classify`` and ``nearest_centroid_classify`` are
-per-sample views over the same matrix classifier.
+classifies the test matrix against the training matrix in ``_predict``, the
+one classify path; no per-sample object is built. ``evaluate_pipeline`` and
+``baseline_histogram_eval`` are its one-method calls.
 
 Timings are process CPU seconds (user+system via ``time.process_time``), not
 wall clock, reported per stage: symbolize (which includes taking the train
 and test batches), mine, featurize, classify, total. The shared symbolize
 stage is charged to the first report; a later report's is 0.0.
 
-Classifying a test set groups the queries and the training vectors into
-distinct vectors (equal float64 bytes) and builds one distinct queries x
-distinct training vectors distance matrix from a single product, finished in
-place one row block at a time: memory is that matrix plus a fixed block
-workspace, so repeated vectors are what make it small. kNN reads each query's
-k nearest in stable order over the training vectors (equal distances keep
-training order) and votes once per distinct query: majority, then smaller
-mean distance within the k, then the smaller label.
+Classifying builds one distance matrix over the distinct queries and training
+vectors (see ``_distances``). kNN reads each query's k nearest in stable
+order (equal distances keep training order) and votes once per distinct
+query: majority, then smaller mean distance within the k, then the smaller
+label. The nearest centroid breaks ties towards the smaller label.
 """
 
 from __future__ import annotations
@@ -43,16 +39,9 @@ from typing import Sequence
 import numpy as np
 
 from .dataset import MtsDataset
-from .errors import (
-    ConfigError,
-    DegenerateTaskError,
-    IncompatibleVectorError,
-    NoModelError,
-    UnlabeledDataError,
-)
+from .errors import ConfigError, DegenerateTaskError, UnlabeledDataError
 from .events import SymbolizerConfig, convert_dataset
 from .features import (
-    FeatureVector,
     FeatureVocabulary,
     build_vocabulary,
     full_alphabet_vocabulary,
@@ -71,9 +60,6 @@ __all__ = [
     "ClassifierConfig",
     "EvalReport",
     "split_dataset",
-    "class_centroids",
-    "knn_classify",
-    "nearest_centroid_classify",
     "evaluate",
     "evaluate_pipeline",
     "baseline_histogram_eval",
@@ -248,7 +234,7 @@ def _nearest(distances: np.ndarray, k: int, columns: np.ndarray | None = None) -
 
 
 def _vote(labels: Sequence[str], distances: Sequence[float]) -> str:
-    """Vote of the k nearest neighbours, given nearest first; see :func:`knn_classify`."""
+    """Vote of the k nearest neighbours, given nearest first; see the module docstring."""
     counts = Counter(labels)
     best = max(counts.values())
     winners = sorted(label for label, c in counts.items() if c == best)
@@ -261,53 +247,13 @@ def _vote(labels: Sequence[str], distances: Sequence[float]) -> str:
     return min(winners, key=lambda label: (means[label], label))
 
 
-def _check_train_vectors(train: Sequence[FeatureVector]) -> tuple[np.ndarray, list[str]]:
-    if not train:
-        raise NoModelError("no training vectors")
-    width = len(train[0])
-    for vec in train:
-        if len(vec) != width:
-            raise IncompatibleVectorError(
-                f"vector {vec.sample_id!r} has length {len(vec)}, expected {width}"
-            )
-        if vec.label is None:
-            raise UnlabeledDataError(f"training vector {vec.sample_id!r} has no label")
-    matrix = np.vstack([vec.values for vec in train])
-    return matrix, [vec.label for vec in train]
-
-
-def knn_classify(
-    train: Sequence[FeatureVector], query: FeatureVector, k: int, metric: str = "euclidean"
-) -> str:
-    """Majority label among the k nearest training vectors.
-
-    Neighbours at equal distance count in training order. Label ties break on
-    smallest mean distance within the k, then on the lexicographically
-    smaller label, so predictions are reproducible.
-    """
-    classifier = ClassifierConfig("knn", k, metric)
-    return _predict(*_check_train_vectors(train), query.values[None, :], classifier)[0]
-
-
 def _centroids(matrix: np.ndarray, labels: Sequence[str]) -> dict[str, np.ndarray]:
+    """Per-class mean rows of ``matrix``, keyed by label in sorted order."""
     out: dict[str, np.ndarray] = {}
     for label in sorted(set(labels)):
         member_rows = [i for i, l in enumerate(labels) if l == label]
         out[label] = matrix[member_rows].mean(axis=0)
     return out
-
-
-def class_centroids(train: Sequence[FeatureVector]) -> dict[str, np.ndarray]:
-    """Per-class mean vectors, keyed by label in sorted order."""
-    return _centroids(*_check_train_vectors(train))
-
-
-def nearest_centroid_classify(
-    train: Sequence[FeatureVector], query: FeatureVector, metric: str = "euclidean"
-) -> str:
-    """Label of the nearest class centroid; ties go to the smaller label."""
-    classifier = ClassifierConfig("centroid", 1, metric)
-    return _predict(*_check_train_vectors(train), query.values[None, :], classifier)[0]
 
 
 def _predict(
@@ -319,14 +265,9 @@ def _predict(
     """The label of every row of ``queries`` against the training rows of
     ``matrix`` and their ``labels``, from one distance matrix over distinct vectors.
 
+    Both matrices come from one vocabulary, so they have the same width.
     Queries with equal vectors get one vote, computed once; see ``_distinct``.
     """
-    if not len(queries):
-        return []
-    if queries.shape[1] != matrix.shape[1]:
-        raise IncompatibleVectorError(
-            f"query has length {queries.shape[1]}, training vectors have {matrix.shape[1]}"
-        )
     distinct_queries, query_of = _distinct(queries)
     if classifier.kind == "centroid":
         centroids = _centroids(matrix, labels)

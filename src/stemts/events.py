@@ -9,11 +9,11 @@ encoding is a bijection.
 
 A dataset's codes live in one ``EventBatch``: every sample's codes joined
 into one int64 array, with ``offsets`` marking where each sample starts (the
-CSR ``indptr`` layout), validated once per batch. ``convert_dataset`` writes
-each group of equal-length samples straight into it, and the event files are
-read into and written from it. ``EventSequence`` is one sample's codes: what
-indexing or iterating a batch hands out, built on access, and what
-``symbolize_sample`` returns.
+CSR ``indptr`` layout), validated once per batch and read-only from then
+on. ``convert_dataset`` writes each group of equal-length samples straight
+into it, and the event files are read into and written from it.
+``EventSequence`` is one sample's codes: what indexing or iterating a batch
+hands out, built on access, and what ``symbolize_sample`` returns.
 
 Event sequences are stored as a CSV (``sample_id,label,t,event_code``) plus a
 companion ``<path>.meta.json`` holding the dimension count and delta, which
@@ -34,6 +34,7 @@ from .dataset import (
     MtsDataset,
     MtsSample,
     _offsets,
+    _read_only,
     csv_prefix,
     min_max_normalize,
     open_long_form,
@@ -115,10 +116,10 @@ class EventSequence:
 class EventBatch:
     """Event codes of many samples in one int64 array (the CSR layout).
 
-    Sample i's codes are ``codes[offsets[i]:offsets[i + 1]]``. The batch is
-    checked once, failing like ``EventSequence`` on the first bad sample.
-    ``batch[i]`` (negative ``i`` counts from the end) and iteration, which
-    goes through it, hand out one ``EventSequence`` per sample, built on access.
+    Sample i's codes are ``codes[offsets[i]:offsets[i + 1]]``; both arrays are
+    read-only. The batch is checked once, failing like ``EventSequence`` on the
+    first bad sample. ``batch[i]`` (negative ``i`` counts from the end) and
+    iteration hand out one ``EventSequence`` per sample, built on access.
     """
 
     codes: np.ndarray
@@ -128,23 +129,26 @@ class EventBatch:
     dims: int
 
     def __post_init__(self) -> None:
-        offsets, n = self.offsets, alphabet_size(self.dims)
+        n = alphabet_size(self.dims)
+        codes, offsets = _read_only(self.codes), _read_only(self.offsets)
+        object.__setattr__(self, "codes", codes)
+        object.__setattr__(self, "offsets", offsets)
         if not len(offsets) - 1 == len(self.ids) == len(self.labels):
             raise ValueError("need one label per id and one offset more than ids")
-        if offsets[0] != 0 or offsets[-1] != len(self.codes):
+        if offsets[0] != 0 or offsets[-1] != len(codes):
             raise ValueError("offsets must run from 0 to the number of codes")
         empty = np.flatnonzero(np.diff(offsets) < 1)
         if len(empty):
             raise TooShortError(f"sequence {self.ids[empty[0]]!r} has no events")
         # before the dtype check, so codes too large for int64 are named too
-        bad = np.flatnonzero((self.codes < 0) | (self.codes >= n))
+        bad = np.flatnonzero((codes < 0) | (codes >= n))
         if len(bad):
             sample = np.searchsorted(offsets, bad[0], side="right") - 1
             raise InvalidCodeError(
-                f"sequence {self.ids[sample]!r}: code {self.codes[bad[0]]} outside [0, {n})"
+                f"sequence {self.ids[sample]!r}: code {codes[bad[0]]} outside [0, {n})"
             )
-        if self.codes.dtype != np.int64:  # a cast would truncate float codes silently
-            raise TypeError(f"codes must be int64, got {self.codes.dtype}")
+        if codes.dtype != np.int64:  # a cast would truncate float codes silently
+            raise TypeError(f"codes must be int64, got {codes.dtype}")
 
     def __len__(self) -> int:
         return len(self.ids)
@@ -171,6 +175,7 @@ class EventBatch:
             )
         offsets = _offsets([len(s) for s in sequences])
         codes = np.fromiter(chain.from_iterable(s.codes for s in sequences), np.int64, offsets[-1])
+        codes.setflags(write=False)
         ids, labels = (s.sample_id for s in sequences), (s.label for s in sequences)
         return cls(codes, offsets, tuple(ids), tuple(labels), dims)
 
@@ -180,8 +185,10 @@ class EventBatch:
         sizes = np.diff(self.offsets)[rows]
         offsets = _offsets(sizes)
         at = np.arange(offsets[-1]) + np.repeat(self.offsets[rows] - offsets[:-1], sizes)
+        codes = self.codes[at]
+        codes.setflags(write=False)
         ids, labels = [self.ids[r] for r in rows.tolist()], [self.labels[r] for r in rows.tolist()]
-        return EventBatch(self.codes[at], offsets, tuple(ids), tuple(labels), self.dims)
+        return EventBatch(codes, offsets, tuple(ids), tuple(labels), self.dims)
 
 
 def alphabet_size(dims: int) -> int:
@@ -291,6 +298,7 @@ def convert_dataset(
         group = event_codes(block, config.delta)
         del block  # before the scatter's index array is made
         codes[offsets[members, None] + np.arange(group.shape[1])] = group
+    codes.setflags(write=False)
     return EventBatch(codes, offsets, dataset.ids, dataset.labels, dataset.dims)
 
 
@@ -320,14 +328,11 @@ def _meta_path(path: Path) -> Path:
     return path.with_name(path.name + ".meta.json")
 
 
-def write_events(
-    sequences: Sequence[EventSequence] | EventBatch, config: SymbolizerConfig, path: str | Path
-) -> None:
-    """Write a batch (or a list of sequences, joined into one) as CSV plus a ``.meta.json``."""
+def write_events(batch: EventBatch, config: SymbolizerConfig, path: str | Path) -> None:
+    """Write a batch as CSV plus a ``.meta.json``."""
     path = Path(path)
-    if not len(sequences):
+    if not len(batch):
         raise MalformedDatasetError("no event sequences to write")
-    batch = EventBatch.from_sequences(sequences)
     flat, ends = batch.codes.tolist(), batch.offsets.tolist()
     with path.open("w", newline="", encoding="utf-8") as fh:
         fh.write("sample_id,label,t,event_code\n")

@@ -1,4 +1,4 @@
-"""Feature vocabularies and per-sample occurrence vectors.
+"""Feature vocabularies and tuple-frequency vectors.
 
 A vocabulary freezes mined tuples in a canonical order (shortest first, then
 lexicographic by codes) together with the context that produced them. A
@@ -9,10 +9,9 @@ longer than the sequence contribute 0. Codes not covered by any vocabulary
 tuple are simply ignored.
 
 ``vectorize_batch`` vectorizes an ``events.EventBatch`` into one read-only
-``(n, K)`` matrix, row i for sample i. ``vectorize_dataset`` and
-``vectorize`` are its per-sample views: they vectorize a batch (a list of
-``EventSequence`` is joined into one first) and hand out one
-``FeatureVector`` per matrix row.
+``(n, K)`` matrix, row i for sample i. ``vectorize_dataset`` is its
+per-sample view: it vectorizes a batch (a list of ``EventSequence`` is
+joined into one first) and hands out one ``FeatureVector`` per matrix row.
 """
 
 from __future__ import annotations
@@ -20,13 +19,14 @@ from __future__ import annotations
 import json
 import warnings
 from collections import Counter
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from itertools import chain
 from pathlib import Path
 from typing import Sequence
 
 import numpy as np
 
+from .dataset import _read_only
 from .errors import (
     DuplicateFeatureError,
     IncompatibleVocabularyError,
@@ -41,12 +41,10 @@ __all__ = [
     "FeatureVector",
     "build_vocabulary",
     "full_alphabet_vocabulary",
-    "vectorize",
     "vectorize_batch",
     "vectorize_dataset",
     "save_vocabulary",
     "load_vocabulary",
-    "write_feature_matrix",
 ]
 
 
@@ -58,10 +56,6 @@ class FeatureVocabulary:
     dims: int
     delta: float | None = None
     miner: MinerConfig | None = None
-    index: dict[EventTuple, int] = field(init=False, repr=False)
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "index", {tup: i for i, tup in enumerate(self.features)})
 
     def __len__(self) -> int:
         return len(self.features)
@@ -71,8 +65,7 @@ def _canonical(features: Sequence[EventTuple], dims: int) -> list[EventTuple]:
     """Checked features in canonical order: length ascending, then by codes."""
     canon = [tuple(int(c) for c in tup) for tup in features]
     if len(set(canon)) != len(canon):
-        counts = Counter(canon)
-        dupes = sorted(t for t, c in counts.items() if c > 1)
+        dupes = sorted(t for t, c in Counter(canon).items() if c > 1)
         raise DuplicateFeatureError(f"duplicate feature tuples: {dupes}")
     n = alphabet_size(dims)
     for tup in canon:
@@ -119,19 +112,10 @@ class FeatureVector:
     values: np.ndarray
 
     def __post_init__(self) -> None:
-        arr = np.asarray(self.values, dtype=np.float64)
-        if arr is self.values and arr.flags.writeable:
-            arr = arr.copy()  # the caller could still write to it
-        arr.setflags(write=False)
-        object.__setattr__(self, "values", arr)
+        object.__setattr__(self, "values", _read_only(self.values, np.float64))
 
     def __len__(self) -> int:
         return len(self.values)
-
-
-def vectorize(seq: EventSequence, vocab: FeatureVocabulary) -> FeatureVector:
-    """One sequence's vector; see :func:`vectorize_dataset`."""
-    return vectorize_dataset([seq], vocab)[0]
 
 
 def _lookup_tables(vocab: FeatureVocabulary) -> tuple[np.ndarray, list, list]:
@@ -255,16 +239,3 @@ def load_vocabulary(path: str | Path) -> FeatureVocabulary:
         )
     return FeatureVocabulary(features=tuple(canon), dims=dims, delta=delta, miner=miner)
 
-
-def write_feature_matrix(vectors: Sequence[FeatureVector], path: str | Path) -> None:
-    """Write vectors as CSV: sample_id,label,f_0,...,f_{K-1}."""
-    import csv
-
-    path = Path(path)
-    width = len(vectors[0]) if vectors else 0
-    with path.open("w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["sample_id", "label"] + [f"f_{j}" for j in range(width)])
-        for vec in vectors:
-            label = vec.label if vec.label is not None else ""
-            writer.writerow([vec.sample_id, label] + [repr(float(v)) for v in vec.values])

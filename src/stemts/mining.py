@@ -102,7 +102,6 @@ class PrefixForest:
     """Counted tuples and their supports, closed under taking prefixes."""
 
     nodes: dict[EventTuple, Support]
-    max_len: int
     n_samples: int
 
     def node_for(self, codes: Sequence[int]) -> Support | None:
@@ -228,7 +227,7 @@ def build_forest(
         tuples = [prefixes[p] + (c,) for p, c in zip(prefix.tolist(), alphabet[last].tolist())]
         nodes.update(zip(tuples, map(Support, docs, occs)))
         prefixes = tuples
-    return PrefixForest(nodes=nodes, max_len=config.max_len, n_samples=len(batch))
+    return PrefixForest(nodes=nodes, n_samples=len(batch))
 
 
 def prune_bottom_up(forest: PrefixForest, config: MinerConfig) -> PrefixForest:
@@ -249,7 +248,7 @@ def prune_bottom_up(forest: PrefixForest, config: MinerConfig) -> PrefixForest:
         if t in extended or not weak:
             kept[t] = frequent[t]
             extended.add(t[:-1])
-    return PrefixForest(nodes=kept, max_len=forest.max_len, n_samples=forest.n_samples)
+    return PrefixForest(nodes=kept, n_samples=forest.n_samples)
 
 
 def extract_rts_features(forest: PrefixForest) -> list[EventTuple]:

@@ -3,7 +3,7 @@ import json
 
 import pytest
 
-from stemts import EventSequence, SymbolizerConfig, load_csv, load_events, write_events
+from stemts import EventBatch, EventSequence, SymbolizerConfig, load_csv, load_events, write_events
 from stemts.cli import build_parser, main
 
 SPEC_YAML = """\
@@ -115,7 +115,7 @@ class TestMine:
             EventSequence("B", None, 2, (4, 8, 0)),
         ]
         path = tmp_path / "events.csv"
-        write_events(seqs, SymbolizerConfig(0.05), path)
+        write_events(EventBatch.from_sequences(seqs), SymbolizerConfig(0.05), path)
         return path
 
     def test_toy_pair(self, tmp_path):
@@ -201,6 +201,18 @@ class TestEval:
         payload = json.loads((tmp_path / "report.json").read_text())
         assert payload["methods"]["stem"]["config"]["seed"] == 123
 
+    def test_bad_env_seed_is_one_error_line(self, spec_file, tmp_path, monkeypatch, capsys):
+        monkeypatch.setenv("STEM_SEED", "abc")
+        data = tmp_path / "data.csv"
+        assert main(["-q", "synth", str(spec_file), "--out", str(data)]) == 0
+        capsys.readouterr()
+        assert main(["-q", "eval", "--in", str(data), "--out", str(tmp_path / "r")]) == 1
+        assert capsys.readouterr().err == "error: STEM_SEED must be an integer, got 'abc'\n"
+        assert not (tmp_path / "r.json").exists()
+        # an explicit --seed does not read the variable
+        argv = ["-q", "eval", "--in", str(data), "--seed", "1", "--out", str(tmp_path / "r")]
+        assert main(argv) == 0
+
 
 class TestExplain:
     def test_single_code(self, capsys):
@@ -220,7 +232,7 @@ class TestExplain:
             EventSequence("B", None, 2, (4, 8, 0)),
         ]
         events = tmp_path / "events.csv"
-        write_events(seqs, SymbolizerConfig(0.05), events)
+        write_events(EventBatch.from_sequences(seqs), SymbolizerConfig(0.05), events)
         features = tmp_path / "features.json"
         main(["-q", "mine", "--in", str(events), "--min-support", "2", "--max-len", "2", "--out", str(features)])
         capsys.readouterr()

@@ -248,8 +248,8 @@ class TestCsv:
         assert len(ds) == 2
         assert ds.dims == 1
         assert ds.t_max == 3
-        assert ds.by_id("a").values.tolist() == [[1.0, 2.0, 3.0]]
-        assert ds.by_id("b").label == "sit"
+        assert ds[ds.ids.index("a")].values.tolist() == [[1.0, 2.0, 3.0]]
+        assert ds[ds.ids.index("b")].label == "sit"
 
     def test_rows_sorted_by_t(self, tmp_path):
         path = tmp_path / "d.csv"
@@ -257,8 +257,8 @@ class TestCsv:
             "sample_id,label,t,dim_0\na,,2,3.0\na,,0,1.0\na,,1,2.0\n"
         )
         ds = load_csv(path)
-        assert ds.by_id("a").values.tolist() == [[1.0, 2.0, 3.0]]
-        assert ds.by_id("a").label is None
+        assert ds[ds.ids.index("a")].values.tolist() == [[1.0, 2.0, 3.0]]
+        assert ds[ds.ids.index("a")].label is None
 
     def test_header_only_is_empty(self, tmp_path):
         path = tmp_path / "d.csv"
@@ -387,7 +387,8 @@ class TestColumnarParity:
         assert not ds.values.flags.writeable
         listed, iterated = ds.samples, list(ds)
         for i, s in enumerate(samples):
-            for view in (ds[i], ds[i - len(ds)], listed[i], iterated[i], ds.by_id(s.id)):
+            by_id = ds[ds.ids.index(s.id)]
+            for view in (ds[i], ds[i - len(ds)], listed[i], iterated[i], by_id):
                 assert (view.id, view.label, view.values.shape) == (s.id, s.label, s.values.shape)
                 assert view.values.tobytes() == s.values.tobytes()
                 assert np.shares_memory(view.values, ds.values)  # a view, not a copy
@@ -468,7 +469,7 @@ class TestSynthetic:
         ds = generate_synthetic(
             two_class_spec(noise_amplitude=0.0, length=5, samples_per_class=2)
         )
-        up = ds.by_id("up_000").values[0]
+        up = ds[ds.ids.index("up_000")].values[0]
         assert np.all(np.diff(up) > 0)
 
     def test_labels_and_counts(self):

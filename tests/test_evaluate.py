@@ -1,6 +1,7 @@
 import json
 import math
 import tracemalloc
+import types
 import warnings
 from collections import Counter
 from unittest import mock
@@ -21,30 +22,22 @@ from stemts import (
     SymbolizerConfig,
     baseline_histogram_eval,
     build_forest,
-    class_centroids,
     convert_dataset,
     evaluate_pipeline,
     extract_rts_features,
     generate_synthetic,
-    knn_classify,
-    nearest_centroid_classify,
     prune_bottom_up,
     render_report_table,
     reports_to_json,
     split_dataset,
+    vectorize_batch,
     vectorize_dataset,
     write_csv,
 )
+import stemts
 from stemts import evaluate
 from stemts.cli import main
-from stemts.features import vectorize_batch
-from stemts.errors import (
-    ConfigError,
-    DegenerateTaskError,
-    IncompatibleVectorError,
-    NoModelError,
-    UnlabeledDataError,
-)
+from stemts.errors import ConfigError, DegenerateTaskError, UnlabeledDataError
 
 from conftest import make_sample, run_length_spec
 
@@ -55,8 +48,27 @@ def vec(values, sample_id="v", label=None):
 
 def predict(train, queries, classifier):
     """``evaluate._predict`` on the matrices of FeatureVector lists."""
-    matrix, labels = evaluate._check_train_vectors(train)
+    matrix, labels = np.vstack([v.values for v in train]), [v.label for v in train]
     return evaluate._predict(matrix, labels, np.vstack([q.values for q in queries]), classifier)
+
+
+def knn(train, query, k, metric="euclidean"):
+    """One query's kNN label, classified on its own."""
+    return predict(train, [query], ClassifierConfig("knn", k, metric))[0]
+
+
+def centroid(train, query, metric="euclidean"):
+    """One query's nearest-centroid label, classified on its own."""
+    return predict(train, [query], ClassifierConfig("centroid", 1, metric))[0]
+
+
+def test_package_keeps_the_evaluate_module():
+    # exporting the evaluate function would hide the module of the same name
+    assert isinstance(stemts.evaluate, types.ModuleType)
+    assert stemts.evaluate is evaluate and "evaluate" not in stemts.__all__
+    assert "vectorize_batch" in stemts.__all__
+    exported = [getattr(stemts, name) for name in stemts.__all__]
+    assert not any(isinstance(value, types.ModuleType) for value in exported)
 
 
 def labeled_dataset(per_class, labels=("a", "b"), length=4):
@@ -75,7 +87,7 @@ class TestSplit:
         ds = labeled_dataset(5)
         train, test = split_dataset(ds, SplitSpec(train_fraction=0.8, seed=3))
         assert len(train) == 8 and len(test) == 2
-        test_labels = sorted(ds.by_id(i).label for i in test)
+        test_labels = sorted(ds[ds.ids.index(i)].label for i in test)
         assert test_labels == ["a", "b"]
         assert set(train) | set(test) == {s.id for s in ds.samples}
         assert set(train) & set(test) == set()
@@ -175,19 +187,19 @@ class TestSplitOracle:
 class TestKnn:
     def test_zero_distance_neighbor(self):
         train = [vec([0.2, 0.4], "t1", "a"), vec([0.9, 0.1], "t2", "b")]
-        assert knn_classify(train, vec([0.9, 0.1]), k=1) == "b"
+        assert knn(train, vec([0.9, 0.1]), k=1) == "b"
 
     def test_two_dim_toy(self):
         train = [vec([1.0, 0.0], "t1", "A"), vec([0.0, 1.0], "t2", "B")]
-        assert knn_classify(train, vec([0.9, 0.1]), k=1, metric="euclidean") == "A"
+        assert knn(train, vec([0.9, 0.1]), k=1, metric="euclidean") == "A"
 
     def test_full_k_tie_uses_mean_distance(self):
         train = [vec([1.0, 0.0], "t1", "A"), vec([0.0, 1.0], "t2", "B")]
-        assert knn_classify(train, vec([0.9, 0.1]), k=2) == "A"
+        assert knn(train, vec([0.9, 0.1]), k=2) == "A"
 
     def test_exact_tie_falls_back_to_label_order(self):
         train = [vec([1.0, 0.0], "t1", "B"), vec([0.0, 1.0], "t2", "A")]
-        assert knn_classify(train, vec([0.5, 0.5]), k=2) == "A"
+        assert knn(train, vec([0.5, 0.5]), k=2) == "A"
 
     def test_majority_beats_distance(self):
         train = [
@@ -195,22 +207,17 @@ class TestKnn:
             vec([1.0, 1.0], "t2", "near"),
             vec([1.1, 1.1], "t3", "near"),
         ]
-        assert knn_classify(train, vec([1.0, 1.05]), k=3) == "near"
+        assert knn(train, vec([1.0, 1.05]), k=3) == "near"
 
     def test_cosine_metric(self):
         train = [vec([1.0, 0.0], "t1", "x"), vec([0.0, 1.0], "t2", "y")]
-        assert knn_classify(train, vec([2.0, 0.1]), k=1, metric="cosine") == "x"
+        assert knn(train, vec([2.0, 0.1]), k=1, metric="cosine") == "x"
 
     def test_errors(self):
-        with pytest.raises(NoModelError):
-            knn_classify([], vec([1.0]), k=1)
+        # stemts eval --k 9999 reaches this check
         train = [vec([1.0, 0.0], "t1", "a")]
-        with pytest.raises(IncompatibleVectorError):
-            knn_classify(train, vec([1.0]), k=1)
-        with pytest.raises(ValueError):
-            knn_classify(train, vec([1.0, 0.0]), k=2)
-        with pytest.raises(UnlabeledDataError):
-            knn_classify([vec([1.0], "t", None)], vec([1.0]), k=1)
+        with pytest.raises(ConfigError, match=r"k must lie in \[1, 1\], got 2"):
+            knn(train, vec([1.0, 0.0]), k=2)
 
 
 def reference_row(x, matrix, metric):
@@ -248,7 +255,7 @@ def reference_labels(train, queries, k, metric):
 
 def reference_centroid_labels(train, queries, metric):
     """Per query, the first of the sorted labels whose centroid is nearest."""
-    centroids = class_centroids(train)
+    centroids = evaluate._centroids(np.vstack([v.values for v in train]), [v.label for v in train])
     matrix = np.vstack(list(centroids.values()))
     names = list(centroids)
     return [names[reference_row(q.values, matrix, metric).argmin()] for q in queries]
@@ -311,7 +318,7 @@ class TestKernels:
         with mock.patch.object(evaluate, "_BLOCK_CELLS", cells):
             assert predict(train, queries, ClassifierConfig("knn", k, metric)) == expected
         for query, label in list(zip(queries, expected))[:20]:
-            assert knn_classify(train, query, k, metric) == label
+            assert knn(train, query, k, metric) == label
         # 128/64/64 members per class keep the centroids on a dyadic grid;
         # leaving out the all-nan vectors keeps them off nan on the finite grid
         kept = [t for i, t in enumerate(train) if i % 5 != 4][:256]
@@ -357,15 +364,15 @@ class TestNearestCentroid:
     def test_single_sample_per_class_is_one_nn(self):
         train = [vec([1.0, 0.0], "t1", "A"), vec([0.0, 1.0], "t2", "B")]
         query = vec([0.9, 0.1])
-        assert nearest_centroid_classify(train, query) == knn_classify(train, query, k=1)
+        assert centroid(train, query) == knn(train, query, k=1)
 
     def test_equidistant_tie_prefers_smaller_label(self):
         train = [vec([0.0, 0.0], "t1", "b"), vec([1.0, 1.0], "t2", "a")]
-        assert nearest_centroid_classify(train, vec([0.5, 0.5])) == "a"
+        assert centroid(train, vec([0.5, 0.5])) == "a"
 
     def test_centroid_is_classwise_mean(self):
         train = [vec([0.0, 0.0], "t1", "X"), vec([1.0, 1.0], "t2", "X")]
-        centroids = class_centroids(train)
+        centroids = evaluate._centroids(np.vstack([v.values for v in train]), ["X", "X"])
         assert centroids["X"].tolist() == [0.5, 0.5]
 
 
@@ -378,14 +385,14 @@ class TestBaseline:
 
     def test_constant_data_masses_on_flat_code(self):
         # constant values normalize to zeros, so every event is the flat code
-        from stemts import convert_dataset, full_alphabet_vocabulary, vectorize
+        from stemts import full_alphabet_vocabulary
 
         ds = MtsDataset.from_samples(
             (make_sample([[3.0, 3.0, 3.0, 3.0]], "c0", "c"),)
         )
-        seq = convert_dataset(ds, SymbolizerConfig(0.05))[0]
-        v = vectorize(seq, full_alphabet_vocabulary(1))
-        assert v.values.tolist() == [0.0, 1.0, 0.0]
+        batch = convert_dataset(ds, SymbolizerConfig(0.05))
+        v = vectorize_batch(batch, full_alphabet_vocabulary(1))[0]
+        assert v.tolist() == [0.0, 1.0, 0.0]
 
     def test_chance_level_on_identical_distributions(self):
         rng = np.random.default_rng(12)
@@ -551,7 +558,7 @@ class TestBatchPath:
             distance = np.linalg.norm(train_matrix - query.values, axis=1)
             near = {labels[i] for i in np.flatnonzero(distance <= distance.min() + 1e-9)}
             if len(near) == 1:
-                assert knn_classify(train_vecs, query, 1) == label
+                assert knn(train_vecs, query, 1) == label
 
 
 def counted(calls, name, fn):

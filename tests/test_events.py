@@ -16,13 +16,18 @@ from stemts import (
     encode_event,
     explain_event,
     explain_tuple,
+    generate_synthetic,
+    load_csv,
     load_events,
     normalize_sample,
     pad_to_length,
     symbolize_dimension,
     symbolize_sample,
+    write_csv,
     write_events,
 )
+from stemts import dataset as dataset_module
+from stemts import events as events_module
 from stemts.dataset import MtsDataset, min_max_normalize
 from stemts.events import EventBatch
 from stemts.errors import (
@@ -34,7 +39,7 @@ from stemts.errors import (
     TooShortError,
 )
 
-from conftest import make_sample
+from conftest import make_sample, run_length_spec
 
 
 def naive_symbols(row, delta):
@@ -280,7 +285,8 @@ class TestEventFiles:
     def test_mixed_dims_rejected_naming_the_sample(self, tmp_path):
         seqs = [EventSequence("a", None, 2, (8,)), EventSequence("b", None, 1, (2,))]
         with pytest.raises(IncompatibleVocabularyError, match="sample 'b' has 1 dimensions"):
-            write_events(seqs, SymbolizerConfig(0.05), tmp_path / "events.csv")
+            batch = EventBatch.from_sequences(seqs)
+            write_events(batch, SymbolizerConfig(0.05), tmp_path / "events.csv")
         assert not (tmp_path / "events.csv").exists()
 
 
@@ -448,3 +454,49 @@ class TestEventBatch:
         with pytest.raises(InvalidCodeError) as batch:
             EventBatch(np.array([0, -2, 4]), np.array([0, 3]), ("s",), (None,), 1)
         assert str(batch.value) == str(one.value)
+
+
+class TestReadOnlyColumns:
+    """The arrays a container checked once cannot be written afterwards."""
+
+    def test_every_producer_freezes_its_arrays(self, tmp_path, monkeypatch):
+        def handed_read_only(array, dtype=None):
+            assert not array.flags.writeable, "a producer's array would be copied"
+            return read_only(array, dtype)
+
+        read_only = dataset_module._read_only
+        monkeypatch.setattr(dataset_module, "_read_only", handed_read_only)
+        monkeypatch.setattr(events_module, "_read_only", handed_read_only)
+        ds = generate_synthetic(run_length_spec(0.4, samples_per_class=2, length=6))
+        write_csv(ds, tmp_path / "d.csv")
+        datasets = [ds, load_csv(tmp_path / "d.csv"), MtsDataset.from_samples(ds.samples)]
+        batch = convert_dataset(datasets[1], SymbolizerConfig(0.05))
+        write_events(batch, SymbolizerConfig(0.05), tmp_path / "e.csv")
+        batches = [batch, batch.take([2, 0]), EventBatch.from_sequences(list(batch))]
+        batches.append(load_events(tmp_path / "e.csv")[0])
+        arrays = [a for d in datasets for a in (d.values, d.offsets)]
+        arrays += [a for b in batches for a in (b.codes, b.offsets)]
+        for array in arrays:
+            with pytest.raises(ValueError, match="read-only"):
+                array[1] = array[0]
+
+    def test_writeable_index_arrays_are_copied(self):
+        values, offsets = np.array([[0.0], [1.0], [2.0], [2.0], [1.0], [0.0]]), np.array([0, 3, 6])
+        ds = MtsDataset(values, offsets, ("a", "b"), (None, None))
+        offsets[1] = 2  # once silently symbolized as a 2-step and a 4-step sample
+        batch = convert_dataset(ds, SymbolizerConfig(0.05))
+        assert batch.offsets.tolist() == [0, 2, 4] and batch.codes.tolist() == [2, 2, 0, 0]
+        codes, offsets = np.array([1, 2, 0]), np.array([0, 2, 3])
+        batch = EventBatch(codes, offsets, ("a", "b"), (None, None), 1)
+        codes[0], offsets[1] = 0, 1
+        assert batch.codes.tolist() == [1, 2, 0] and batch.offsets.tolist() == [0, 2, 3]
+
+    def test_read_only_arrays_are_kept_uncopied(self):
+        # the producers freeze what they build, so constructing copies nothing
+        codes, offsets, values = np.array([1, 2, 0, 1]), np.array([0, 2, 4]), np.zeros((4, 1))
+        for array in (codes, offsets, values):
+            array.setflags(write=False)
+        batch = EventBatch(codes, offsets, ("a", "b"), (None, None), 1)
+        assert batch.codes is codes and batch.offsets is offsets
+        ds = MtsDataset(values, offsets, ("a", "b"), (None, None))
+        assert ds.values is values and ds.offsets is offsets

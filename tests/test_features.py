@@ -13,9 +13,8 @@ from stemts import (
     full_alphabet_vocabulary,
     load_vocabulary,
     save_vocabulary,
-    vectorize,
+    vectorize_batch,
     vectorize_dataset,
-    write_feature_matrix,
 )
 from stemts import mining
 from stemts.errors import (
@@ -25,7 +24,6 @@ from stemts.errors import (
     SchemaError,
 )
 from stemts.events import EventBatch
-from stemts.features import vectorize_batch
 
 
 def seq(codes, sample_id="s", label=None, dims=2):
@@ -36,7 +34,6 @@ class TestBuildVocabulary:
     def test_length_then_lex_order(self):
         vocab = build_vocabulary([(4, 8), (8,)], dims=2)
         assert vocab.features == ((8,), (4, 8))
-        assert vocab.index == {(8,): 0, (4, 8): 1}
 
     def test_singleton(self):
         vocab = build_vocabulary([(5,)], dims=2)
@@ -63,23 +60,23 @@ class TestBuildVocabulary:
 class TestVectorize:
     def test_counts_normalized_by_positions(self):
         vocab = build_vocabulary([(8,), (4, 8)], dims=2)
-        vec = vectorize(seq([4, 8, 4, 8]), vocab)
+        vec = vectorize_dataset([seq([4, 8, 4, 8])], vocab)[0]
         assert vec.values[0] == pytest.approx(0.5)
         assert vec.values[1] == pytest.approx(2.0 / 3.0, abs=1e-9)
 
     def test_no_match_gives_zero_vector(self):
         vocab = build_vocabulary([(8,), (4, 8)], dims=2)
-        vec = vectorize(seq([0, 1, 0]), vocab)
+        vec = vectorize_dataset([seq([0, 1, 0])], vocab)[0]
         assert vec.values.tolist() == [0.0, 0.0]
 
     def test_feature_longer_than_sequence_scores_zero(self):
         vocab = build_vocabulary([(4, 8, 4)], dims=2)
-        vec = vectorize(seq([4, 8]), vocab)
+        vec = vectorize_dataset([seq([4, 8])], vocab)[0]
         assert vec.values.tolist() == [0.0]
 
     def test_overlapping_occurrences_counted(self):
         vocab = build_vocabulary([(7, 7)], dims=2)
-        vec = vectorize(seq([7, 7, 7]), vocab)
+        vec = vectorize_dataset([seq([7, 7, 7])], vocab)[0]
         assert vec.values.tolist() == [1.0]
 
     def test_entries_bounded_and_pure(self):
@@ -87,8 +84,8 @@ class TestVectorize:
         vocab = build_vocabulary([(0,), (1,), (0, 1), (2, 2, 2)], dims=1)
         for _ in range(20):
             s = seq(rng.integers(0, 3, size=9), dims=1)
-            a = vectorize(s, vocab)
-            b = vectorize(s, vocab)
+            a = vectorize_dataset([s], vocab)[0]
+            b = vectorize_dataset([s], vocab)[0]
             assert np.array_equal(a.values, b.values)
             assert np.all(a.values >= 0.0) and np.all(a.values <= 1.0)
 
@@ -115,11 +112,11 @@ class TestVectorize:
     def test_dimension_mismatch(self):
         vocab = build_vocabulary([(8,)], dims=2)
         with pytest.raises(IncompatibleVocabularyError):
-            vectorize(seq([0, 1], dims=1), vocab)
+            vectorize_dataset([seq([0, 1], dims=1)], vocab)[0]
 
     def test_carries_identity(self):
         vocab = build_vocabulary([(8,)], dims=2)
-        vec = vectorize(seq([8, 8], "walk_01", "walk"), vocab)
+        vec = vectorize_dataset([seq([8, 8], "walk_01", "walk")], vocab)[0]
         assert (vec.sample_id, vec.label) == ("walk_01", "walk")
 
 
@@ -132,7 +129,8 @@ class TestVectorizeDataset:
         vocab = build_vocabulary([(8,)], dims=2)
         s = seq([8, 4])
         assert np.array_equal(
-            vectorize_dataset([s], vocab)[0].values, vectorize(s, vocab).values
+            vectorize_dataset([s], vocab)[0].values,
+            vectorize_batch(EventBatch.from_sequences([s]), vocab)[0],
         )
 
     def test_order_preserved(self):
@@ -202,7 +200,6 @@ class TestVocabularyFiles:
         assert loaded.dims == vocab.dims
         assert loaded.delta == vocab.delta
         assert loaded.miner == miner
-        assert loaded.index == vocab.index
 
     def test_round_trip_without_context(self, tmp_path):
         vocab = build_vocabulary([(1,)], dims=1)
@@ -258,16 +255,3 @@ class TestVocabularyFiles:
             load_vocabulary(path)
         assert str(path) in str(info.value) and problem in str(info.value)
 
-
-class TestFeatureMatrix:
-    def test_csv_layout(self, tmp_path):
-        vocab = build_vocabulary([(8,), (4, 8)], dims=2)
-        vectors = vectorize_dataset(
-            [seq([4, 8, 4, 8], "a", "x"), seq([0, 1], "b", None)], vocab
-        )
-        path = tmp_path / "matrix.csv"
-        write_feature_matrix(vectors, path)
-        lines = path.read_text().splitlines()
-        assert lines[0] == "sample_id,label,f_0,f_1"
-        assert lines[1].startswith("a,x,0.5,")
-        assert lines[2] == "b,,0.0,0.0"

@@ -112,6 +112,38 @@ def _offsets(sizes) -> np.ndarray:
     return offsets
 
 
+_ROW_HASH = (0x9E3779B97F4A7C15, 0xC2B2AE3D27D4EB4F)  # odd 64-bit multipliers, as literals
+_HASH_CELLS = 1 << 16  # words hashed or compared at once: temporaries of 0.5 MiB
+
+
+def _distinct_rows(matrix: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``(first, inverse)`` for a 2-d array of 8-byte items: where each distinct row first
+    appears, ascending, and each row's index into ``first``. Rows are equal when their bytes
+    are (-0.0 and 0.0 differ, equal nan rows group): grouped by a 64-bit polynomial hash of
+    their mixed words, each is checked word for word against its group's first row, and
+    after any collision they are grouped by their bytes instead."""
+    words = matrix.view(np.uint64)
+    mix, base = (np.uint64(m) for m in _ROW_HASH)
+    powers = np.cumprod(np.full(words.shape[1], base))  # mod 2**64, like every step here
+    step = max(1, _HASH_CELLS // max(words.shape[1], 1))
+    blocks = [slice(start, start + step) for start in range(0, len(words), step)]
+    hashes = np.empty(len(words), dtype=np.uint64)
+    for rows in blocks:
+        mixed = words[rows] * mix
+        hashes[rows] = (mixed ^ (mixed >> np.uint64(29))) @ powers
+    order = np.argsort(hashes)
+    ordered, new = hashes[order], np.ones(len(order), dtype=bool)
+    new[1:] = ordered[1:] != ordered[:-1]
+    same = np.empty_like(order)  # each row's first row of equal hash, then of equal bytes
+    same[order] = np.minimum.reduceat(order, np.flatnonzero(new))[np.cumsum(new) - 1]
+    if not all(np.array_equal(words[rows], words[same[rows]]) for rows in blocks):
+        row_bytes = np.ascontiguousarray(words).view(np.dtype((np.void, 8 * words.shape[1])))
+        first, inverse = np.unique(row_bytes[:, 0], return_index=True, return_inverse=True)[1:]
+        same = first[inverse]
+    is_first = same == np.arange(len(same))
+    return np.flatnonzero(is_first), (np.cumsum(is_first) - 1)[same]
+
+
 @dataclass(frozen=True, eq=False)
 class MtsDataset:
     """Samples of one dimension count in one read-only ``(ΣT, D)`` float64 block.

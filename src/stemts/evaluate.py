@@ -19,10 +19,11 @@ and test batches), mine, featurize, classify, total. The shared symbolize
 stage is charged to the first report; a later report's is 0.0.
 
 Classifying builds one distance matrix over the distinct queries and training
-vectors (see ``_distances``). kNN reads each query's k nearest in stable
-order (equal distances keep training order) and votes once per distinct
-query: majority, then smaller mean distance within the k, then the smaller
-label. The nearest centroid breaks ties towards the smaller label.
+vectors (see ``_distances``; ``dataset._distinct_rows`` finds them). kNN
+reads each query's k nearest in stable order (equal distances keep training
+order) and votes once per distinct query: majority, then smaller mean
+distance within the k, then the smaller label. The nearest centroid breaks
+ties towards the smaller label.
 """
 
 from __future__ import annotations
@@ -38,7 +39,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .dataset import MtsDataset
+from .dataset import MtsDataset, _distinct_rows
 from .errors import ConfigError, DegenerateTaskError, UnlabeledDataError
 from .events import SymbolizerConfig, convert_dataset
 from .features import (
@@ -155,19 +156,6 @@ def _row_blocks(n_rows: int, n_cols: int):
     return (slice(start, start + step) for start in range(0, n_rows, step))
 
 
-def _distinct(matrix: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The distinct rows of ``matrix`` in order of first appearance, and each
-    row's index into them. Rows are equal when their float64 bytes are, so
-    -0.0 and 0.0 stay apart and equal nan rows group. ``matrix`` itself comes
-    back when no row repeats."""
-    index: dict[bytes, int] = {}
-    inverse = np.array([index.setdefault(row.tobytes(), len(index)) for row in matrix], np.intp)
-    if len(index) == len(matrix):
-        return matrix, inverse
-    first = np.unique(inverse, return_index=True)[1]
-    return matrix[first], inverse
-
-
 def _distances(queries: np.ndarray, train: np.ndarray, metric: str) -> np.ndarray:
     """The n_queries x n_train distance matrix, built in the product's own buffer.
 
@@ -266,22 +254,24 @@ def _predict(
     ``matrix`` and their ``labels``, from one distance matrix over distinct vectors.
 
     Both matrices come from one vocabulary, so they have the same width.
-    Queries with equal vectors get one vote, computed once; see ``_distinct``.
+    Queries with equal vectors get one vote, computed once; a matrix with a
+    repeated row gives way to its distinct rows (``dataset._distinct_rows``).
     """
-    distinct_queries, query_of = _distinct(queries)
+    query_rows, query_of = _distinct_rows(queries)
+    if len(query_rows) < len(queries):
+        queries = queries[query_rows]
     if classifier.kind == "centroid":
         centroids = _centroids(matrix, labels)
         names = list(centroids)
-        distances = _distances(
-            distinct_queries, np.vstack(list(centroids.values())), classifier.metric
-        )
+        distances = _distances(queries, np.vstack(list(centroids.values())), classifier.metric)
         votes = [names[i] for i in distances.argmin(axis=1).tolist()]
         return [votes[i] for i in query_of.tolist()]
     if classifier.k > len(matrix):
         raise ConfigError(f"k must lie in [1, {len(matrix)}], got {classifier.k}")
-    distinct_train, column_of = _distinct(matrix)
-    columns = None if len(distinct_train) == len(matrix) else column_of
-    distances = _distances(distinct_queries, distinct_train, classifier.metric)
+    train_rows, column_of = _distinct_rows(matrix)
+    columns = None if len(train_rows) == len(matrix) else column_of
+    train = matrix if columns is None else matrix[train_rows]
+    distances = _distances(queries, train, classifier.metric)
     nearest = _nearest(distances, classifier.k, columns)
     near = np.take_along_axis(distances, nearest if columns is None else columns[nearest], axis=1)
     votes = [_vote([labels[i] for i in row], d) for row, d in zip(nearest.tolist(), near)]

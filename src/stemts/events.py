@@ -33,6 +33,7 @@ import numpy as np
 from .dataset import (
     MtsDataset,
     MtsSample,
+    _distinct_rows,
     _offsets,
     _read_only,
     csv_prefix,
@@ -43,6 +44,7 @@ from .dataset import (
 )
 from .errors import (
     ConfigError,
+    EmptyInputError,
     IncompatibleVocabularyError,
     InvalidCodeError,
     MalformedDatasetError,
@@ -167,6 +169,8 @@ class EventBatch:
         default the first one's); a batch is returned as it is."""
         if isinstance(sequences, EventBatch):
             return sequences
+        if dims is None and not len(sequences):
+            raise EmptyInputError("no event sequences to join, and no dimension count given")
         dims = sequences[0].dims if dims is None else dims
         other = next((s for s in sequences if s.dims != dims), None)
         if other is not None:
@@ -189,6 +193,22 @@ class EventBatch:
         codes.setflags(write=False)
         ids, labels = [self.ids[r] for r in rows.tolist()], [self.labels[r] for r in rows.tolist()]
         return EventBatch(codes, offsets, tuple(ids), tuple(labels), self.dims)
+
+    def distinct(self) -> tuple[np.ndarray, np.ndarray]:
+        """``(first, inverse)`` of the samples' code sequences, as ``dataset._distinct_rows``
+        gives them for rows; the samples of each length are compared as one block."""
+        sizes = np.diff(self.offsets)
+        same = np.arange(len(self))  # each sample's first sample with equal codes
+        for size in np.unique(sizes).tolist():
+            members = np.flatnonzero(sizes == size)
+            if len(members) == len(self):
+                block = self.codes.reshape(len(self), size)  # a view: no gather
+            else:
+                block = self.codes[self.offsets[members, None] + np.arange(size)]
+            first, inverse = _distinct_rows(block)
+            same[members] = members[first[inverse]]
+        is_first = same == np.arange(len(self))
+        return np.flatnonzero(is_first), (np.cumsum(is_first) - 1)[same]
 
 
 def alphabet_size(dims: int) -> int:

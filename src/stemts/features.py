@@ -9,9 +9,10 @@ longer than the sequence contribute 0. Codes not covered by any vocabulary
 tuple are simply ignored.
 
 ``vectorize_batch`` vectorizes an ``events.EventBatch`` into one read-only
-``(n, K)`` matrix, row i for sample i. ``vectorize_dataset`` is its
-per-sample view: it vectorizes a batch (a list of ``EventSequence`` is
-joined into one first) and hands out one ``FeatureVector`` per matrix row.
+``(n, K)`` matrix, row i for sample i, walking each distinct code sequence
+once. ``vectorize_dataset`` is its per-sample view: it vectorizes a batch (a
+list of ``EventSequence`` is joined into one first) and hands out one
+``FeatureVector`` per matrix row.
 """
 
 from __future__ import annotations
@@ -142,14 +143,18 @@ def vectorize_batch(batch: EventBatch, vocab: FeatureVocabulary) -> np.ndarray:
 
     Entry (i, j) is the count of tuple j in sample i over
     ``len(codes_i) - len(tuple_j) + 1``, and 0 for a tuple longer than the
-    sample. One ``window_states`` walk looks every window of the batch up in
-    the vocabulary's tables and one ``bincount`` counts the hits per
-    (sample, tuple).
+    sample. Only the distinct code sequences are vectorized, their rows copied
+    to the samples that repeat them: one ``window_states`` walk looks their
+    windows up in the vocabulary's tables, one ``bincount`` counts the hits.
     """
     if batch.dims != vocab.dims:
         raise IncompatibleVocabularyError(
             f"batch has {batch.dims} dimensions, vocabulary expects {vocab.dims}"
         )
+    first, inverse = batch.distinct()
+    repeats = len(first) < len(batch)  # a batch without them is neither taken nor gathered
+    if repeats:
+        batch = batch.take(first)
     n, width = len(batch), len(vocab)
     hits = [np.empty(0, dtype=np.int64)]
     if n and width:
@@ -161,6 +166,8 @@ def vectorize_batch(batch: EventBatch, vocab: FeatureVocabulary) -> np.ndarray:
     counts = np.bincount(np.concatenate(hits), minlength=n * width).reshape(n, width)
     positions = np.subtract.outer(np.diff(batch.offsets), [len(t) for t in vocab.features]) + 1
     values = np.divide(counts, positions, out=np.zeros((n, width)), where=positions > 0)
+    if repeats:
+        values = values[inverse]
     values.setflags(write=False)
     return values
 

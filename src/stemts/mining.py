@@ -8,10 +8,12 @@ its prefix's state and its last code. Each length's keys lie in a small dense
 space, so a counting sort, not a sort, finds and numbers the tuples, and a
 dense array looks keys up. ``build_forest`` counts, per distinct tuple,
 ``doc_support`` (distinct samples containing it, from a sample x tuple bitmap)
-and ``occ_count`` (overlapping windows across all samples). Pruning keeps the
-tuples at or above the minimum document support (and, optionally, drops
-those adding little support over their prefix); the kept tuples no kept
-tuple extends are the features, prefix-free by construction.
+and ``occ_count`` (overlapping windows across all samples), walking each
+distinct code sequence once, weighted by its number of samples, as FP-growth
+counts identical transactions. Pruning keeps the tuples at or above the
+minimum document support (and, optionally, drops those adding little support
+over their prefix); the kept tuples no kept tuple extends are the features,
+prefix-free by construction.
 
 ``brute_force_mine`` re-derives the same feature list by exhaustive, slow
 window enumeration; tests hold the array path to it exactly.
@@ -193,18 +195,21 @@ def window_states(
             return  # no window of this length, so none longer: max_len may be huge
 
 
-def _doc_support(rows: np.ndarray, owners: np.ndarray, width: int, n: int) -> np.ndarray:
-    """Distinct owners per row, counted on one sample block's (block x width) bitmap at a time."""
+def _doc_support(rows: np.ndarray, owners: np.ndarray, width: int, weights: np.ndarray):
+    """Per row, the summed ``weights`` of its distinct owners, counted on one sample
+    block's (block x width) bitmap at a time."""
+    n, docs = len(weights), np.zeros(width, dtype=np.int64)
     if n * width >= _DOC_CELLS * len(rows):  # also when there is no window
         pairs = np.unique(owners.astype(np.int64) * width + rows)
-        return np.bincount(pairs % width, minlength=width)
-    docs = np.zeros(width, dtype=np.int64)
+        np.add.at(docs, pairs % width, weights[pairs // width])
+        return docs
     step = max(1, _BLOCK_CELLS // width)
     bounds = np.searchsorted(owners, np.arange(0, n + step, step))  # owners are sorted
     for start, lo, hi in zip(range(0, n, step), bounds, bounds[1:]):
-        seen = np.zeros((step, width), dtype=bool)
+        block = weights[start : start + step]
+        seen = np.zeros((len(block), width), dtype=bool)
         seen[owners[lo:hi] - start, rows[lo:hi]] = True
-        docs += np.count_nonzero(seen, axis=0)
+        docs += block @ seen
     return docs
 
 
@@ -215,17 +220,22 @@ def build_forest(
 
     ``occ_count`` counts a tuple's windows and ``doc_support`` its distinct
     samples, so a tuple occurring many times in one sample counts it once.
+    Each distinct code sequence is walked once, weighted by its sample count.
     """
     batch = _check_sequences(sequences)
-    alphabet = _rows(batch.codes, alphabet_size(batch.dims), np.int32)[0]
+    first, inverse = batch.distinct()
+    unique, weights = batch.take(first), np.bincount(inverse)
+    alphabet = _rows(unique.codes, alphabet_size(batch.dims), np.int32)[0]
     nodes: dict[EventTuple, Support] = {}
     prefixes: list[EventTuple] = [()]
-    for table, rows, owners in window_states(batch.codes, batch.offsets, alphabet, config.max_len):
-        docs = _doc_support(rows, owners, len(table), len(batch)).tolist()
-        occs = np.bincount(rows, minlength=len(table)).tolist()
+    walk = window_states(unique.codes, unique.offsets, alphabet, config.max_len)
+    for table, rows, owners in walk:
+        docs = _doc_support(rows, owners, len(table), weights).tolist()
+        occs = np.zeros(len(table), dtype=np.int64)
+        np.add.at(occs, rows, weights[owners])
         prefix, last = np.divmod(table, len(alphabet))
         tuples = [prefixes[p] + (c,) for p, c in zip(prefix.tolist(), alphabet[last].tolist())]
-        nodes.update(zip(tuples, map(Support, docs, occs)))
+        nodes.update(zip(tuples, map(Support, docs, occs.tolist())))
         prefixes = tuples
     return PrefixForest(nodes=nodes, n_samples=len(batch))
 

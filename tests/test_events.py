@@ -32,6 +32,7 @@ from stemts.dataset import MtsDataset, min_max_normalize
 from stemts.events import EventBatch
 from stemts.errors import (
     ConfigError,
+    EmptyInputError,
     IncompatibleVocabularyError,
     InvalidCodeError,
     ParseError,
@@ -402,6 +403,12 @@ class TestEventBatch:
         assert [(q.sample_id, q.label, q.codes) for q in taken] == [
             (sequences[i].sample_id, sequences[i].label, sequences[i].codes) for i in picked
         ]
+
+    def test_joining_no_sequences_needs_dims(self):
+        with pytest.raises(EmptyInputError, match="no event sequences"):
+            EventBatch.from_sequences([])
+        empty = EventBatch.from_sequences([], dims=2)
+        assert (len(empty), empty.dims, empty.offsets.tolist()) == (0, 2, [0])
 
     def test_first_bad_sample_is_named(self):
         codes, offsets = np.array([0, 1, 2, 9, 1, 10]), np.array([0, 3, 4, 6])

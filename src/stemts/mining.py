@@ -195,7 +195,9 @@ def window_states(
             return  # no window of this length, so none longer: max_len may be huge
 
 
-def _doc_support(rows: np.ndarray, owners: np.ndarray, width: int, weights: np.ndarray):
+def _doc_support(
+    rows: np.ndarray, owners: np.ndarray, width: int, weights: np.ndarray
+) -> np.ndarray:
     """Per row, the summed ``weights`` of its distinct owners, counted on one sample
     block's (block x width) bitmap at a time."""
     n, docs = len(weights), np.zeros(width, dtype=np.int64)

@@ -208,7 +208,7 @@ class TestHashCollisions:
 
 
 def test_importing_the_cli_loads_no_numpy_random():
-    # eval's wall time includes start-up, and numpy.random costs 11-14 ms to import
+    # every CLI run pays for its imports, and numpy.random is a large one that nothing needs up front
     code = "import sys, stemts.cli; sys.exit('numpy.random' in sys.modules)"
     env = {**os.environ, "PYTHONPATH": str(SRC)}
     assert subprocess.run([sys.executable, "-c", code], env=env).returncode == 0

@@ -52,8 +52,7 @@ def reference_distinct(matrix):
     """First appearances and inverse from one dict keyed by each row's bytes."""
     index = {}
     inverse = [index.setdefault(row.tobytes(), len(index)) for row in matrix]
-    first = sorted({key: i for i, key in reversed(list(enumerate(inverse)))}.values())
-    return first, inverse
+    return [inverse.index(k) for k in range(len(index))], inverse
 
 
 class TestDistinctRows:
@@ -208,7 +207,7 @@ class TestHashCollisions:
 
 
 def test_importing_the_cli_loads_no_numpy_random():
-    # every CLI run pays for its imports, and numpy.random is a large one that nothing needs up front
+    # every CLI run pays for its imports; numpy.random is a large one that nothing needs up front
     code = "import sys, stemts.cli; sys.exit('numpy.random' in sys.modules)"
     env = {**os.environ, "PYTHONPATH": str(SRC)}
     assert subprocess.run([sys.executable, "-c", code], env=env).returncode == 0

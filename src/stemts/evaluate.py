@@ -7,23 +7,23 @@ test sample can never change the mined features.
 
 ``evaluate`` is the one entry point. It splits the dataset into train and
 test rows, symbolizes it once into one ``events.EventBatch`` and takes the
-train and test batches from it. Per method it then mines the training batch,
-vectorizes both into matrices with ``features.vectorize_batch`` and
-classifies the test matrix against the training matrix in ``_predict``, the
-one classify path; no per-sample object is built. ``evaluate_pipeline`` and
-``baseline_histogram_eval`` are its one-method calls.
+train and test batches and their distinct sequences (``EventBatch.distinct``).
+Per method it then mines the training batch, vectorizes the distinct batches
+with ``features.vectorize_batch`` and classifies the test samples in
+``_predict``, the one classify path; no per-sample object is built.
+``evaluate_pipeline`` and ``baseline_histogram_eval`` are its one-method calls.
 
 Timings are process CPU seconds (user+system via ``time.process_time``), not
-wall clock, reported per stage: symbolize (which includes taking the train
-and test batches), mine, featurize, classify, total. The shared symbolize
-stage is charged to the first report; a later report's is 0.0.
+wall clock, per stage: symbolize (with taking both batches and their distinct
+sequences), mine, featurize, classify, total. The shared symbolize stage is
+charged to the first report; a later report's is 0.0.
 
 Classifying builds one distance matrix over the distinct queries and training
 vectors (see ``_distances``; ``dataset._distinct_rows`` finds them). kNN
 reads each query's k nearest in stable order (equal distances keep training
 order) and votes once per distinct query: majority, then smaller mean
-distance within the k, then the smaller label. The nearest centroid breaks
-ties towards the smaller label.
+distance within the k, then the smaller label. The nearest centroid is the
+1-NN of the class means in sorted-label order: a tie goes to the smaller label.
 """
 
 from __future__ import annotations
@@ -193,22 +193,21 @@ def _distances(queries: np.ndarray, train: np.ndarray, metric: str) -> np.ndarra
     raise ValueError(f"metric must be one of {METRICS}, got {metric!r}")
 
 
-def _nearest(distances: np.ndarray, k: int, columns: np.ndarray | None = None) -> np.ndarray:
+def _nearest(distances: np.ndarray, k: int, columns: np.ndarray) -> np.ndarray:
     """Per row, the k nearest training vectors, nearest first.
 
-    ``columns`` gives each training vector's column in ``distances`` (None:
-    column i is vector i). Each row block is gathered to full training width
-    through it, so the result equals ``np.argsort(full, kind="stable")[:, :k]``
-    on the full-width rows: equal distances keep training order. Each block
-    takes k rounds of ``argmin`` (the first index of the minimum), masking
-    each pick with inf. A row with a non-finite distance takes the stable
-    argsort of its gathered row, since there an inf mask could pick one
+    ``columns`` gives each training vector's column in ``distances``. Each row
+    block is gathered to full training width through it, so the result equals
+    ``np.argsort(full, kind="stable")[:, :k]`` on the full-width rows: equal
+    distances keep training order, and k = 1 takes the first minimum. Each
+    block takes k rounds of ``argmin`` (the first index of the minimum),
+    masking each pick with inf. A row with a non-finite distance takes the
+    stable argsort of its gathered row, since there an inf mask could pick one
     column twice.
     """
-    width = distances.shape[1] if columns is None else len(columns)
     nearest = np.empty((distances.shape[0], k), dtype=np.intp)
-    for rows in _row_blocks(distances.shape[0], width):
-        block = distances[rows].copy() if columns is None else distances[rows].take(columns, axis=1)
+    for rows in _row_blocks(distances.shape[0], len(columns)):
+        block = distances[rows].take(columns, axis=1)
         out = nearest[rows]
         at = np.arange(len(block))
         finite = np.isfinite(block).all(axis=1)
@@ -236,7 +235,7 @@ def _vote(labels: Sequence[str], distances: Sequence[float]) -> str:
 
 
 def _centroids(matrix: np.ndarray, labels: Sequence[str]) -> dict[str, np.ndarray]:
-    """Per-class mean rows of ``matrix``, keyed by label in sorted order."""
+    """Per-class mean of ``matrix``'s rows in their order, keyed by label in sorted order."""
     out: dict[str, np.ndarray] = {}
     for label in sorted(set(labels)):
         member_rows = [i for i, l in enumerate(labels) if l == label]
@@ -246,36 +245,34 @@ def _centroids(matrix: np.ndarray, labels: Sequence[str]) -> dict[str, np.ndarra
 
 def _predict(
     matrix: np.ndarray,
+    matrix_of: np.ndarray,
     labels: Sequence[str],
     queries: np.ndarray,
+    query_of: np.ndarray,
     classifier: ClassifierConfig,
 ) -> list[str]:
-    """The label of every row of ``queries`` against the training rows of
-    ``matrix`` and their ``labels``, from one distance matrix over distinct vectors.
+    """The label of test sample j, ``queries[query_of[j]]``, against training sample i,
+    ``matrix[matrix_of[i]]`` labelled ``labels[i]``; one vocabulary gives both widths.
 
-    Both matrices come from one vocabulary, so they have the same width.
-    Queries with equal vectors get one vote, computed once; a matrix with a
-    repeated row gives way to its distinct rows (``dataset._distinct_rows``).
+    The distance matrix is over each matrix's distinct rows in first-appearance order:
+    over ``EventBatch.distinct``'s sequences, each split's distinct vectors in order of
+    first appearance over its samples. Equal queries get one vote. The nearest centroid
+    is the 1-NN of ``matrix[matrix_of]``'s class means (``_centroids``) in label order.
     """
-    query_rows, query_of = _distinct_rows(queries)
-    if len(query_rows) < len(queries):
-        queries = queries[query_rows]
     if classifier.kind == "centroid":
-        centroids = _centroids(matrix, labels)
-        names = list(centroids)
-        distances = _distances(queries, np.vstack(list(centroids.values())), classifier.metric)
-        votes = [names[i] for i in distances.argmin(axis=1).tolist()]
-        return [votes[i] for i in query_of.tolist()]
-    if classifier.k > len(matrix):
-        raise ConfigError(f"k must lie in [1, {len(matrix)}], got {classifier.k}")
-    train_rows, column_of = _distinct_rows(matrix)
-    columns = None if len(train_rows) == len(matrix) else column_of
-    train = matrix if columns is None else matrix[train_rows]
-    distances = _distances(queries, train, classifier.metric)
+        centroids = _centroids(matrix[matrix_of], labels)
+        matrix, labels = np.vstack(list(centroids.values())), list(centroids)
+        matrix_of, classifier = np.arange(len(labels)), ClassifierConfig("knn", 1, classifier.metric)
+    if classifier.k > len(matrix_of):
+        raise ConfigError(f"k must lie in [1, {len(matrix_of)}], got {classifier.k}")
+    query_rows, query_at = _distinct_rows(queries)
+    train_rows, vector_of = _distinct_rows(matrix)
+    columns = vector_of[matrix_of]
+    distances = _distances(queries[query_rows], matrix[train_rows], classifier.metric)
     nearest = _nearest(distances, classifier.k, columns)
-    near = np.take_along_axis(distances, nearest if columns is None else columns[nearest], axis=1)
+    near = np.take_along_axis(distances, columns[nearest], axis=1)
     votes = [_vote([labels[i] for i in row], d) for row, d in zip(nearest.tolist(), near)]
-    return [votes[i] for i in query_of.tolist()]
+    return [votes[i] for i in query_at[query_of].tolist()]
 
 
 # ---------------------------------------------------------------------------
@@ -379,6 +376,7 @@ def evaluate(
     batch = convert_dataset(dataset, symbolizer, pad_to)
     train, test = batch.take(train_rows), batch.take(test_rows)
     del batch  # train and test hold every code the later stages read
+    (train_unique, train_of), (test_unique, test_of) = train.distinct(), test.distinct()
     t_symbolize = time.process_time() - start
 
     reports = []
@@ -399,12 +397,12 @@ def evaluate(
         t_mine = time.process_time() - t0
 
         t0 = time.process_time()
-        train_matrix = vectorize_batch(train, vocab)
-        test_matrix = vectorize_batch(test, vocab)
+        train_matrix = vectorize_batch(train_unique, vocab)
+        test_matrix = vectorize_batch(test_unique, vocab)
         t_featurize = time.process_time() - t0
 
         t0 = time.process_time()
-        predictions = _predict(train_matrix, train.labels, test_matrix, classifier)
+        predictions = _predict(train_matrix, train_of, train.labels, test_matrix, test_of, classifier)
         t_classify = time.process_time() - t0
 
         confusion = _confusion(labels, test.labels, predictions)

@@ -194,9 +194,10 @@ class EventBatch:
         ids, labels = [self.ids[r] for r in rows.tolist()], [self.labels[r] for r in rows.tolist()]
         return EventBatch(codes, offsets, tuple(ids), tuple(labels), self.dims)
 
-    def distinct(self) -> tuple[np.ndarray, np.ndarray]:
-        """``(first, inverse)`` of the samples' code sequences, as ``dataset._distinct_rows``
-        gives them for rows; the samples of each length are compared as one block."""
+    def distinct(self) -> tuple[EventBatch, np.ndarray]:
+        """``(unique, inverse)``: the first sample of each distinct code sequence in order of
+        first appearance (this batch itself, nothing taken, when none repeats) and each
+        sample's row in ``unique``; the samples of each length are compared as one block."""
         sizes = np.diff(self.offsets)
         same = np.arange(len(self))  # each sample's first sample with equal codes
         for size in np.unique(sizes).tolist():
@@ -208,7 +209,8 @@ class EventBatch:
             first, inverse = _distinct_rows(block)
             same[members] = members[first[inverse]]
         is_first = same == np.arange(len(self))
-        return np.flatnonzero(is_first), (np.cumsum(is_first) - 1)[same]
+        unique = self if is_first.all() else self.take(np.flatnonzero(is_first))
+        return unique, (np.cumsum(is_first) - 1)[same]
 
 
 def alphabet_size(dims: int) -> int:

@@ -151,22 +151,19 @@ def vectorize_batch(batch: EventBatch, vocab: FeatureVocabulary) -> np.ndarray:
         raise IncompatibleVocabularyError(
             f"batch has {batch.dims} dimensions, vocabulary expects {vocab.dims}"
         )
-    first, inverse = batch.distinct()
-    repeats = len(first) < len(batch)  # a batch without them is neither taken nor gathered
-    if repeats:
-        batch = batch.take(first)
-    n, width = len(batch), len(vocab)
+    unique, inverse = batch.distinct()
+    n, width = len(unique), len(vocab)
     hits = [np.empty(0, dtype=np.int64)]
     if n and width:
         alphabet, tables, targets = _lookup_tables(vocab)
-        walk = window_states(batch.codes, batch.offsets, alphabet, len(tables), tables)
+        walk = window_states(unique.codes, unique.offsets, alphabet, len(tables), tables)
         for (_, rows, owners), target in zip(walk, targets):
             feature = target[rows]  # int64 products: int32 owners x width could wrap
             hits.append(owners[feature >= 0] * np.int64(width) + feature[feature >= 0])
     counts = np.bincount(np.concatenate(hits), minlength=n * width).reshape(n, width)
-    positions = np.subtract.outer(np.diff(batch.offsets), [len(t) for t in vocab.features]) + 1
+    positions = np.subtract.outer(np.diff(unique.offsets), [len(t) for t in vocab.features]) + 1
     values = np.divide(counts, positions, out=np.zeros((n, width)), where=positions > 0)
-    if repeats:
+    if unique is not batch:  # a batch without repeats is not gathered
         values = values[inverse]
     values.setflags(write=False)
     return values

@@ -225,8 +225,8 @@ def build_forest(
     Each distinct code sequence is walked once, weighted by its sample count.
     """
     batch = _check_sequences(sequences)
-    first, inverse = batch.distinct()
-    unique, weights = batch.take(first), np.bincount(inverse)
+    unique, inverse = batch.distinct()
+    weights = np.bincount(inverse)
     alphabet = _rows(unique.codes, alphabet_size(batch.dims), np.int32)[0]
     nodes: dict[EventTuple, Support] = {}
     prefixes: list[EventTuple] = [()]

@@ -141,12 +141,12 @@ class TestRepeatedSequences:
     @given(repeated_batches())
     def test_distinct_names_first_appearances(self, instance):
         batch, _ = instance
-        first, inverse = batch.distinct()
+        unique, inverse = batch.distinct()
         expected = {}
         for i, sequence in enumerate(batch):
             expected.setdefault(sequence.codes, i)
-        assert first.tolist() == sorted(expected.values())
-        assert [batch[first[j]].codes for j in inverse] == [s.codes for s in batch]
+        assert unique.ids == tuple(batch.ids[i] for i in sorted(expected.values()))
+        assert [unique[j].codes for j in inverse] == [s.codes for s in batch]
 
     def test_all_distinct_batch_is_vectorized_without_a_gather(self):
         batch = EventBatch.from_sequences(
@@ -177,7 +177,9 @@ class TestHashCollisions:
         with COLLIDING:
             assert build_forest(batch, config).nodes == forest.nodes
             assert np.array_equal(vectorize_batch(batch, vocab), matrix)
-            assert [a.tolist() for a in batch.distinct()] == [
+            unique, inverse = batch.distinct()
+            first = [batch.ids.index(i) for i in unique.ids]
+            assert [first, inverse.tolist()] == [
                 a.tolist() for a in dataset._distinct_rows(batch.codes.reshape(len(batch), -1))
             ]
 

@@ -47,9 +47,11 @@ def vec(values, sample_id="v", label=None):
 
 
 def predict(train, queries, classifier):
-    """``evaluate._predict`` on the matrices of FeatureVector lists."""
+    """``evaluate._predict`` on the matrices of FeatureVector lists, one row per vector."""
     matrix, labels = np.vstack([v.values for v in train]), [v.label for v in train]
-    return evaluate._predict(matrix, labels, np.vstack([q.values for q in queries]), classifier)
+    rows, query_rows = np.arange(len(train)), np.arange(len(queries))
+    queries = np.vstack([q.values for q in queries])
+    return evaluate._predict(matrix, rows, labels, queries, query_rows, classifier)
 
 
 def knn(train, query, k, metric="euclidean"):
@@ -278,7 +280,7 @@ class TestKernels:
     def test_nearest_is_the_stable_argsort_prefix(self, distances, k, cells):
         k = min(k, distances.shape[1])
         with mock.patch.object(evaluate, "_BLOCK_CELLS", cells):
-            nearest = evaluate._nearest(distances, k)
+            nearest = evaluate._nearest(distances, k, np.arange(distances.shape[1]))
         expected = np.argsort(distances, axis=1, kind="stable")[:, :k]
         assert np.array_equal(nearest, expected)
 
@@ -549,7 +551,9 @@ class TestBatchPath:
         assert np.array_equal(test_matrix, np.vstack([v.values for v in test_vecs]))
 
         labels = [q.label for q in train]
-        predictions = evaluate._predict(train_matrix, labels, test_matrix, classifier)
+        predictions = evaluate._predict(
+            train_matrix, np.arange(len(train)), labels, test_matrix, np.arange(len(test)), classifier
+        )
         truth = [q.label for q in test]
         assert np.array_equal(report.confusion, evaluate._confusion(("a", "b"), truth, predictions))
         for query, label in zip(test_vecs, predictions):

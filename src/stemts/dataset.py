@@ -57,9 +57,12 @@ DIRECTIONS = {"up": 1, "flat": 0, "down": -1}
 
 
 def _read_only(array, dtype=None) -> np.ndarray:
-    """``array`` as a read-only ndarray, copied first if the caller could still write to it."""
-    out = np.asarray(array, dtype=dtype)
-    if out is array and out.flags.writeable:
+    """``array`` as a read-only ndarray, copied first if the caller could still write to it
+    or to any ndarray in its ``base`` chain."""
+    out, base = np.asarray(array, dtype=dtype), array
+    while isinstance(base, np.ndarray) and not base.flags.writeable:
+        base = base.base
+    if out is array and isinstance(base, np.ndarray):
         out = out.copy()
     out.setflags(write=False)
     return out
@@ -559,8 +562,8 @@ def generate_synthetic(spec: SynthSpec) -> MtsDataset:
         noise = rng.uniform(-amplitude, amplitude, size=(k, spec.dims, spec.length))
         noise += noiseless_trend(motif, spec.length, spec.step_size)
         block[c] = noise.transpose(0, 2, 1)
+    block.setflags(write=False)  # before the view: a view of a writeable block is copied
     values = block.reshape(-1, spec.dims)
-    values.setflags(write=False)
     ids = tuple(f"{label}_{i:03d}" for label, _ in spec.classes for i in range(k))
     labels = tuple(label for label, _ in spec.classes for _ in range(k))
     return MtsDataset(values, _offsets(np.full(len(ids), spec.length)), ids, labels)

@@ -507,3 +507,22 @@ class TestReadOnlyColumns:
         assert batch.codes is codes and batch.offsets is offsets
         ds = MtsDataset(values, offsets, ("a", "b"), (None, None))
         assert ds.values is values and ds.offsets is offsets
+
+    def test_read_only_views_are_copied_unless_their_base_is_read_only(self):
+        values = np.array([[0.0], [1.0], [2.0], [2.0], [1.0], [0.0]])
+        base = np.array([0, 3, 6])
+        offsets = base.view()
+        offsets.setflags(write=False)
+        ds = MtsDataset(values, offsets, ("a", "b"), (None, None))
+        base[1] = 2  # once read through the view as offsets [0 2 6], symbolized as [0 1 4]
+        assert ds.offsets.tolist() == [0, 3, 6]
+        assert convert_dataset(ds, SymbolizerConfig(0.05)).offsets.tolist() == [0, 2, 4]
+        base = np.array([1, 2, 0])
+        codes = base[:]
+        codes.setflags(write=False)
+        batch = EventBatch(codes, np.array([0, 2, 3]), ("a", "b"), (None, None), 1)
+        base[0] = 0
+        assert batch.codes.tolist() == [1, 2, 0]
+        base.setflags(write=False)  # every array the view reaches is read-only: kept
+        view = base[1:]
+        assert EventBatch(view, np.array([0, 1, 2]), ("a", "b"), (None, None), 1).codes is view

@@ -39,4 +39,4 @@ print("alphabet size for 2 dimensions:", alphabet_size(2))
 
 print("\ndecoded, step by step:")
 for t, code in enumerate(sequence.codes):
-    print(f"  t={t}: code {code} = {decode_event(code, 2)}  ->  {explain_event(code, 2, ('x', 'y'))}")
+    print(f"  t={t}: code {code} = {decode_event(code, 2)}  ->  {explain_event(code, 2)}")

@@ -8,9 +8,10 @@ test sample can never change the mined features.
 ``evaluate`` is the one entry point. It splits the dataset into train and
 test rows, symbolizes it once into one ``events.EventBatch`` and takes the
 train and test batches and their distinct sequences (``EventBatch.distinct``).
-Per method it then mines the training batch, vectorizes the distinct batches
-with ``features.vectorize_batch`` and classifies the test samples in
-``_predict``, the one classify path; no per-sample object is built.
+Per method it then mines the whole training batch (every sample counts towards
+the support threshold), vectorizes the distinct batches with
+``features.vectorize_batch`` and classifies the test samples in ``_predict``,
+the one classify path; no per-sample object is built.
 ``evaluate_pipeline`` and ``baseline_histogram_eval`` are its one-method calls.
 
 Timings are process CPU seconds (user+system via ``time.process_time``), not
@@ -490,11 +491,11 @@ def baseline_histogram_eval(
 # ---------------------------------------------------------------------------
 
 
-def reports_to_json(reports: Sequence[EvalReport], include_timings: bool = True) -> str:
+def reports_to_json(reports: Sequence[EvalReport]) -> str:
     """Machine-readable report; method blocks keyed by method name."""
     payload = {
         "dataset": reports[0].dataset,
-        "methods": {r.method: r.to_dict(include_timings) for r in reports},
+        "methods": {r.method: r.to_dict() for r in reports},
     }
     return json.dumps(payload, indent=2) + "\n"
 

@@ -324,21 +324,15 @@ def convert_dataset(
     return EventBatch(codes, offsets, dataset.ids, dataset.labels, dataset.dims)
 
 
-def explain_event(code: int, dims: int, dim_names: Sequence[str] | None = None) -> str:
+def explain_event(code: int, dims: int) -> str:
     """Human-readable reading of one event code, e.g. ``dim_0: up, dim_1: flat``."""
-    symbols = decode_event(code, dims)  # checks dims before names are made for them
-    if dim_names is None:
-        dim_names = [f"dim_{d}" for d in range(dims)]
-    elif len(dim_names) != dims:
-        raise ValueError(f"expected {dims} dimension names, got {len(dim_names)}")
-    return ", ".join(f"{name}: {_SYMBOL_WORDS[s]}" for name, s in zip(dim_names, symbols))
+    symbols = decode_event(code, dims)
+    return ", ".join(f"dim_{d}: {_SYMBOL_WORDS[s]}" for d, s in enumerate(symbols))
 
 
-def explain_tuple(
-    codes: Sequence[int], dims: int, dim_names: Sequence[str] | None = None
-) -> str:
+def explain_tuple(codes: Sequence[int], dims: int) -> str:
     """Stepwise reading of a code tuple, steps joined by `` -> ``."""
-    return " -> ".join(explain_event(c, dims, dim_names) for c in codes)
+    return " -> ".join(explain_event(c, dims) for c in codes)
 
 
 # ---------------------------------------------------------------------------

@@ -219,16 +219,9 @@ class TestExplain:
     def test_all_flat(self):
         assert explain_event(13, 3) == "dim_0: flat, dim_1: flat, dim_2: flat"
 
-    def test_custom_names(self):
-        assert explain_event(0, 2, ("x", "y")) == "x: down, y: down"
-
     def test_invalid_code(self):
         with pytest.raises(InvalidCodeError):
             explain_event(27, 3)
-
-    def test_wrong_name_count(self):
-        with pytest.raises(ValueError):
-            explain_event(0, 2, ("only-one",))
 
     def test_tuple_description(self):
         text = explain_tuple((8, 0), 2)

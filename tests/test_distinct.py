@@ -159,6 +159,18 @@ class TestRepeatedSequences:
         assert not values.flags.writeable
 
 
+    def test_all_distinct_batch_is_its_own_unique_batch(self):
+        batch = EventBatch.from_sequences(
+            [EventSequence(f"s{i}", None, 1, (i % 3, i // 3)) for i in range(9)]
+        )
+        config = MinerConfig(min_support=1, max_len=2)
+        with mock.patch.object(EventBatch, "take", side_effect=AssertionError("took")):
+            unique, inverse = batch.distinct()
+            forest = build_forest(batch, config)
+        assert unique is batch and inverse.tolist() == list(range(9))
+        assert forest.nodes == recount(list(batch), config.max_len)
+
+
 class TestHashCollisions:
     """With every row hashing alike, the exact fallback gives the same outputs."""
 

@@ -266,6 +266,27 @@ def reference_centroid_labels(train, queries, metric):
 TIE_VALUES = [0.0, -0.0, 0.5, 0.5, 1.0, 1.0, 2.0, np.inf, -np.inf, np.nan]
 
 
+@st.composite
+def row_mapped(draw):
+    """``_predict``'s inputs: few distinct quarter-step rows, random maps of the samples onto
+    them, and labels that put equal vectors in different classes.
+
+    Class sizes are powers of two and entries quarter steps, so the centroids and every
+    product are exact and ties are true ties, as the references need.
+    """
+    width = draw(st.integers(1, 3))
+    rows = arrays(
+        np.float64,
+        st.tuples(st.integers(1, 4), st.just(width)),
+        elements=st.sampled_from([0.0, -0.0, 0.25, 0.5, 1.0]),
+    )
+    matrix, queries = draw(rows), draw(rows)
+    labels = draw(st.permutations(draw(st.sampled_from(["aaaabbcc", "aaaabbbb", "aabbccdd"]))))
+    matrix_of = draw(st.lists(st.integers(0, len(matrix) - 1), min_size=8, max_size=8))
+    query_of = draw(st.lists(st.integers(0, len(queries) - 1), min_size=1, max_size=8))
+    return matrix, np.array(matrix_of), labels, queries, np.array(query_of)
+
+
 class TestKernels:
     @settings(max_examples=300, deadline=None)
     @given(
@@ -328,6 +349,20 @@ class TestKernels:
         centroid = predict(members, queries, ClassifierConfig("centroid", 1, metric))
         assert centroid == reference_centroid_labels(members, queries, metric)
 
+    @settings(max_examples=300, deadline=None)
+    @given(instance=row_mapped(), k=st.integers(1, 5), metric=st.sampled_from(evaluate.METRICS))
+    def test_row_maps_equal_one_row_per_sample(self, instance, k, metric):
+        # k runs above the number of distinct training vectors (at most 4)
+        matrix, matrix_of, labels, queries, query_of = instance
+        train = [vec(matrix[i], f"t{n}", label) for n, (i, label) in enumerate(zip(matrix_of, labels))]
+        asked = [vec(queries[j], f"q{n}") for n, j in enumerate(query_of)]
+        for classifier, expected in [
+            (ClassifierConfig("knn", k, metric), reference_labels(train, asked, k, metric)),
+            (ClassifierConfig("centroid", k, metric), reference_centroid_labels(train, asked, metric)),
+        ]:
+            mapped = evaluate._predict(matrix, matrix_of, labels, queries, query_of, classifier)
+            assert mapped == predict(train, asked, classifier) == expected
+
     @pytest.mark.parametrize("metric, k", [("euclidean", 1), ("cosine", 5)])
     def test_memory_is_one_matrix_plus_blocks(self, metric, k):
         rng = np.random.default_rng(0)
@@ -371,6 +406,13 @@ class TestNearestCentroid:
     def test_equidistant_tie_prefers_smaller_label(self):
         train = [vec([0.0, 0.0], "t1", "b"), vec([1.0, 1.0], "t2", "a")]
         assert centroid(train, vec([0.5, 0.5])) == "a"
+
+    @pytest.mark.parametrize("metric", evaluate.METRICS)
+    def test_identical_means_go_to_the_smaller_label(self, metric):
+        # both means are (0.5, 0.5): one distinct vector, so the tie is the label order's
+        train = [vec([0.0, 1.0], "t1", "b"), vec([1.0, 0.0], "t2", "b")]
+        train += [vec([1.0, 0.0], "t3", "a"), vec([0.0, 1.0], "t4", "a")]
+        assert centroid(train, vec([0.2, 0.9]), metric) == "a"
 
     def test_centroid_is_classwise_mean(self):
         train = [vec([0.0, 0.0], "t1", "X"), vec([1.0, 1.0], "t2", "X")]

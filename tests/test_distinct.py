@@ -158,7 +158,6 @@ class TestRepeatedSequences:
         assert np.array_equal(values, one_by_one(batch, vocab))
         assert not values.flags.writeable
 
-
     def test_all_distinct_batch_is_its_own_unique_batch(self):
         batch = EventBatch.from_sequences(
             [EventSequence(f"s{i}", None, 1, (i % 3, i // 3)) for i in range(9)]

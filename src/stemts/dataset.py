@@ -3,7 +3,9 @@
 A dataset is one ``MtsDataset``: every sample's time steps in one read-only
 ``(ΣT, D)`` value block with CSR ``offsets`` and id and label columns, which
 ``load_csv`` and ``generate_synthetic`` fill and ``events.convert_dataset``
-symbolizes; an ``MtsSample`` is one sample's ``(D, T)`` view of it.
+symbolizes; an ``MtsSample`` is one sample's ``(D, T)`` view of it. The row-block
+budget (``_row_blocks``) serves the distinct-rows hash here and the classifier's
+distance matrix in ``evaluate``.
 
 The on-disk interchange format is a long-form CSV (UTF-8, LF line endings):
 
@@ -115,8 +117,18 @@ def _offsets(sizes) -> np.ndarray:
     return offsets
 
 
+# Eight-byte cells handled per row block. Hashing and checking rows, each step of the
+# distance matrix and the top-k search touch one row block at a time, so their temporaries
+# stay at a few blocks (0.5 MiB each) however large the matrix grows. Of 2**14 to 2**22
+# cells, this was the fastest on a 1,996 x 8,004 distance matrix.
+_BLOCK_CELLS = 1 << 16
 _ROW_HASH = (0x9E3779B97F4A7C15, 0xC2B2AE3D27D4EB4F)  # odd 64-bit multipliers, as literals
-_HASH_CELLS = 1 << 16  # words hashed or compared at once: temporaries of 0.5 MiB
+
+
+def _row_blocks(n_rows: int, n_cols: int) -> list[slice]:
+    """Consecutive slices of ``n_rows`` rows, each of at most ``_BLOCK_CELLS`` cells or one row."""
+    step = max(1, _BLOCK_CELLS // max(n_cols, 1))
+    return [slice(start, start + step) for start in range(0, n_rows, step)]
 
 
 def _distinct_rows(matrix: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -128,8 +140,7 @@ def _distinct_rows(matrix: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     words = matrix.view(np.uint64)
     mix, base = (np.uint64(m) for m in _ROW_HASH)
     powers = np.cumprod(np.full(words.shape[1], base))  # mod 2**64, like every step here
-    step = max(1, _HASH_CELLS // max(words.shape[1], 1))
-    blocks = [slice(start, start + step) for start in range(0, len(words), step)]
+    blocks = _row_blocks(*words.shape)
     hashes = np.empty(len(words), dtype=np.uint64)
     for rows in blocks:
         mixed = words[rows] * mix

@@ -20,7 +20,9 @@ sequences), mine, featurize, classify, total. The shared symbolize stage is
 charged to the first report; a later report's is 0.0.
 
 Classifying builds one distance matrix over the distinct queries and training
-vectors (see ``_distances``; ``dataset._distinct_rows`` finds them). kNN
+vectors (see ``_distances``; ``dataset._distinct_rows`` finds them), then works
+on it one row block at a time (``dataset._row_blocks``, the budget the row hash
+uses too). kNN
 reads each query's k nearest in stable order (equal distances keep training
 order) and votes once per distinct query: majority, then smaller mean
 distance within the k, then the smaller label. The nearest centroid is the
@@ -40,7 +42,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .dataset import MtsDataset, _distinct_rows
+from .dataset import MtsDataset, _distinct_rows, _row_blocks
 from .errors import ConfigError, DegenerateTaskError, UnlabeledDataError
 from .events import SymbolizerConfig, convert_dataset
 from .features import (
@@ -144,18 +146,6 @@ def split_dataset(dataset: MtsDataset, spec: SplitSpec) -> tuple[list[str], list
 # ---------------------------------------------------------------------------
 # Classifiers
 # ---------------------------------------------------------------------------
-
-# Cells of the distance matrix handled per block. Each element-wise step and
-# the top-k search touch one row block at a time, so their temporaries stay at
-# a few blocks (0.5 MiB of float64 each) however large n_test x n_train grows.
-# Of 2**14 to 2**22 cells, this was the fastest on a 1,996 x 8,004 matrix.
-_BLOCK_CELLS = 1 << 16
-
-
-def _row_blocks(n_rows: int, n_cols: int):
-    step = max(1, _BLOCK_CELLS // max(n_cols, 1))
-    return (slice(start, start + step) for start in range(0, n_rows, step))
-
 
 def _distances(queries: np.ndarray, train: np.ndarray, metric: str) -> np.ndarray:
     """The n_queries x n_train distance matrix, built in the product's own buffer.

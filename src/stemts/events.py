@@ -139,16 +139,10 @@ class EventBatch:
             raise ValueError("need one label per id and one offset more than ids")
         if offsets[0] != 0 or offsets[-1] != len(codes):
             raise ValueError("offsets must run from 0 to the number of codes")
-        empty = np.flatnonzero(np.diff(offsets) < 1)
-        if len(empty):
-            raise TooShortError(f"sequence {self.ids[empty[0]]!r} has no events")
         # before the dtype check, so codes too large for int64 are named too
-        bad = np.flatnonzero((codes < 0) | (codes >= n))
-        if len(bad):
-            sample = np.searchsorted(offsets, bad[0], side="right") - 1
-            raise InvalidCodeError(
-                f"sequence {self.ids[sample]!r}: code {codes[bad[0]]} outside [0, {n})"
-            )
+        if np.diff(offsets).min(initial=1) < 1 or ((codes < 0) | (codes >= n)).any():
+            for i in range(len(self)):
+                self[i]  # the first bad sample fails as EventSequence does
         if codes.dtype != np.int64:  # a cast would truncate float codes silently
             raise TypeError(f"codes must be int64, got {codes.dtype}")
 

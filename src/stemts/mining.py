@@ -135,7 +135,7 @@ def _check_sequences(sequences: Sequence[EventSequence] | EventBatch) -> EventBa
 
 _KEY_CELLS = 8  # key spaces up to this many cells per key are counted, not sorted
 _DOC_CELLS = 64  # doc support uses a bitmap up to this many cells per window
-_BLOCK_CELLS = 1 << 17  # bitmap cells held at once: one block of samples
+_BITMAP_CELLS = 1 << 17  # bool cells of doc-support bitmap held at once: one block of samples
 
 
 def _rows(keys: np.ndarray, space: int, index: type, table=None) -> tuple[np.ndarray, np.ndarray]:
@@ -205,7 +205,7 @@ def _doc_support(
         pairs = np.unique(owners.astype(np.int64) * width + rows)
         np.add.at(docs, pairs % width, weights[pairs // width])
         return docs
-    step = max(1, _BLOCK_CELLS // width)
+    step = max(1, _BITMAP_CELLS // width)
     bounds = np.searchsorted(owners, np.arange(0, n + step, step))  # owners are sorted
     for start, lo, hi in zip(range(0, n, step), bounds, bounds[1:]):
         block = weights[start : start + step]

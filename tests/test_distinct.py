@@ -69,7 +69,7 @@ class TestDistinctRows:
     def test_equals_a_dict_over_row_bytes(self, rows, picks, collide):
         # repeats drawn on purpose; -0.0 and 0.0 stay apart, equal nan rows group
         matrix = rows[[p % len(rows) for p in picks]]
-        with COLLIDING if collide else mock.patch.object(dataset, "_HASH_CELLS", 3):
+        with COLLIDING if collide else mock.patch.object(dataset, "_BLOCK_CELLS", 3):
             first, inverse = dataset._distinct_rows(matrix)
         expected_first, expected_inverse = reference_distinct(matrix)
         assert first.tolist() == expected_first

@@ -35,6 +35,7 @@ from stemts import (
     write_csv,
 )
 import stemts
+from stemts import dataset as dataset_module
 from stemts import evaluate
 from stemts.cli import main
 from stemts.errors import ConfigError, DegenerateTaskError, UnlabeledDataError
@@ -296,11 +297,11 @@ class TestKernels:
             elements=st.sampled_from(TIE_VALUES),
         ),
         k=st.integers(1, 12),
-        cells=st.sampled_from([1, 5, 64, evaluate._BLOCK_CELLS]),
+        cells=st.sampled_from([1, 5, 64, dataset_module._BLOCK_CELLS]),
     )
     def test_nearest_is_the_stable_argsort_prefix(self, distances, k, cells):
         k = min(k, distances.shape[1])
-        with mock.patch.object(evaluate, "_BLOCK_CELLS", cells):
+        with mock.patch.object(dataset_module, "_BLOCK_CELLS", cells):
             nearest = evaluate._nearest(distances, k, np.arange(distances.shape[1]))
         expected = np.argsort(distances, axis=1, kind="stable")[:, :k]
         assert np.array_equal(nearest, expected)
@@ -338,7 +339,7 @@ class TestKernels:
         # its gathered rows span at least three row blocks
         cells = distinct_train * max(1, distinct_queries // 3)
         expected = reference_labels(train, queries, k, metric)
-        with mock.patch.object(evaluate, "_BLOCK_CELLS", cells):
+        with mock.patch.object(dataset_module, "_BLOCK_CELLS", cells):
             assert predict(train, queries, ClassifierConfig("knn", k, metric)) == expected
         for query, label in list(zip(queries, expected))[:20]:
             assert knn(train, query, k, metric) == label

@@ -455,6 +455,41 @@ class TestEventBatch:
             EventBatch(np.array([0, -2, 4]), np.array([0, 3]), ("s",), (None,), 1)
         assert str(batch.value) == str(one.value)
 
+    def test_a_bad_code_before_an_empty_sample_is_named_first(self):
+        with pytest.raises(InvalidCodeError, match=r"^sequence 'a': code 9 outside \[0, 9\)$"):
+            EventBatch(np.array([9, 0]), np.array([0, 1, 1, 2]), ("a", "b", "c"), (None,) * 3, 2)
+
+    @given(
+        st.lists(
+            st.lists(
+                st.one_of(
+                    st.integers(0, 8), st.integers(-3, 11), st.sampled_from([-(2**63), 2**63 - 1])
+                ),
+                max_size=4,
+            ),
+            min_size=1,
+            max_size=6,
+        )
+    )
+    def test_fails_as_its_first_bad_sequence(self, samples):
+        ids = tuple(f"s{i}" for i in range(len(samples)))
+        expected = None
+        for sid, codes in zip(ids, samples):
+            try:
+                EventSequence(sid, None, 2, codes)
+            except (TooShortError, InvalidCodeError) as exc:
+                expected = exc
+                break
+        codes = np.array([c for sample in samples for c in sample], dtype=np.int64)
+        offsets = np.cumsum([0] + [len(sample) for sample in samples])
+        if expected is None:
+            batch = EventBatch(codes, offsets, ids, (None,) * len(ids), 2)
+            assert [q.codes for q in batch] == [tuple(sample) for sample in samples]
+            return
+        with pytest.raises((TooShortError, InvalidCodeError)) as raised:
+            EventBatch(codes, offsets, ids, (None,) * len(ids), 2)
+        assert type(raised.value) is type(expected) and str(raised.value) == str(expected)
+
 
 class TestReadOnlyColumns:
     """The arrays a container checked once cannot be written afterwards."""

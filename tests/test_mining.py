@@ -396,7 +396,7 @@ class TestWalkBranches:
         # without a window of length 3 or more
         short = [seq(f"short{i}", [i % 27] * (1 + i % 2), dims=3) for i in range(11)]
         sequences = list(run_length_batch)[:100] + short + list(run_length_batch)[100:]
-        monkeypatch.setattr(mining, "_BLOCK_CELLS", budget)
+        monkeypatch.setattr(mining, "_BITMAP_CELLS", budget)
         forest = build_forest(sequences, self.config)
         assert forest.nodes == recount(sequences, self.config.max_len)
         width = sum(len(t) == 4 for t in forest.nodes)

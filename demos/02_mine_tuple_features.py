@@ -39,6 +39,6 @@ print("brute force agrees:   ", brute_force_mine(sequences, config))
 
 print("\nwhat the features mean:")
 for tup in features:
-    node = pruned.node_for(tup)
+    node = pruned.nodes[tup]
     print(f"  {tup}: in {node.doc_support} samples, {node.occ_count} windows")
     print(f"    {explain_tuple(tup, 2)}")

@@ -193,7 +193,7 @@ def cmd_convert(args: argparse.Namespace) -> int:
 
 
 def cmd_mine(args: argparse.Namespace) -> int:
-    batch, sym_config, dims = load_events(args.input)
+    batch, sym_config = load_events(args.input)
     config = MinerConfig(
         min_support=args.min_support, max_len=args.max_len, gain_gamma=args.gain_gamma
     )
@@ -208,7 +208,7 @@ def cmd_mine(args: argparse.Namespace) -> int:
     features = extract_rts_features(pruned)
     if not features:
         warnings.warn("no tuple met the support threshold; writing an empty feature list")
-    write_feature_list(args.out, features, pruned, dims, sym_config.delta, config)
+    write_feature_list(args.out, features, pruned, batch.dims, sym_config.delta, config)
     _say(args, f"wrote {len(features)} features to {args.out}")
     return 0
 

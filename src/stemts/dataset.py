@@ -59,12 +59,13 @@ DIRECTIONS = {"up": 1, "flat": 0, "down": -1}
 
 
 def _read_only(array, dtype=None) -> np.ndarray:
-    """``array`` as a read-only ndarray, copied first if the caller could still write to it
-    or to any ndarray in its ``base`` chain."""
-    out, base = np.asarray(array, dtype=dtype), array
+    """``array`` as a read-only ndarray. It is copied first unless numpy made it afresh or
+    its ``base`` chain is all read-only ndarrays down to one that owns its data: the caller
+    could still write through any other buffer (a bytearray, a memoryview, a writeable array)."""
+    out = base = np.asarray(array, dtype=dtype)
     while isinstance(base, np.ndarray) and not base.flags.writeable:
         base = base.base
-    if out is array and isinstance(base, np.ndarray):
+    if base is not None and (out is array or out.base is not None):
         out = out.copy()
     out.setflags(write=False)
     return out

@@ -227,11 +227,8 @@ def _vote(labels: Sequence[str], distances: Sequence[float]) -> str:
 
 def _centroids(matrix: np.ndarray, labels: Sequence[str]) -> dict[str, np.ndarray]:
     """Per-class mean of ``matrix``'s rows in their order, keyed by label in sorted order."""
-    out: dict[str, np.ndarray] = {}
-    for label in sorted(set(labels)):
-        member_rows = [i for i, l in enumerate(labels) if l == label]
-        out[label] = matrix[member_rows].mean(axis=0)
-    return out
+    column = np.array(labels, dtype=object)
+    return {label: matrix[column == label].mean(axis=0) for label in sorted(set(labels))}
 
 
 def _predict(
@@ -300,8 +297,8 @@ class EvalReport:
             out[label] = float(self.confusion[i, i]) / row_total if row_total else 0.0
         return out
 
-    def to_dict(self, include_timings: bool = True) -> dict:
-        payload = {
+    def to_dict(self) -> dict:
+        return {
             "accuracy": self.accuracy,
             "per_class_accuracy": self.per_class_accuracy,
             "labels": list(self.labels),
@@ -309,10 +306,8 @@ class EvalReport:
             "n_train": self.n_train,
             "n_test": self.n_test,
             "config": self.config,
+            "timings": {k: float(v) for k, v in self.timings.items()},
         }
-        if include_timings:
-            payload["timings"] = {k: float(v) for k, v in self.timings.items()}
-        return payload
 
 
 def _confusion(labels: tuple[str, ...], truth: Sequence[str], predicted: Sequence[str]) -> np.ndarray:

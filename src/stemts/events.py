@@ -353,8 +353,8 @@ def write_events(batch: EventBatch, config: SymbolizerConfig, path: str | Path) 
     _meta_path(path).write_text(json.dumps(meta, indent=2) + "\n", encoding="utf-8")
 
 
-def load_events(path: str | Path) -> tuple[EventBatch, SymbolizerConfig, int]:
-    """Load an events file into one batch; returns (batch, symbolizer config, dims).
+def load_events(path: str | Path) -> tuple[EventBatch, SymbolizerConfig]:
+    """Load an events file into one batch; returns (batch, symbolizer config).
 
     Rows are read like dataset rows (``dataset.read_long_form``); the batch is
     built from the file's columns and checked once.
@@ -378,4 +378,4 @@ def load_events(path: str | Path) -> tuple[EventBatch, SymbolizerConfig, int]:
         ids, labels, offsets, values = read_long_form(path, fh, 4, int)
     if not ids:
         raise MalformedDatasetError(f"{path}: no event rows after the header")
-    return EventBatch(values[:, 0], offsets, ids, labels, dims), config, dims
+    return EventBatch(values[:, 0], offsets, ids, labels, dims), config

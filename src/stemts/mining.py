@@ -106,10 +106,6 @@ class PrefixForest:
     nodes: dict[EventTuple, Support]
     n_samples: int
 
-    def node_for(self, codes: Sequence[int]) -> Support | None:
-        """Counts of a tuple; None if the forest does not hold it."""
-        return self.nodes.get(tuple(codes))
-
     def node_count(self) -> int:
         return len(self.nodes)
 
@@ -319,7 +315,7 @@ def write_feature_list(
     """Write mined features with supports and decoded step descriptions."""
     records = []
     for ordinal, tup in enumerate(features):
-        node = forest.node_for(tup)
+        node = forest.nodes.get(tuple(tup))
         if node is None:
             raise ValueError(f"feature {tup} is not present in the forest")
         records.append(

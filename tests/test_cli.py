@@ -78,8 +78,8 @@ class TestConvert:
         )
         out = tmp_path / "events.csv"
         assert main(["-q", "convert", "--in", str(data), "--out", str(out)]) == 0
-        seqs, cfg, dims = load_events(out)
-        assert dims == 1
+        seqs, cfg = load_events(out)
+        assert seqs.dims == 1
         assert cfg.delta == 0.05
         assert seqs[0].codes == (1, 1, 1)
 
@@ -92,7 +92,7 @@ class TestConvert:
         )
         out = tmp_path / "events.csv"
         assert main(["-q", "convert", "--in", str(data), "--delta", "0.99", "--out", str(out)]) == 0
-        seqs, _, _ = load_events(out)
+        seqs, _ = load_events(out)
         assert seqs[0].codes == (2, 1, 1)
 
     def test_pad_flag_equalizes_lengths(self, tmp_path):
@@ -104,7 +104,7 @@ class TestConvert:
         )
         out = tmp_path / "events.csv"
         assert main(["-q", "convert", "--in", str(data), "--pad", "--out", str(out)]) == 0
-        seqs, _, _ = load_events(out)
+        seqs, _ = load_events(out)
         assert {len(s) for s in seqs} == {3}
 
 

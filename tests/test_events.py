@@ -28,8 +28,9 @@ from stemts import (
 )
 from stemts import dataset as dataset_module
 from stemts import events as events_module
-from stemts.dataset import MtsDataset, min_max_normalize
+from stemts.dataset import MtsDataset, MtsSample, min_max_normalize
 from stemts.events import EventBatch
+from stemts.features import FeatureVector
 from stemts.errors import (
     ConfigError,
     EmptyInputError,
@@ -243,9 +244,9 @@ class TestEventFiles:
         seqs = self.make_sequences()
         path = tmp_path / "events.csv"
         write_events(seqs, SymbolizerConfig(0.05), path)
-        loaded, cfg, dims = load_events(path)
+        loaded, cfg = load_events(path)
         assert cfg.delta == 0.05
-        assert dims == 2
+        assert loaded.dims == 2
         assert [s.sample_id for s in loaded] == [s.sample_id for s in seqs]
         assert [s.codes for s in loaded] == [s.codes for s in seqs]
         assert [s.label for s in loaded] == [s.label for s in seqs]
@@ -368,7 +369,7 @@ class TestEventFileErrors:
     def test_row_parser_reads_what_numpy_rejects(self, tmp_path):
         # int() reads '1_0' and '٢'; numpy does not, so the row parser takes over
         path = self.write(tmp_path, "a,x,1_0,2\n" + "".join(f"a,x,{t},٢\n" for t in range(10)))
-        (seq,), _, _ = load_events(path)
+        (seq,), _ = load_events(path)
         assert seq.codes == (2,) * 11
 
     def test_out_of_range_code(self, tmp_path):
@@ -429,8 +430,8 @@ class TestEventBatch:
         batch = EventBatch.from_sequences(sequences)
         with tempfile.TemporaryDirectory() as tmp:
             write_events(batch, SymbolizerConfig(0.1), Path(tmp) / "events.csv")
-            loaded, config, dims = load_events(Path(tmp) / "events.csv")
-        assert (config.delta, dims, loaded.dims) == (0.1, 3, 3)
+            loaded, config = load_events(Path(tmp) / "events.csv")
+        assert (config.delta, loaded.dims) == (0.1, 3)
         assert loaded.ids == batch.ids and loaded.labels == batch.labels
         assert np.array_equal(loaded.codes, batch.codes)
         assert np.array_equal(loaded.offsets, batch.offsets)
@@ -554,3 +555,31 @@ class TestReadOnlyColumns:
         base.setflags(write=False)  # every array the view reaches is read-only: kept
         view = base[1:]
         assert EventBatch(view, np.array([0, 1, 2]), ("a", "b"), (None, None), 1).codes is view
+
+    @pytest.mark.parametrize("kind", ["array", "memoryview"])
+    def test_read_only_views_of_a_bytearray_are_copied(self, kind):
+        buffers = []
+
+        def frozen(values):
+            """A read-only view of ``values`` in a bytearray that stays writeable."""
+            values = np.array(values)
+            buffers.append(bytearray(values.tobytes()))
+            if kind == "memoryview":
+                return memoryview(buffers[-1]).toreadonly().cast(values.dtype.char, values.shape)
+            flat = np.frombuffer(buffers[-1], values.dtype)
+            flat.setflags(write=False)
+            return flat.reshape(values.shape)
+
+        values, offsets = [[0.0], [1.0], [2.0], [2.0], [1.0], [0.0]], frozen([0, 3, 6])
+        ds = MtsDataset(frozen(values), offsets, ("a", "b"), (None, None))
+        batch = EventBatch(frozen([1, 2, 0]), frozen([0, 2, 3]), ("a", "b"), (None, None), 1)
+        sample = MtsSample("s", None, frozen([[0.0, 1.0, 0.5]]))
+        vector = FeatureVector("s", None, frozen([0.25, 0.75]))
+        buffers[0][8:16] = np.int64(2).tobytes()  # once read as offsets [0 2 6]
+        for buffer in buffers[1:]:
+            buffer[:] = bytes(len(buffer))
+        assert ds.values.tolist() == values and ds.offsets.tolist() == [0, 3, 6]
+        assert convert_dataset(ds, SymbolizerConfig(0.05)).offsets.tolist() == [0, 2, 4]
+        assert batch.codes.tolist() == [1, 2, 0] and batch.offsets.tolist() == [0, 2, 3]
+        assert sample.values.tolist() == [[0.0, 1.0, 0.5]]
+        assert vector.values.tolist() == [0.25, 0.75]

@@ -120,7 +120,7 @@ class TestBuildForest:
         expected_occ = {(4,): 3, (4, 8): 3, (8,): 3, (8, 4): 1, (8, 0): 1, (0,): 1}
         assert node_paths(forest) == set(expected_doc)
         for path, doc in expected_doc.items():
-            node = forest.node_for(path)
+            node = forest.nodes[path]
             assert node.doc_support == doc
             assert node.occ_count == expected_occ[path]
 
@@ -132,7 +132,7 @@ class TestBuildForest:
 
     def test_occurrences_vs_documents(self):
         forest = build_forest([seq("a", [4, 4, 4])], MinerConfig(min_support=1, max_len=1))
-        node = forest.node_for((4,))
+        node = forest.nodes[(4,)]
         assert (node.occ_count, node.doc_support) == (3, 1)
 
     def test_empty_input(self):

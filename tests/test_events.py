@@ -410,6 +410,9 @@ class TestEventBatch:
             EventBatch(codes, offsets, ("a", "b", "c"), (None,) * 3, 2)
         with pytest.raises(TooShortError, match="'b' has no events"):
             EventBatch(np.array([0, 1]), np.array([0, 1, 1, 2]), ("a", "b", "c"), (None,) * 3, 2)
+        # a bad code in 'a' comes before the empty 'b'
+        with pytest.raises(InvalidCodeError, match=r"^sequence 'a': code 9 outside \[0, 9\)$"):
+            EventBatch(np.array([9, 0]), np.array([0, 1, 1, 2]), ("a", "b", "c"), (None,) * 3, 2)
         with pytest.raises(ValueError, match="offsets"):
             EventBatch(np.array([0, 1]), np.array([0, 1]), ("a",), (None,), 2)
         with pytest.raises(TypeError, match="int64"):
@@ -455,10 +458,6 @@ class TestEventBatch:
         with pytest.raises(InvalidCodeError) as batch:
             EventBatch(np.array([0, -2, 4]), np.array([0, 3]), ("s",), (None,), 1)
         assert str(batch.value) == str(one.value)
-
-    def test_a_bad_code_before_an_empty_sample_is_named_first(self):
-        with pytest.raises(InvalidCodeError, match=r"^sequence 'a': code 9 outside \[0, 9\)$"):
-            EventBatch(np.array([9, 0]), np.array([0, 1, 1, 2]), ("a", "b", "c"), (None,) * 3, 2)
 
     @given(
         st.lists(

@@ -131,7 +131,7 @@ def _check_sequences(sequences: Sequence[EventSequence] | EventBatch) -> EventBa
 
 _KEY_CELLS = 8  # key spaces up to this many cells per key are counted, not sorted
 _DOC_CELLS = 64  # doc support uses a bitmap up to this many cells per window
-_BITMAP_CELLS = 1 << 17  # bool cells of doc-support bitmap held at once: one block of samples
+_BITMAP_CELLS = 1 << 17  # doc-support bitmap cells (bool) held at once: one block of samples
 
 
 def _rows(keys: np.ndarray, space: int, index: type, table=None) -> tuple[np.ndarray, np.ndarray]:

@@ -9,10 +9,12 @@ longer than the sequence contribute 0. Codes not covered by any vocabulary
 tuple are simply ignored.
 
 ``vectorize_batch`` vectorizes an ``events.EventBatch`` into one read-only
-``(n, K)`` matrix, row i for sample i, walking each distinct code sequence
-once. ``vectorize_dataset`` is its per-sample view: it vectorizes a batch (a
-list of ``EventSequence`` is joined into one first) and hands out one
-``FeatureVector`` per matrix row.
+``(n, K)`` matrix, row i for sample i, in one mining walk
+(``mining.window_states``) over each distinct code sequence followed by the
+vocabulary's own tuples: a window counts for the tuple whose whole window got
+the same state, and a code no tuple holds is a stop. ``vectorize_dataset`` is
+its per-sample view: it vectorizes a batch (a list of ``EventSequence`` is
+joined into one first) and hands out one ``FeatureVector`` per matrix row.
 """
 
 from __future__ import annotations
@@ -119,33 +121,17 @@ class FeatureVector:
         return len(self.values)
 
 
-def _lookup_tables(vocab: FeatureVocabulary) -> tuple[np.ndarray, list, list]:
-    """The vocabulary's alphabet and window tables, and which tuple each table row is.
-
-    The tables come from walking the vocabulary's own tuples; ``targets[l - 1]``
-    maps a row to the index of the tuple it equals, or -1.
-    """
-    codes = np.fromiter(chain.from_iterable(vocab.features), dtype=np.int64)
-    lengths = np.array([len(t) for t in vocab.features])
-    alphabet = np.unique(codes)
-    tables, targets = [], []
-    walk = window_states(codes, np.cumsum([0, *lengths]), alphabet, lengths.max())
-    for level, (table, rows, owners) in enumerate(walk, 1):
-        whole = lengths[owners] == level
-        targets.append(np.full(len(table), -1))
-        targets[-1][rows[whole]] = owners[whole]
-        tables.append(table)
-    return alphabet, tables, targets
-
-
 def vectorize_batch(batch: EventBatch, vocab: FeatureVocabulary) -> np.ndarray:
     """The batch's read-only ``(n, K)`` matrix of normalized occurrence counts.
 
     Entry (i, j) is the count of tuple j in sample i over
     ``len(codes_i) - len(tuple_j) + 1``, and 0 for a tuple longer than the
     sample. Only the distinct code sequences are vectorized, their rows copied
-    to the samples that repeat them: one ``window_states`` walk looks their
-    windows up in the vocabulary's tables, one ``bincount`` counts the hits.
+    to the samples that repeat them. The vocabulary's tuples go after the
+    ``n`` distinct sequences, tuple j as owner ``n + j``, and one
+    ``window_states`` walk over both, on the vocabulary's codes as alphabet,
+    numbers every window: a sequence's window holds tuple j when it shares the
+    row of tuple j's whole window. One ``bincount`` counts the hits.
     """
     if batch.dims != vocab.dims:
         raise IncompatibleVocabularyError(
@@ -153,15 +139,22 @@ def vectorize_batch(batch: EventBatch, vocab: FeatureVocabulary) -> np.ndarray:
         )
     unique, inverse = batch.distinct()
     n, width = len(unique), len(vocab)
+    lengths = np.array([len(t) for t in vocab.features], dtype=np.int64)
     hits = [np.empty(0, dtype=np.int64)]
     if n and width:
-        alphabet, tables, targets = _lookup_tables(vocab)
-        walk = window_states(unique.codes, unique.offsets, alphabet, len(tables), tables)
-        for (_, rows, owners), target in zip(walk, targets):
-            feature = target[rows]  # int64 products: int32 owners x width could wrap
-            hits.append(owners[feature >= 0] * np.int64(width) + feature[feature >= 0])
+        tuples = np.fromiter(chain.from_iterable(vocab.features), dtype=np.int64)
+        codes = np.concatenate([unique.codes, tuples])
+        offsets = np.concatenate([unique.offsets, unique.offsets[-1] + np.cumsum(lengths)])
+        walk = window_states(codes, offsets, np.unique(tuples), lengths.max())
+        for level, (table, rows, owners) in enumerate(walk, 1):
+            split = np.searchsorted(owners, n)  # owners ascend: the tuples' windows come last
+            whole = lengths[owners[split:] - n] == level
+            target = np.full(len(table), -1)
+            target[rows[split:][whole]] = owners[split:][whole] - n
+            feature = target[rows[:split]]  # int64 products: int32 owners x width could wrap
+            hits.append(owners[:split][feature >= 0] * np.int64(width) + feature[feature >= 0])
     counts = np.bincount(np.concatenate(hits), minlength=n * width).reshape(n, width)
-    positions = np.subtract.outer(np.diff(unique.offsets), [len(t) for t in vocab.features]) + 1
+    positions = np.subtract.outer(np.diff(unique.offsets), lengths) + 1
     values = np.divide(counts, positions, out=np.zeros((n, width)), where=positions > 0)
     if unique is not batch:  # a batch without repeats is not gathered
         values = values[inverse]

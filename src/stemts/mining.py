@@ -4,16 +4,17 @@ Tuples are contiguous windows of event codes (lengths 1..max_len). One
 kernel, ``window_states``, shared with ``features.vectorize_batch``, walks
 every window of an ``events.EventBatch`` (joined codes plus offsets) one
 length at a time, as Apriori and PrefixSpan do: a window's state follows from
-its prefix's state and its last code. Each length's keys lie in a small dense
-space, so a counting sort, not a sort, finds and numbers the tuples, and a
-dense array looks keys up. ``build_forest`` counts, per distinct tuple,
-``doc_support`` (distinct samples containing it, from a sample x tuple bitmap)
-and ``occ_count`` (overlapping windows across all samples), walking each
-distinct code sequence once, weighted by its number of samples, as FP-growth
-counts identical transactions. Pruning keeps the tuples at or above the
-minimum document support (and, optionally, drops those adding little support
-over their prefix); the kept tuples no kept tuple extends are the features,
-prefix-free by construction.
+its prefix's state and its last code, and a code outside the walk's alphabet
+is a stop. Each length's keys lie in a small dense space, so a counting sort,
+not a sort, finds and numbers the distinct windows; every window comes out
+with its state and its owner, owners ascending. ``build_forest`` counts, per
+distinct tuple, ``doc_support`` (distinct samples containing it, from a
+sample x tuple bitmap) and ``occ_count`` (overlapping windows across all
+samples), walking each distinct code sequence once, weighted by its number of
+samples, as FP-growth counts identical transactions. Pruning keeps the tuples
+at or above the minimum document support (and, optionally, drops those adding
+little support over their prefix); the kept tuples no kept tuple extends are
+the features, prefix-free by construction.
 
 ``brute_force_mine`` re-derives the same feature list by exhaustive, slow
 window enumeration; tests hold the array path to it exactly.
@@ -136,7 +137,8 @@ _BITMAP_CELLS = 1 << 17  # doc-support bitmap cells (bool) held at once: one blo
 
 def _rows(keys: np.ndarray, space: int, index: type, table=None) -> tuple[np.ndarray, np.ndarray]:
     """``table`` (by default the sorted distinct keys in [0, space)) and each key's row in
-    it or -1: a counting sort up to ``_KEY_CELLS`` cells per key, else a sort and search."""
+    it or -1: a counting sort up to ``_KEY_CELLS`` cells per key, else a sort and search.
+    ``window_states`` passes a ``table`` only to rank codes in its alphabet."""
     if space > _KEY_CELLS * len(keys):
         table = np.unique(keys) if table is None else table
         rows = np.searchsorted(table, keys).astype(index)
@@ -149,29 +151,26 @@ def _rows(keys: np.ndarray, space: int, index: type, table=None) -> tuple[np.nda
 
 
 def window_states(
-    codes: np.ndarray,
-    offsets: np.ndarray,
-    alphabet: np.ndarray,
-    max_len: int,
-    tables: list | None = None,
+    codes: np.ndarray, offsets: np.ndarray, alphabet: np.ndarray, max_len: int
 ) -> Iterator[tuple[np.ndarray, np.ndarray, np.ndarray]]:
     """Yield ``(table, rows, owners)`` for window lengths l = 1..max_len.
 
-    The walk stops after the first length with no window in ``table``.
+    The walk stops after the first length with no window.
 
     Tuple i of the batch is ``codes[offsets[i]:offsets[i + 1]]``. A stop code
-    goes after each tuple, so no window spans two. A length-l window's int64
-    key is its length-(l-1) prefix's state x len(alphabet) + its last code's
-    rank in the sorted ``alphabet`` (the empty prefix has state 0), so keys
-    lie below the previous table's size x len(alphabet). ``table`` holds the
-    level's sorted keys: those that occur when mining, counted (or sorted, see
-    ``_rows``), or ``tables[l - 1]`` when looking up. For each window whose key
-    is in ``table``, ``rows`` holds its state (the key's row in ``table``) and
-    ``owners`` the batch index of its tuple, both int32 below 2**31 positions.
+    goes after each tuple, so no window spans two, and a code outside
+    ``alphabet`` is a stop too. A length-l window's int64 key is its
+    length-(l-1) prefix's state x len(alphabet) + its last code's rank in the
+    sorted ``alphabet`` (the empty prefix has state 0), so keys lie below the
+    previous table's size x len(alphabet). ``table`` holds the level's sorted
+    distinct keys, counted (or sorted, see ``_rows``). For each window,
+    ``rows`` holds its state (the key's row in ``table``, so two windows share
+    a row exactly when they hold the same codes) and ``owners`` the batch
+    index of its tuple, ascending; both are int32 below 2**31 positions.
     """
     index = np.int32 if len(codes) + len(offsets) < 2**31 else np.int64
     owner = np.repeat(np.arange(len(offsets) - 1, dtype=index), np.diff(offsets) + 1)
-    lo = min(codes.min(initial=0), alphabet.min(initial=0))  # a vocabulary may hold any int
+    lo = min(codes.min(initial=0), alphabet.min(initial=0))  # codes may be any int
     space = int(max(codes.max(initial=0), alphabet.max(initial=0)) - lo) + 1
     rank = np.insert(_rows(codes - lo, space, index, alphabet - lo)[1], offsets[1:], -1)  # stops
     states, width = np.zeros(len(rank), dtype=index), 1  # the empty prefix: one state
@@ -179,10 +178,7 @@ def window_states(
         last = rank[level:]
         valid = (states[: len(last)] >= 0) & (last >= 0)
         keys = states[: len(last)][valid] * np.int64(len(alphabet)) + last[valid]
-        table, rows = _rows(keys, width * len(alphabet), index, tables[level] if tables else None)
-        if tables is not None:
-            valid[valid] = rows >= 0
-            rows = rows[rows >= 0]
+        table, rows = _rows(keys, width * len(alphabet), index)
         states = np.full(len(last), -1, dtype=index)
         states[valid] = rows
         width = len(table)

@@ -511,8 +511,13 @@ class SynthSpec:
             raise EmptySpecError("need at least one class and one sample per class")
         if self.length < 2:
             raise SchemaError(f"length must be >= 2, got {self.length}")
-        if self.noise_amplitude < 0:
-            raise SchemaError("noise_amplitude must be >= 0")
+        if not 0 <= 2 * self.noise_amplitude < np.inf:  # NaN fails too
+            raise SchemaError(
+                f"noise_amplitude must be >= 0 with a finite range 2 x noise_amplitude, "
+                f"got {self.noise_amplitude}"
+            )
+        if self.seed < 0:
+            raise SchemaError(f"seed must be >= 0, got {self.seed}")
         if self.step_size <= 0:
             raise SchemaError("step_size must be > 0")
         labels = [label for label, _ in classes]

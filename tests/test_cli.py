@@ -1,5 +1,6 @@
 import argparse
 import json
+import re
 
 import pytest
 
@@ -67,6 +68,26 @@ class TestSynth:
         rc = main(["synth", str(tmp_path / "nope.yaml"), "--out", str(tmp_path / "o.csv")])
         assert rc != 0
         assert "nope.yaml" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "key, value",
+        [
+            ("seed", "-1"),
+            ("noise_amplitude", ".inf"),
+            ("noise_amplitude", ".nan"),
+            ("noise_amplitude", "1e308"),
+        ],
+    )
+    def test_bad_seed_or_noise_is_one_error_line(self, tmp_path, capsys, key, value):
+        # not separable: that mode's own noise bound would reject these amplitudes first
+        text = SPEC_YAML.replace("separable: true\n", "")
+        spec = tmp_path / "spec.yaml"
+        spec.write_text(re.sub(rf"^{key}: .*$", f"{key}: {value}", text, flags=re.M))
+        capsys.readouterr()
+        assert main(["-q", "synth", str(spec), "--out", str(tmp_path / "o.csv")]) == 1
+        err = capsys.readouterr().err
+        assert len(err.splitlines()) == 1 and err.startswith("error: ") and key in err, err
+        assert not (tmp_path / "o.csv").exists()
 
 
 class TestConvert:

@@ -55,6 +55,9 @@ NOISE = {
     "text": st.text(st.sampled_from(list(',\n"#-.019ae :[]{}\xe9\t')), max_size=12),
     "spec": st.text(st.sampled_from(list(',\n"#-.ae :[]{}\xe9\t')), max_size=12),
 }
+# spec keys whose value a draw from NUMBERS may replace; a drawn samples_per_class
+# or length could ask for a huge dataset
+SPEC_NUMBERS = ["seed", "noise_amplitude", "step_size"]
 
 
 class _Texts(dict):
@@ -99,6 +102,16 @@ def file_text(draw, text, noise):
 
 
 @st.composite
+def spec_text(draw, text):
+    """The valid spec with some SPEC_NUMBERS values drawn from NUMBERS, kept or edited once."""
+    for key in SPEC_NUMBERS:
+        if draw(st.booleans()):
+            lines = [line for line in text.splitlines() if not line.startswith(f"{key}:")]
+            text = "\n".join([*lines, f"{key}: {draw(st.sampled_from(NUMBERS))}"]) + "\n"
+    return draw(file_text(text, NOISE["spec"]))
+
+
+@st.composite
 def runs(draw, valid):
     """(argv, files to write, whether to write them as Latin-1) for one command line."""
     command = draw(st.sampled_from(sorted(FLAGS)))
@@ -107,7 +120,8 @@ def runs(draw, valid):
     path = {"file": "{tmp}/input", "missing": "{tmp}/absent", "directory": "{tmp}"}[source]
     if source == "file":
         kind = INPUT[command]
-        files["input"] = draw(file_text(valid[kind], NOISE["spec" if kind == "spec" else "text"]))
+        text = spec_text(valid[kind]) if kind == "spec" else file_text(valid[kind], NOISE["text"])
+        files["input"] = draw(text)
         if kind == "events":
             files["input.meta.json"] = draw(file_text(valid["meta"], NOISE["text"]))
     argv = ["-q"] if draw(st.booleans()) else []
@@ -151,7 +165,7 @@ def run_main(argv):
     return status, err.getvalue()
 
 
-@settings(max_examples=200, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@settings(max_examples=500, deadline=None, suppress_health_check=[HealthCheck.too_slow])
 @given(data=st.data())
 def test_every_command_line_ends_cleanly(valid, data):
     argv, files, latin1 = data.draw(runs(valid))

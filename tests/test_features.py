@@ -1,4 +1,5 @@
 import json
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -155,17 +156,22 @@ class TestVectorizeDataset:
 
 @st.composite
 def vectorize_instances(draw):
-    """Mixed-length sequences and a vocabulary of mixed-length tuples, some longer than them."""
+    """Mixed-length sequences, some repeated, and a vocabulary of mixed-length tuples, some
+    longer than them, plus the walk's key-cell threshold (0 sorts keys instead of counting).
+
+    A directly built vocabulary may hold codes outside the alphabet, in any order.
+    """
     dims = draw(st.integers(1, 2))
     codes = st.integers(0, 3**dims - 1)
-    tuples = st.lists(codes, min_size=1, max_size=5).map(tuple)
+    direct = draw(st.booleans())
+    tuple_codes = st.integers(-2, 3**dims + 1) if direct else codes
+    tuples = st.lists(tuple_codes, min_size=1, max_size=5).map(tuple)
     features = draw(st.lists(tuples, min_size=1, max_size=12, unique=True))
-    n_seqs = draw(st.integers(0, 6))
-    sequences = [
-        seq(draw(st.lists(codes, min_size=1, max_size=10)), f"s{i}", dims=dims)
-        for i in range(n_seqs)
-    ]
-    return sequences, build_vocabulary(features, dims=dims)
+    vocab = FeatureVocabulary(tuple(features), dims) if direct else build_vocabulary(features, dims)
+    distinct = draw(st.lists(st.lists(codes, min_size=1, max_size=10), min_size=1, max_size=6))
+    picks = draw(st.lists(st.sampled_from(distinct), max_size=6))
+    sequences = [seq(c, f"s{i}", dims=dims) for i, c in enumerate(picks)]
+    return sequences, vocab, draw(st.sampled_from([mining._KEY_CELLS, 0]))
 
 
 def naive_values(codes, vocab):
@@ -182,8 +188,9 @@ class TestVectorizeProperty:
     @settings(max_examples=200)
     @given(vectorize_instances())
     def test_equals_naive_count_over_positions(self, instance):
-        sequences, vocab = instance
-        vectors = vectorize_dataset(sequences, vocab)
+        sequences, vocab, key_cells = instance
+        with mock.patch.object(mining, "_KEY_CELLS", key_cells):
+            vectors = vectorize_dataset(sequences, vocab)
         assert [v.sample_id for v in vectors] == [s.sample_id for s in sequences]
         for s, v in zip(sequences, vectors):
             assert v.values.tolist() == naive_values(s.codes, vocab)

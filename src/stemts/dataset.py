@@ -126,6 +126,14 @@ _BLOCK_CELLS = 1 << 16
 _ROW_HASH = (0x9E3779B97F4A7C15, 0xC2B2AE3D27D4EB4F)  # odd 64-bit multipliers, as literals
 
 
+def _unique(values: np.ndarray) -> np.ndarray:
+    """``np.unique(values)`` by one sort: numpy 2's imports ``numpy.ma`` on its first call."""
+    ordered = np.sort(values, axis=None)
+    new = np.ones(len(ordered), dtype=bool)
+    new[1:] = ordered[1:] != ordered[:-1]
+    return ordered[new]
+
+
 def _row_blocks(n_rows: int, n_cols: int) -> list[slice]:
     """Consecutive slices of ``n_rows`` rows, each of at most ``_BLOCK_CELLS`` cells or one row."""
     step = max(1, _BLOCK_CELLS // max(n_cols, 1))

@@ -36,6 +36,7 @@ from .dataset import (
     _distinct_rows,
     _offsets,
     _read_only,
+    _unique,
     csv_prefix,
     min_max_normalize,
     open_long_form,
@@ -194,7 +195,7 @@ class EventBatch:
         sample's row in ``unique``; the samples of each length are compared as one block."""
         sizes = np.diff(self.offsets)
         same = np.arange(len(self))  # each sample's first sample with equal codes
-        for size in np.unique(sizes).tolist():
+        for size in _unique(sizes).tolist():
             members = np.flatnonzero(sizes == size)
             if len(members) == len(self):
                 block = self.codes.reshape(len(self), size)  # a view: no gather
@@ -300,7 +301,7 @@ def convert_dataset(
     lengths = np.diff(dataset.offsets)
     offsets = _offsets(np.maximum(lengths, pad_to or 0) - 1)
     codes = np.empty(offsets[-1], dtype=np.int64)
-    for length in np.unique(lengths).tolist():
+    for length in _unique(lengths).tolist():
         members = np.flatnonzero(lengths == length)
         block = dataset.values  # a plain view when every sample has this length
         if len(members) < len(dataset):

@@ -29,7 +29,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .dataset import _read_only
+from .dataset import _read_only, _unique
 from .errors import (
     DuplicateFeatureError,
     IncompatibleVocabularyError,
@@ -145,7 +145,7 @@ def vectorize_batch(batch: EventBatch, vocab: FeatureVocabulary) -> np.ndarray:
         tuples = np.fromiter(chain.from_iterable(vocab.features), dtype=np.int64)
         codes = np.concatenate([unique.codes, tuples])
         offsets = np.concatenate([unique.offsets, unique.offsets[-1] + np.cumsum(lengths)])
-        walk = window_states(codes, offsets, np.unique(tuples), lengths.max())
+        walk = window_states(codes, offsets, _unique(tuples), lengths.max())
         for level, (table, rows, owners) in enumerate(walk, 1):
             split = np.searchsorted(owners, n)  # owners ascend: the tuples' windows come last
             whole = lengths[owners[split:] - n] == level

@@ -31,6 +31,7 @@ from typing import Iterator, NamedTuple, Sequence
 
 import numpy as np
 
+from .dataset import _unique
 from .errors import ConfigError, EmptyInputError, MalformedDatasetError, SchemaError
 from .events import EventBatch, EventSequence, alphabet_size, explain_tuple
 
@@ -140,7 +141,7 @@ def _rows(keys: np.ndarray, space: int, index: type, table=None) -> tuple[np.nda
     it or -1: a counting sort up to ``_KEY_CELLS`` cells per key, else a sort and search.
     ``window_states`` passes a ``table`` only to rank codes in its alphabet."""
     if space > _KEY_CELLS * len(keys):
-        table = np.unique(keys) if table is None else table
+        table = _unique(keys) if table is None else table
         rows = np.searchsorted(table, keys).astype(index)
         rows[table[np.minimum(rows, len(table) - 1)] != keys] = -1
         return table, rows
@@ -194,7 +195,7 @@ def _doc_support(
     block's (block x width) bitmap at a time."""
     n, docs = len(weights), np.zeros(width, dtype=np.int64)
     if n * width >= _DOC_CELLS * len(rows):  # also when there is no window
-        pairs = np.unique(owners.astype(np.int64) * width + rows)
+        pairs = _unique(owners.astype(np.int64) * width + rows)
         np.add.at(docs, pairs % width, weights[pairs // width])
         return docs
     step = max(1, _BITMAP_CELLS // width)

@@ -16,7 +16,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from hypothesis.extra.numpy import arrays
+from hypothesis.extra.numpy import array_shapes, arrays
 
 from stemts import (
     ClassifierConfig,
@@ -34,6 +34,7 @@ from stemts import (
     generate_synthetic,
     prune_bottom_up,
     vectorize_batch,
+    write_csv,
 )
 from stemts import dataset, mining
 from stemts.evaluate import evaluate
@@ -96,6 +97,31 @@ class TestDistinctRows:
                 first, inverse = dataset._distinct_rows(matrix)
             assert (first.tolist(), inverse.tolist()) == reference_distinct(matrix)
             assert len(first) < len(matrix)
+
+
+@st.composite
+def integer_arrays(draw):
+    """int32 or int64 arrays of 1 or 2 dimensions, maybe empty, all equal or read-only."""
+    dtype = draw(st.sampled_from([np.int32, np.int64]))
+    info = np.iinfo(dtype)
+    elements = st.integers(-3, 3) | st.integers(int(info.min), int(info.max))
+    shape = draw(array_shapes(min_dims=1, max_dims=2, min_side=0, max_side=20))
+    if draw(st.booleans()):
+        values = np.full(shape, draw(elements), dtype=dtype)
+    else:
+        values = draw(arrays(dtype, shape, elements=elements))
+    values.setflags(write=draw(st.booleans()))
+    return values
+
+
+class TestUnique:
+    @settings(max_examples=300, deadline=None)
+    @given(integer_arrays())
+    def test_equals_numpy_unique(self, values):
+        before = values.copy()
+        unique, expected = dataset._unique(values), np.unique(values)
+        assert unique.dtype == expected.dtype and np.array_equal(unique, expected)
+        assert np.array_equal(values, before)
 
 
 @st.composite
@@ -224,3 +250,42 @@ def test_importing_the_cli_loads_no_numpy_random():
     code = "import sys, stemts.cli; sys.exit('numpy.random' in sys.modules)"
     env = {**os.environ, "PYTHONPATH": str(SRC)}
     assert subprocess.run([sys.executable, "-c", code], env=env).returncode == 0
+
+
+EVALUATE_ONCE = """
+import sys
+from unittest import mock
+from stemts import generate_synthetic, mining
+from stemts.evaluate import evaluate
+sys.path.insert(0, {tests!r})
+from conftest import run_length_spec
+data = generate_synthetic(run_length_spec(0.4, samples_per_class=10, length=30, seed=3))
+with mock.patch.multiple(mining, _KEY_CELLS={key_cells}, _DOC_CELLS={doc_cells}):
+    evaluate(data, methods=("stem", "baseline"))
+sys.exit("numpy.ma" in sys.modules)
+"""
+
+
+@pytest.mark.parametrize(
+    "key_cells, doc_cells",
+    [(mining._KEY_CELLS, mining._DOC_CELLS), (0, 0)],
+    ids=["counting", "sorting"],
+)
+def test_evaluating_loads_no_numpy_ma(key_cells, doc_cells):
+    # numpy 2's flagless np.unique imports numpy.ma (11-14 ms) on its first call in a process
+    tests = str(Path(__file__).parent)
+    code = EVALUATE_ONCE.format(tests=tests, key_cells=key_cells, doc_cells=doc_cells)
+    env = {**os.environ, "PYTHONPATH": str(SRC)}
+    assert subprocess.run([sys.executable, "-c", code], env=env).returncode == 0
+
+
+def test_cli_eval_loads_no_numpy_ma(tmp_path):
+    data = tmp_path / "data.csv"
+    write_csv(generate_synthetic(run_length_spec(0.4, samples_per_class=10, length=30)), data)
+    argv = [sys.executable, "-X", "importtime", "-m", "stemts.cli", "-q", "eval", "--baseline"]
+    argv += ["--in", str(data), "--out", str(tmp_path / "r")]
+    env = {**os.environ, "PYTHONPATH": str(SRC)}
+    run = subprocess.run(argv, env=env, capture_output=True, text=True)
+    assert run.returncode == 0, run.stderr
+    imported = {line.rsplit("|", 1)[-1].strip() for line in run.stderr.splitlines()}
+    assert "numpy" in imported and "numpy.ma" not in imported

@@ -526,8 +526,9 @@ class SynthSpec:
             )
         if self.seed < 0:
             raise SchemaError(f"seed must be >= 0, got {self.seed}")
-        if self.step_size <= 0:
-            raise SchemaError("step_size must be > 0")
+        trend = self.step_size * (self.length - 1) + self.noise_amplitude  # bounds every |value|
+        if not (self.step_size > 0 and trend < np.inf):  # NaN fails too
+            raise SchemaError(f"step_size must be > 0 with a finite trend, got {self.step_size}")
         labels = [label for label, _ in classes]
         if len(set(labels)) != len(labels):
             raise SchemaError("class labels must be distinct")

@@ -89,6 +89,19 @@ class TestSynth:
         assert len(err.splitlines()) == 1 and err.startswith("error: ") and key in err, err
         assert not (tmp_path / "o.csv").exists()
 
+    @pytest.mark.parametrize("separable", [True, False])
+    @pytest.mark.parametrize("value", [".nan", ".inf", "1e308"])
+    def test_bad_step_size_is_one_error_line(self, tmp_path, capsys, value, separable):
+        # 1e308 x (length - 1) overflows: the trend, not the step, must be finite
+        text = SPEC_YAML if separable else SPEC_YAML.replace("separable: true\n", "")
+        spec = tmp_path / "spec.yaml"
+        spec.write_text(f"{text}step_size: {value}\n")
+        capsys.readouterr()
+        assert main(["-q", "synth", str(spec), "--out", str(tmp_path / "o.csv")]) == 1
+        err = capsys.readouterr().err
+        assert len(err.splitlines()) == 1 and err.startswith("error: step_size "), err
+        assert not (tmp_path / "o.csv").exists()
+
 
 class TestConvert:
     def test_constant_dataset_is_all_flat(self, tmp_path):

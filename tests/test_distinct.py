@@ -3,7 +3,8 @@
 ``dataset._distinct_rows`` groups equal rows by a hash and checks every row
 against its group's first; ``EventBatch.distinct`` applies it per length, and
 mining, vectorizing and classifying run over the distinct rows only. These
-tests hold all of them to references that see every copy.
+tests hold all of them to references that see every copy, and hold
+``dataset._unique``, which finds distinct integers by one sort, to ``np.unique``.
 """
 
 import os
@@ -255,11 +256,10 @@ def test_importing_the_cli_loads_no_numpy_random():
 EVALUATE_ONCE = """
 import sys
 from unittest import mock
-from stemts import generate_synthetic, mining
+from stemts import SynthSpec, generate_synthetic, mining
 from stemts.evaluate import evaluate
-sys.path.insert(0, {tests!r})
-from conftest import run_length_spec
-data = generate_synthetic(run_length_spec(0.4, samples_per_class=10, length=30, seed=3))
+classes = tuple((f"run{{r}}", ((("up", r), ("down", r)),) * 3) for r in (2, 3, 4, 6))
+data = generate_synthetic(SynthSpec(classes, 10, 30, noise_amplitude=0.4, seed=3, separable=True))
 with mock.patch.multiple(mining, _KEY_CELLS={key_cells}, _DOC_CELLS={doc_cells}):
     evaluate(data, methods=("stem", "baseline"))
 sys.exit("numpy.ma" in sys.modules)
@@ -273,8 +273,7 @@ sys.exit("numpy.ma" in sys.modules)
 )
 def test_evaluating_loads_no_numpy_ma(key_cells, doc_cells):
     # numpy 2's flagless np.unique imports numpy.ma (11-14 ms) on its first call in a process
-    tests = str(Path(__file__).parent)
-    code = EVALUATE_ONCE.format(tests=tests, key_cells=key_cells, doc_cells=doc_cells)
+    code = EVALUATE_ONCE.format(key_cells=key_cells, doc_cells=doc_cells)
     env = {**os.environ, "PYTHONPATH": str(SRC)}
     assert subprocess.run([sys.executable, "-c", code], env=env).returncode == 0
 

@@ -3,9 +3,9 @@
 A dataset is one ``MtsDataset``: every sample's time steps in one read-only
 ``(ΣT, D)`` value block with CSR ``offsets`` and id and label columns, which
 ``load_csv`` and ``generate_synthetic`` fill and ``events.convert_dataset``
-symbolizes; an ``MtsSample`` is one sample's ``(D, T)`` view of it. The row-block
-budget (``_row_blocks``) serves the distinct-rows hash here and the classifier's
-distance matrix in ``evaluate``.
+symbolizes time-major, as ``(T, D, n)`` blocks; an ``MtsSample`` is one sample's
+``(D, T)`` view of it. The row-block budget (``_row_blocks``) serves the row hash
+here, ``events.event_codes`` and the classifier's distance matrix in ``evaluate``.
 
 The on-disk interchange format is a long-form CSV (UTF-8, LF line endings):
 
@@ -26,7 +26,7 @@ import csv
 import io
 from collections import Counter
 from contextlib import contextmanager, suppress
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from pathlib import Path
 from typing import Iterable, Iterator, TextIO
 
@@ -243,25 +243,28 @@ class MtsDataset:
 
 
 def min_max_normalize(values: np.ndarray) -> np.ndarray:
-    """Min-max scale every series along the last axis to [0, 1].
+    """Min-max scale every series along axis 0 (time) to [0, 1], into a new C-order array.
 
-    Works on one (D, T) sample or a stacked (n, D, T) block alike. A constant
-    series maps to all zeros so downstream symbolization sees a motionless
-    coordinate instead of NaNs.
+    Works on one time-major (T, D) sample or a (T, D, n) block alike: ``values``,
+    say a transposed view, is copied once and never written. A constant series
+    maps to all zeros so downstream symbolization sees a motionless coordinate
+    instead of NaNs.
     """
-    lo, hi = values.min(axis=-1, keepdims=True), values.max(axis=-1, keepdims=True)
+    x = np.array(values, dtype=np.float64, order="C")  # a copy even of a C-order view
+    lo, hi = x.min(axis=0), x.max(axis=0)  # elementwise passes over rows of D * n cells
     with np.errstate(over="ignore"):
         wide = np.isinf(hi - lo)  # the range of a finite series can overflow float64
     if wide.any():  # halve those series, exactly at their magnitudes; others stay as they are
         scale = np.where(wide, 0.5, 1.0)
-        values, lo, hi = values * scale, lo * scale, hi * scale
-    shifted, span = values - lo, hi - lo  # a constant series is all zeros already
-    return np.divide(shifted, span, out=shifted, where=span > 0.0)
+        x, lo, hi = x * scale, lo * scale, hi * scale
+    x -= lo  # a constant series is all zeros already
+    span = hi - lo  # a masked divide is slower: mask only when some span is 0
+    return np.divide(x, span, out=x, where=True if (span > 0.0).all() else span > 0.0)
 
 
 def normalize_sample(sample: MtsSample) -> MtsSample:
     """Min-max scale each dimension independently to [0, 1] (see ``min_max_normalize``)."""
-    return MtsSample(sample.id, sample.label, min_max_normalize(sample.values))
+    return MtsSample(sample.id, sample.label, min_max_normalize(sample.values.T).T)
 
 
 def pad_to_length(sample: MtsSample, length: int) -> MtsSample:
@@ -595,15 +598,7 @@ def generate_synthetic(spec: SynthSpec) -> MtsDataset:
     return MtsDataset(values, _offsets(np.full(len(ids), spec.length)), ids, labels)
 
 
-_SPEC_KEYS = {
-    "classes",
-    "samples_per_class",
-    "length",
-    "noise_amplitude",
-    "seed",
-    "step_size",
-    "separable",
-}
+_SPEC_KEYS = {f.name for f in fields(SynthSpec)}
 
 
 def load_synth_spec(path: str | Path) -> SynthSpec:

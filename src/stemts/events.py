@@ -10,8 +10,9 @@ encoding is a bijection.
 A dataset's codes live in one ``EventBatch``: every sample's codes joined
 into one int64 array, with ``offsets`` marking where each sample starts (the
 CSR ``indptr`` layout), validated once per batch and read-only from then
-on. ``convert_dataset`` writes each group of equal-length samples straight
-into it, and the event files are read into and written from it.
+on. ``convert_dataset`` symbolizes each group of equal-length samples as one
+time-major ``(T, D, n)`` block and writes its codes into it; the event files
+are read into and written from it.
 ``EventSequence`` is one sample's codes: what indexing or iterating a batch
 hands out, built on access, and what ``symbolize_sample`` returns.
 
@@ -36,6 +37,7 @@ from .dataset import (
     _distinct_rows,
     _offsets,
     _read_only,
+    _row_blocks,
     _unique,
     csv_prefix,
     min_max_normalize,
@@ -82,6 +84,7 @@ class SymbolizerConfig:
     def __post_init__(self) -> None:
         if not 0.0 <= self.delta < 1.0:
             raise ConfigError(f"delta must lie in [0, 1), got {self.delta}")
+        object.__setattr__(self, "delta", abs(self.delta))  # -0.0 is stored, and written, as 0.0
 
 
 @dataclass(frozen=True)
@@ -219,19 +222,25 @@ def alphabet_size(dims: int) -> int:
 
 
 def event_codes(normalized: np.ndarray, delta: float) -> np.ndarray:
-    """Event codes of normalized values: ``(..., D, T)`` in, ``(..., T-1)`` int64 out.
+    """Event codes of time-major normalized values: ``(T, D, ...)`` in, ``(T-1, ...)`` int64 out.
 
     The one implementation of the threshold rule: a step difference above
     ``delta`` is up (+1), below ``-delta`` down (-1), otherwise flat (0), and
     the D symbols of a step combine in base 3, dimension 0 least significant.
-    A single sample and a stacked block of equal-length samples go through
-    the same arithmetic, so batching never changes a code.
+    A single ``(T, D)`` sample and a ``(T, D, n)`` block of equal-length samples
+    go through the same arithmetic, so batching never changes a code.
     """
-    alphabet_size(normalized.shape[-2])  # rejects dimension counts whose codes overflow
-    diffs = np.diff(normalized, axis=-1)
-    digits = (diffs > delta).view(np.int8) - (diffs < -delta).view(np.int8) + 1
-    weights = 3 ** np.arange(normalized.shape[-2], dtype=np.int64)
-    return np.einsum("d,...dt->...t", weights, digits)
+    dims = normalized.shape[1]
+    alphabet_size(dims)  # rejects dimension counts whose codes overflow
+    codes = np.zeros((len(normalized) - 1, *normalized.shape[2:]), dtype=np.int64)
+    for rows in _row_blocks(len(codes), normalized[0].size):  # temporaries stay one block small
+        diffs = normalized[1:][rows] - normalized[:-1][rows]
+        digits = (diffs > delta).view(np.int8) - (diffs < -delta).view(np.int8) + 1
+        step = codes[rows]  # a view: Horner's rule builds the base-3 sum in place, dimension 0 last
+        for d in range(dims - 1, -1, -1):
+            step *= 3
+            step += digits[:, d]
+    return codes
 
 
 def symbolize_dimension(x: Sequence[float] | np.ndarray, delta: float) -> list[int]:
@@ -247,7 +256,7 @@ def symbolize_dimension(x: Sequence[float] | np.ndarray, delta: float) -> list[i
         raise ValueError("values must be normalized to [0, 1] before symbolization")
     SymbolizerConfig(delta)
     # with one dimension the event code is the symbol plus one
-    return (event_codes(arr[None, :], delta) - 1).tolist()
+    return (event_codes(arr[:, None], delta) - 1).tolist()
 
 
 def encode_event(symbols: Sequence[int]) -> int:
@@ -283,7 +292,7 @@ def symbolize_sample(sample: MtsSample, config: SymbolizerConfig) -> EventSequen
         raise ValueError(
             f"sample {sample.id!r}: values must be normalized to [0, 1] before symbolization"
         )
-    return EventSequence(sample.id, sample.label, sample.dims, event_codes(v, config.delta))
+    return EventSequence(sample.id, sample.label, sample.dims, event_codes(v.T, config.delta))
 
 
 def convert_dataset(
@@ -294,9 +303,9 @@ def convert_dataset(
     With ``pad_to``, a sample shorter than that length is first extended to
     it by repeating its final values (as ``pad_to_length`` does); longer
     samples are left as they are. The samples of one length are taken from
-    the dataset's value block as one ``(n, D, T)`` group, padded, normalized
-    and symbolized in one numpy pass and written straight into the batch's
-    codes, so the cost is a few array operations per distinct length.
+    the dataset's value block as one time-major ``(T, D, n)`` group, so every
+    reduction and step difference runs over rows of D * n cells, and written
+    into the batch's codes, so the cost is a few array operations per length.
     """
     lengths = np.diff(dataset.offsets)
     offsets = _offsets(np.maximum(lengths, pad_to or 0) - 1)
@@ -306,15 +315,17 @@ def convert_dataset(
         block = dataset.values  # a plain view when every sample has this length
         if len(members) < len(dataset):
             block = block[(dataset.offsets[members, None] + np.arange(length)).ravel()]
-        # (n, D, T) in memory order: numpy reduces a strided last axis several times slower
-        block = np.ascontiguousarray(block.reshape(len(members), length, -1).transpose(0, 2, 1))
+        # (T, D, n): min_max_normalize copies it in this order and never writes the dataset
+        block = block.reshape(len(members), length, -1).transpose(1, 2, 0)
         padding = max(length, pad_to or 0) - length
         if padding:
-            block = np.pad(block, [(0, 0), (0, 0), (0, padding)], mode="edge")
-        block = min_max_normalize(block)  # rebinding frees the gathered raw values early
-        group = event_codes(block, config.delta)
+            block = np.pad(block, [(0, padding), (0, 0), (0, 0)], mode="edge")
+        group = event_codes(min_max_normalize(block), config.delta).T  # (n, T - 1)
         del block  # before the scatter's index array is made
-        codes[offsets[members, None] + np.arange(group.shape[1])] = group
+        if len(members) == len(dataset):
+            codes.reshape(group.shape)[:] = group
+        else:
+            codes[offsets[members, None] + np.arange(group.shape[1])] = group
     codes.setflags(write=False)
     return EventBatch(codes, offsets, dataset.ids, dataset.labels, dataset.dims)
 

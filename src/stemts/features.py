@@ -22,7 +22,7 @@ from __future__ import annotations
 import json
 import warnings
 from collections import Counter
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from itertools import chain
 from pathlib import Path
 from typing import Sequence
@@ -183,17 +183,10 @@ def vectorize_dataset(
 
 def save_vocabulary(vocab: FeatureVocabulary, path: str | Path) -> None:
     """Write a vocabulary with its context; load_vocabulary inverts exactly."""
-    miner = None
-    if vocab.miner is not None:
-        miner = {
-            "min_support": vocab.miner.min_support,
-            "max_len": vocab.miner.max_len,
-            "gain_gamma": vocab.miner.gain_gamma,
-        }
     payload = {
         "dims": vocab.dims,
         "delta": vocab.delta,
-        "miner": miner,
+        "miner": None if vocab.miner is None else asdict(vocab.miner),
         "features": [list(t) for t in vocab.features],
     }
     Path(path).write_text(json.dumps(payload, indent=2) + "\n", encoding="utf-8")

@@ -226,6 +226,23 @@ class TestEval:
             tmp_path / "two.vocab.json"
         ).read_bytes()
 
+    def test_negative_zero_delta_writes_zero(self, spec_file, tmp_path):
+        # -0 and 0 give the same codes, so both write the same files, with delta 0.0
+        for name, delta in (("neg", "-0"), ("pos", "0")):
+            self.run_eval(spec_file, tmp_path, name, extra=["--baseline", "--delta", delta])
+            events = str(tmp_path / f"{name}.events.csv")
+            argv = ["-q", "convert", "--in", str(tmp_path / "data.csv"), "--delta", delta]
+            assert main([*argv, "--out", events]) == 0
+        neg, pos = (json.loads((tmp_path / f"{n}.json").read_text()) for n in ("neg", "pos"))
+        assert json.dumps(strip_timings(neg)) == json.dumps(strip_timings(pos))
+        assert '"delta": 0.0' in json.dumps(neg)
+        assert text_without_cpu_section((tmp_path / "neg.txt").read_text()) == (
+            text_without_cpu_section((tmp_path / "pos.txt").read_text())
+        )
+        for suffix in (".vocab.json", ".events.csv", ".events.csv.meta.json"):
+            neg, pos = ((tmp_path / f"{n}{suffix}").read_bytes() for n in ("neg", "pos"))
+            assert neg == pos, suffix
+
     def test_env_seed_fallback(self, spec_file, tmp_path, monkeypatch):
         monkeypatch.setenv("STEM_SEED", "123")
         data = tmp_path / "data.csv"

@@ -336,9 +336,11 @@ class TestBatchedConvert:
             wide, narrow = convert_dataset(ds, SymbolizerConfig(0.05))
         assert wide.codes == (2, 2, 0)
         assert narrow.codes == (2, 2, 0)
-        # in a stacked block, a series whose range fits is normalized as on its own
-        block = np.stack([s.values for s in ds])
-        assert min_max_normalize(block)[1].tobytes() == min_max_normalize(block[1]).tobytes()
+        # in a time-major (T, D, n) block, a series whose range fits is normalized as on its own
+        block = np.stack([s.values.T for s in ds], axis=-1)
+        assert (
+            min_max_normalize(block)[..., 1].tobytes() == min_max_normalize(block[..., 1]).tobytes()
+        )
 
     def test_longer_samples_are_not_cut(self):
         ds = MtsDataset.from_samples(
@@ -347,6 +349,80 @@ class TestBatchedConvert:
         long, short = convert_dataset(ds, SymbolizerConfig(0.05), pad_to=3)
         assert long.codes == (2, 0, 2)
         assert short.codes == (2, 1)
+
+
+def plain_codes(dims_values, delta):
+    """Event codes of one raw sample, given as D lists of floats, in plain Python.
+
+    Each series is scaled by ``(x - lo) / (hi - lo)`` (all zeros when constant),
+    each step difference is up above ``delta``, down below ``-delta`` and flat
+    otherwise, and the digits combine in base 3 with dimension 0 least significant.
+    """
+    scaled = []
+    for series in dims_values:
+        lo, hi = min(series), max(series)
+        scaled.append([(x - lo) / (hi - lo) if hi > lo else 0.0 for x in series])
+    codes = []
+    for t in range(len(scaled[0]) - 1):
+        code = 0
+        for d, series in enumerate(scaled):
+            diff = series[t + 1] - series[t]
+            code += (2 if diff > delta else 0 if diff < -delta else 1) * 3**d
+        codes.append(code)
+    return codes
+
+
+@st.composite
+def plain_datasets(draw):
+    """Ragged samples of 1-4 dimensions; constant dimensions are drawn on purpose."""
+    dims = draw(st.integers(1, 4))
+    samples = []
+    for i in range(draw(st.integers(1, 6))):
+        length = draw(st.integers(2, 7))
+        series = st.one_of(
+            st.floats(-1e6, 1e6).map(lambda x: [x] * length),
+            st.lists(st.sampled_from([0.0, 1.0, 2.5, -3.0]), min_size=length, max_size=length),
+            st.lists(st.floats(-1e6, 1e6), min_size=length, max_size=length),
+        )
+        samples.append(draw(st.lists(series, min_size=dims, max_size=dims)))
+    return samples
+
+
+class TestConvertAgainstPlainPython:
+    @given(plain_datasets(), st.sampled_from([None, "max", 3]), st.sampled_from([0.0, 0.05, 0.3]))
+    def test_equals_a_plain_python_loop(self, samples, pad_to, delta):
+        ds = MtsDataset.from_samples(make_sample(v, f"s{i}") for i, v in enumerate(samples))
+        if pad_to == "max":
+            pad_to = ds.t_max
+        expected = []
+        for values in samples:
+            extra = max(0, (pad_to or 0) - len(values[0]))
+            expected.append(plain_codes([v + v[-1:] * extra for v in values], delta))
+        batch = convert_dataset(ds, SymbolizerConfig(delta), pad_to)
+        assert [list(q.codes) for q in batch] == expected
+
+
+class TestConvertLeavesTheDatasetAlone:
+    """A group of one sample is a view of the read-only value block, and a whole-dataset
+    group too: the kernel must copy before it normalizes in place."""
+
+    @pytest.mark.parametrize("pad", [False, True])
+    @pytest.mark.parametrize("lengths", [(5,), (5, 3, 3)], ids=["one-sample", "ragged"])
+    def test_single_sample_groups(self, lengths, pad):
+        values = np.random.default_rng(0).random((sum(lengths), 2))
+        ids = tuple(f"s{i}" for i in range(len(lengths)))
+        ds = MtsDataset(values, np.cumsum((0,) + lengths), ids, ("a",) * len(ids))
+        before = ds.values.tobytes()
+        pad_to = ds.t_max if pad else None
+        config = SymbolizerConfig(0.05)
+        batch = convert_dataset(ds, config, pad_to)
+        expected = [
+            symbolize_sample(normalize_sample(pad_to_length(s, max(s.length, pad_to or 0))), config)
+            for s in ds
+        ]
+        assert [q.codes for q in batch] == [q.codes for q in expected]
+        assert not ds.values.flags.writeable
+        assert ds.values.tobytes() == before
 
 
 class TestEventFileErrors:

@@ -320,7 +320,8 @@ def convert_dataset(
         padding = max(length, pad_to or 0) - length
         if padding:
             block = np.pad(block, [(0, padding), (0, 0), (0, 0)], mode="edge")
-        group = event_codes(min_max_normalize(block), config.delta).T  # (n, T - 1)
+        block = min_max_normalize(block)  # rebinding frees a gathered group's raw values early
+        group = event_codes(block, config.delta).T  # (n, T - 1)
         del block  # before the scatter's index array is made
         if len(members) == len(dataset):
             codes.reshape(group.shape)[:] = group

@@ -303,9 +303,9 @@ def convert_dataset(
     With ``pad_to``, a sample shorter than that length is first extended to
     it by repeating its final values (as ``pad_to_length`` does); longer
     samples are left as they are. The samples of one length are taken from
-    the dataset's value block as one time-major ``(T, D, n)`` group, so every
-    reduction and step difference runs over rows of D * n cells, and written
-    into the batch's codes, so the cost is a few array operations per length.
+    the dataset's value block as one time-major ``(T, D, n)`` group, whose
+    reductions and step differences run over rows of D * n cells, and its
+    codes are written into the batch: a few array operations per length.
     """
     lengths = np.diff(dataset.offsets)
     offsets = _offsets(np.maximum(lengths, pad_to or 0) - 1)

@@ -403,8 +403,9 @@ class TestConvertAgainstPlainPython:
 
 
 class TestConvertLeavesTheDatasetAlone:
-    """A group of one sample is a view of the read-only value block, and a whole-dataset
-    group too: the kernel must copy before it normalizes in place."""
+    """A one-sample dataset's group is a view of the read-only value block, a ragged
+    dataset's single-sample group a gathered copy: either way the codes are right and
+    the dataset is left as it was, so the kernel copies before it normalizes in place."""
 
     @pytest.mark.parametrize("pad", [False, True])
     @pytest.mark.parametrize("lengths", [(5,), (5, 3, 3)], ids=["one-sample", "ragged"])

@@ -264,7 +264,9 @@ def min_max_normalize(values: np.ndarray) -> np.ndarray:
 
 def normalize_sample(sample: MtsSample) -> MtsSample:
     """Min-max scale each dimension independently to [0, 1] (see ``min_max_normalize``)."""
-    return MtsSample(sample.id, sample.label, min_max_normalize(sample.values.T).T)
+    values = min_max_normalize(sample.values.T)
+    values.setflags(write=False)  # so the sample keeps the transposed view, not a copy
+    return MtsSample(sample.id, sample.label, values.T)
 
 
 def pad_to_length(sample: MtsSample, length: int) -> MtsSample:

@@ -5,28 +5,28 @@ only training samples. Test samples are symbolized and vectorized against the
 training vocabulary, never the other way around, so removing or mutating a
 test sample can never change the mined features.
 
-``evaluate`` is the one entry point. It splits the dataset into train and
-test rows, symbolizes it once into one ``events.EventBatch`` and takes the
-train and test batches and their distinct sequences (``EventBatch.distinct``).
-Per method it then mines the whole training batch (every sample counts towards
-the support threshold), vectorizes the distinct batches with
-``features.vectorize_batch`` and classifies the test samples in ``_predict``,
-the one classify path; no per-sample object is built.
-``evaluate_pipeline`` and ``baseline_histogram_eval`` are its one-method calls.
+``evaluate`` is the one entry point; ``evaluate_pipeline`` and
+``baseline_histogram_eval`` are its one-method calls. It encodes the labels
+once as indices into the sorted label set and splits by them, symbolizes the
+dataset into one ``events.EventBatch`` and finds its distinct sequences once
+(``EventBatch.distinct``). Each split's distinct sequences, in its order, and
+each sample's row among them follow from that without hashing again. Per
+method it mines the training split's distinct sequences, each weighted by its
+sample count, vectorizes every distinct sequence once and classifies the test
+samples in ``_predict``, the one classify path, on the integer label codes; no
+per-sample object is built.
 
-Timings are process CPU seconds (user+system via ``time.process_time``), not
-wall clock, per stage: symbolize (with taking both batches and their distinct
-sequences), mine, featurize, classify, total. The shared symbolize stage is
-charged to the first report; a later report's is 0.0.
+Timings are process CPU seconds (``time.process_time``) per stage: symbolize
+(with finding the distinct sequences), mine, featurize, classify, total. The
+shared symbolize stage is charged to the first report; a later report's is 0.0.
 
 Classifying builds one distance matrix over the distinct queries and training
 vectors (see ``_distances``; ``dataset._distinct_rows`` finds them), then works
-on it one row block at a time (``dataset._row_blocks``, the budget the row hash
-uses too). kNN
-reads each query's k nearest in stable order (equal distances keep training
-order) and votes once per distinct query: majority, then smaller mean
-distance within the k, then the smaller label. The nearest centroid is the
-1-NN of the class means in sorted-label order: a tie goes to the smaller label.
+on it one row block at a time (``dataset._row_blocks``). kNN reads each query's
+k nearest in stable order (equal distances keep training order) and votes once
+per distinct query: majority, then smaller mean distance within the k, then the
+smaller label. The nearest centroid is the 1-NN of the class means in
+sorted-label order: a tie goes to the smaller label.
 """
 
 from __future__ import annotations
@@ -42,18 +42,13 @@ from typing import Sequence
 
 import numpy as np
 
-from .dataset import MtsDataset, _distinct_rows, _row_blocks
+from .dataset import MtsDataset, _distinct_rows, _row_blocks, _unique
 from .errors import ConfigError, DegenerateTaskError, UnlabeledDataError
 from .events import SymbolizerConfig, convert_dataset
-from .features import (
-    FeatureVocabulary,
-    build_vocabulary,
-    full_alphabet_vocabulary,
-    vectorize_batch,
-)
+from .features import FeatureVocabulary, _vectorize, build_vocabulary, full_alphabet_vocabulary
 from .mining import (
     MinerConfig,
-    build_forest,
+    _count_forest,
     extract_rts_features,
     prune_bottom_up,
     resolve_min_support,
@@ -107,18 +102,23 @@ class ClassifierConfig:
             raise ConfigError(f"k must be >= 1, got {self.k}")
 
 
-def _split_rows(dataset: MtsDataset, spec: SplitSpec) -> tuple[np.ndarray, np.ndarray]:
-    """Split into ascending (train rows, test rows), the sample positions in
-    ``dataset``; see :func:`split_dataset`."""
-    unlabeled = [sid for sid, label in zip(dataset.ids, dataset.labels) if label is None]
+def _label_codes(labels: Sequence, names: Sequence) -> np.ndarray:
+    """Each of ``labels`` as its index in ``names``, -1 for ``None``."""
+    index = {None: -1} | {name: i for i, name in enumerate(names)}
+    return np.fromiter(map(index.__getitem__, labels), np.intp, len(labels))
+
+
+def _split_rows(dataset: MtsDataset, codes: np.ndarray, spec: SplitSpec) -> tuple[np.ndarray, ...]:
+    """Split into ascending (train rows, test rows), the sample positions in ``dataset``,
+    grouped by the label ``codes`` of ``_label_codes``; see :func:`split_dataset`."""
+    unlabeled = [dataset.ids[i] for i in np.flatnonzero(codes < 0)[:5].tolist()]
     if unlabeled:
-        raise UnlabeledDataError(f"cannot split unlabeled samples: {unlabeled[:5]}")
+        raise UnlabeledDataError(f"cannot split unlabeled samples: {unlabeled}")
     rng = np.random.default_rng(spec.seed)
-    groups = [np.arange(len(dataset))]
+    groups = [np.arange(len(codes))]
     if spec.stratified:
-        labels = np.array(dataset.labels, dtype=object)
-        groups = [np.flatnonzero(labels == label) for label in dataset.label_set]
-    in_test = np.zeros(len(dataset), dtype=bool)
+        groups = [np.flatnonzero(codes == code) for code in range(codes.max() + 1)]
+    in_test = np.zeros(len(codes), dtype=bool)
     for rows in groups:
         n = len(rows)
         if n == 1:
@@ -138,7 +138,7 @@ def split_dataset(dataset: MtsDataset, spec: SplitSpec) -> tuple[list[str], list
     at least one sample stays in train. Groups are classes when stratified,
     the whole dataset otherwise. Returned ids keep dataset order.
     """
-    train, test = _split_rows(dataset, spec)
+    train, test = _split_rows(dataset, _label_codes(dataset.labels, dataset.label_set), spec)
     ids = dataset.ids
     return [ids[i] for i in train.tolist()], [ids[i] for i in test.tolist()]
 
@@ -225,32 +225,32 @@ def _vote(labels: Sequence[str], distances: Sequence[float]) -> str:
     return min(winners, key=lambda label: (means[label], label))
 
 
-def _centroids(matrix: np.ndarray, labels: Sequence[str]) -> dict[str, np.ndarray]:
+def _centroids(matrix: np.ndarray, labels: Sequence) -> dict:
     """Per-class mean of ``matrix``'s rows in their order, keyed by label in sorted order."""
-    column = np.array(labels, dtype=object)
-    return {label: matrix[column == label].mean(axis=0) for label in sorted(set(labels))}
+    column = np.asarray(labels)
+    return {label: matrix[column == label].mean(axis=0) for label in _unique(column).tolist()}
 
 
 def _predict(
     matrix: np.ndarray,
     matrix_of: np.ndarray,
-    labels: Sequence[str],
+    labels: Sequence,
     queries: np.ndarray,
     query_of: np.ndarray,
     classifier: ClassifierConfig,
-) -> list[str]:
+) -> list:
     """The label of test sample j, ``queries[query_of[j]]``, against training sample i,
     ``matrix[matrix_of[i]]`` labelled ``labels[i]``; one vocabulary gives both widths.
 
-    The distance matrix is over each matrix's distinct rows in first-appearance order:
-    over ``EventBatch.distinct``'s sequences, each split's distinct vectors in order of
-    first appearance over its samples. Equal queries get one vote. The nearest centroid
-    is the 1-NN of ``matrix[matrix_of]``'s class means (``_centroids``) in label order.
+    The labels, any sortable values (``evaluate`` passes integer codes), are ranked once,
+    and the vote and the centroids (``_centroids``) run on the ranks. The distance matrix
+    is over each matrix's distinct rows in first-appearance order. Equal queries get one vote.
     """
+    names, ranks = np.unique(np.asarray(labels), return_inverse=True)
     if classifier.kind == "centroid":
-        centroids = _centroids(matrix[matrix_of], labels)
-        matrix, labels = np.vstack(list(centroids.values())), list(centroids)
-        matrix_of, classifier = np.arange(len(labels)), ClassifierConfig("knn", 1, classifier.metric)
+        centroids = _centroids(matrix[matrix_of], ranks)
+        matrix, ranks = np.vstack(list(centroids.values())), np.array(list(centroids))
+        matrix_of, classifier = np.arange(len(ranks)), ClassifierConfig("knn", 1, classifier.metric)
     if classifier.k > len(matrix_of):
         raise ConfigError(f"k must lie in [1, {len(matrix_of)}], got {classifier.k}")
     query_rows, query_at = _distinct_rows(queries)
@@ -259,8 +259,8 @@ def _predict(
     distances = _distances(queries[query_rows], matrix[train_rows], classifier.metric)
     nearest = _nearest(distances, classifier.k, columns)
     near = np.take_along_axis(distances, columns[nearest], axis=1)
-    votes = [_vote([labels[i] for i in row], d) for row, d in zip(nearest.tolist(), near)]
-    return [votes[i] for i in query_at[query_of].tolist()]
+    votes = np.array([_vote(row, d) for row, d in zip(ranks[nearest].tolist(), near)])
+    return names[votes[query_at[query_of]]].tolist()
 
 
 # ---------------------------------------------------------------------------
@@ -310,12 +310,14 @@ class EvalReport:
         }
 
 
-def _confusion(labels: tuple[str, ...], truth: Sequence[str], predicted: Sequence[str]) -> np.ndarray:
-    index = {label: i for i, label in enumerate(labels)}
-    matrix = np.zeros((len(labels), len(labels)), dtype=np.int64)
-    for t, p in zip(truth, predicted):
-        matrix[index[t], index[p]] += 1
-    return matrix
+def _first_appearances(ids: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``(distinct, index)``: the distinct non-negative ``ids`` in order of first appearance
+    and each id's index in ``distinct``, found with one ``minimum.at``, not by hashing."""
+    seen = np.full(ids.max() + 1, len(ids))
+    np.minimum.at(seen, ids, np.arange(len(ids)))  # each id's first position
+    first = np.sort(seen[seen < len(ids)])
+    seen[ids[first]] = np.arange(len(first))  # now each id's index in distinct
+    return ids[first], seen[ids]
 
 
 def evaluate(
@@ -349,20 +351,22 @@ def evaluate(
     labels = dataset.label_set
     if len(labels) < 2:
         raise DegenerateTaskError(f"classification needs at least 2 classes, got {len(labels)}")
+    codes = _label_codes(dataset.labels, labels)
     if resubstitution:
         train_rows = test_rows = np.arange(len(dataset))
     else:
-        train_rows, test_rows = _split_rows(dataset, split)
+        train_rows, test_rows = _split_rows(dataset, codes, split)
     if not len(test_rows):
         raise DegenerateTaskError("the split left no test samples")
     start = time.process_time()
     # padding follows the training samples only, so a test sample's length
     # cannot reach the vocabulary through the padded training sequences
     pad_to = int(np.diff(dataset.offsets)[train_rows].max()) if pad else None
-    batch = convert_dataset(dataset, symbolizer, pad_to)
-    train, test = batch.take(train_rows), batch.take(test_rows)
-    del batch  # train and test hold every code the later stages read
-    (train_unique, train_of), (test_unique, test_of) = train.distinct(), test.distinct()
+    unique, inverse = convert_dataset(dataset, symbolizer, pad_to).distinct()
+    # each split's distinct sequences (rows of unique) in its order, and each sample's among them
+    (train_seq, train_of), (test_seq, test_of) = (
+        _first_appearances(inverse[rows]) for rows in (train_rows, test_rows)
+    )
     t_symbolize = time.process_time() - start
 
     reports = []
@@ -374,24 +378,28 @@ def evaluate(
         else:
             method_config = {
                 "min_support": miner.min_support,
-                "resolved_min_support": resolve_min_support(miner.min_support, len(train)),
+                "resolved_min_support": resolve_min_support(miner.min_support, len(train_rows)),
                 "max_len": miner.max_len,
                 "gain_gamma": miner.gain_gamma,
             }
-            features = extract_rts_features(prune_bottom_up(build_forest(train, miner), miner))
+            train = unique.take(train_seq)  # the codes of batch.take(train_rows).distinct()
+            forest = _count_forest(train, np.bincount(train_of), len(train_rows), miner)
+            features = extract_rts_features(prune_bottom_up(forest, miner))
             vocab = build_vocabulary(features, dataset.dims, symbolizer.delta, miner)
         t_mine = time.process_time() - t0
 
         t0 = time.process_time()
-        train_matrix = vectorize_batch(train_unique, vocab)
-        test_matrix = vectorize_batch(test_unique, vocab)
+        matrix = _vectorize(unique, vocab)  # a row depends on its own sequence alone
         t_featurize = time.process_time() - t0
 
         t0 = time.process_time()
-        predictions = _predict(train_matrix, train_of, train.labels, test_matrix, test_of, classifier)
+        predicted = _predict(
+            matrix[train_seq], train_of, codes[train_rows], matrix[test_seq], test_of, classifier
+        )
         t_classify = time.process_time() - t0
 
-        confusion = _confusion(labels, test.labels, predictions)
+        cells = np.bincount(codes[test_rows] * len(labels) + predicted, minlength=len(labels) ** 2)
+        confusion = cells.reshape(len(labels), len(labels))  # rows true, columns predicted
         timings = {
             "symbolize": t_symbolize,
             "mine": t_mine,
@@ -419,8 +427,8 @@ def evaluate(
                 confusion=confusion,
                 timings=timings,
                 config=config,
-                n_train=len(train),
-                n_test=len(test),
+                n_train=len(train_rows),
+                n_test=len(test_rows),
                 vocabulary=vocab,
             )
         )

@@ -252,7 +252,7 @@ def symbolize_dimension(x: Sequence[float] | np.ndarray, delta: float) -> list[i
     arr = np.asarray(x, dtype=np.float64)
     if arr.ndim != 1 or arr.size < 2:
         raise TooShortError(f"need at least 2 points in one dimension, got shape {arr.shape}")
-    if arr.min() < 0.0 or arr.max() > 1.0:
+    if not (arr.min() >= 0.0 and arr.max() <= 1.0):  # nan fails both comparisons
         raise ValueError("values must be normalized to [0, 1] before symbolization")
     SymbolizerConfig(delta)
     # with one dimension the event code is the symbol plus one

@@ -126,18 +126,27 @@ def vectorize_batch(batch: EventBatch, vocab: FeatureVocabulary) -> np.ndarray:
 
     Entry (i, j) is the count of tuple j in sample i over
     ``len(codes_i) - len(tuple_j) + 1``, and 0 for a tuple longer than the
-    sample. Only the distinct code sequences are vectorized, their rows copied
-    to the samples that repeat them. The vocabulary's tuples go after the
-    ``n`` distinct sequences, tuple j as owner ``n + j``, and one
-    ``window_states`` walk over both, on the vocabulary's codes as alphabet,
-    numbers every window: a sequence's window holds tuple j when it shares the
-    row of tuple j's whole window. One ``bincount`` counts the hits.
+    sample. Only the distinct code sequences are vectorized (``_vectorize``),
+    their rows copied to the samples that repeat them.
     """
     if batch.dims != vocab.dims:
         raise IncompatibleVocabularyError(
             f"batch has {batch.dims} dimensions, vocabulary expects {vocab.dims}"
         )
     unique, inverse = batch.distinct()
+    values = _vectorize(unique, vocab)
+    if unique is not batch:  # a batch without repeats is not gathered
+        values = values[inverse]
+    values.setflags(write=False)
+    return values
+
+
+def _vectorize(unique: EventBatch, vocab: FeatureVocabulary) -> np.ndarray:
+    """The matrix rows of ``unique``'s ``n`` sequences, which should not repeat. The
+    vocabulary's tuples go after them, tuple j as owner ``n + j``, and one
+    ``window_states`` walk over both, on the vocabulary's codes as alphabet,
+    numbers every window: a sequence's window holds tuple j when it shares the
+    row of tuple j's whole window. One ``bincount`` counts the hits."""
     n, width = len(unique), len(vocab)
     lengths = np.array([len(t) for t in vocab.features], dtype=np.int64)
     hits = [np.empty(0, dtype=np.int64)]
@@ -155,11 +164,7 @@ def vectorize_batch(batch: EventBatch, vocab: FeatureVocabulary) -> np.ndarray:
             hits.append(owners[:split][feature >= 0] * np.int64(width) + feature[feature >= 0])
     counts = np.bincount(np.concatenate(hits), minlength=n * width).reshape(n, width)
     positions = np.subtract.outer(np.diff(unique.offsets), lengths) + 1
-    values = np.divide(counts, positions, out=np.zeros((n, width)), where=positions > 0)
-    if unique is not batch:  # a batch without repeats is not gathered
-        values = values[inverse]
-    values.setflags(write=False)
-    return values
+    return np.divide(counts, positions, out=np.zeros((n, width)), where=positions > 0)
 
 
 def vectorize_dataset(

@@ -215,12 +215,16 @@ def build_forest(
 
     ``occ_count`` counts a tuple's windows and ``doc_support`` its distinct
     samples, so a tuple occurring many times in one sample counts it once.
-    Each distinct code sequence is walked once, weighted by its sample count.
     """
     batch = _check_sequences(sequences)
     unique, inverse = batch.distinct()
-    weights = np.bincount(inverse)
-    alphabet = _rows(unique.codes, alphabet_size(batch.dims), np.int32)[0]
+    return _count_forest(unique, np.bincount(inverse), len(batch), config)
+
+
+def _count_forest(unique: EventBatch, weights, n_samples: int, config: MinerConfig) -> PrefixForest:
+    """The forest of ``n_samples`` samples whose distinct code sequences ``unique`` repeat
+    ``weights`` times each: each one is walked once, weighted by its count."""
+    alphabet = _rows(unique.codes, alphabet_size(unique.dims), np.int32)[0]
     nodes: dict[EventTuple, Support] = {}
     prefixes: list[EventTuple] = [()]
     walk = window_states(unique.codes, unique.offsets, alphabet, config.max_len)
@@ -232,7 +236,7 @@ def build_forest(
         tuples = [prefixes[p] + (c,) for p, c in zip(prefix.tolist(), alphabet[last].tolist())]
         nodes.update(zip(tuples, map(Support, docs, occs.tolist())))
         prefixes = tuples
-    return PrefixForest(nodes=nodes, n_samples=len(batch))
+    return PrefixForest(nodes=nodes, n_samples=n_samples)
 
 
 def prune_bottom_up(forest: PrefixForest, config: MinerConfig) -> PrefixForest:

@@ -153,6 +153,12 @@ class TestNormalize:
         s = normalize_sample(make_sample([[0.0, 10.0], [7.0, 7.0]]))
         assert s.values.tolist() == [[0.0, 1.0], [0.0, 0.0]]
 
+    def test_result_is_a_read_only_view(self):
+        # the sample keeps the transposed view of the normalized array, no second copy
+        s = normalize_sample(make_sample([[2.0, 4.0, 6.0], [1.0, 1.0, 3.0]]))
+        assert s.values.base is not None and not s.values.flags.writeable
+        assert s.values.tolist() == [[0.0, 0.5, 1.0], [0.0, 0.0, 1.0]]
+
     def test_range_overflowing_float64(self):
         # -1e308..1e308 spans 2e308, past the largest float64
         sample = make_sample([[-1e308, 0.0, 1e308, -1e308], [1.0, 2.0, 3.0, 5.0]])

@@ -14,6 +14,7 @@ from hypothesis.extra.numpy import arrays
 
 from stemts import (
     ClassifierConfig,
+    EventBatch,
     FeatureVector,
     MinerConfig,
     MtsDataset,
@@ -22,9 +23,11 @@ from stemts import (
     SymbolizerConfig,
     baseline_histogram_eval,
     build_forest,
+    build_vocabulary,
     convert_dataset,
     evaluate_pipeline,
     extract_rts_features,
+    full_alphabet_vocabulary,
     generate_synthetic,
     prune_bottom_up,
     render_report_table,
@@ -604,8 +607,10 @@ class TestBatchPath:
         predictions = evaluate._predict(
             train_matrix, np.arange(len(train)), labels, test_matrix, np.arange(len(test)), classifier
         )
-        truth = [q.label for q in test]
-        assert np.array_equal(report.confusion, evaluate._confusion(("a", "b"), truth, predictions))
+        confusion = np.zeros((2, 2), dtype=np.int64)
+        for truth, predicted in zip([q.label for q in test], predictions):
+            confusion["ab".index(truth), "ab".index(predicted)] += 1
+        assert np.array_equal(report.confusion, confusion)
         for query, label in zip(test_vecs, predictions):
             # where the nearest vectors tie within rounding and disagree on the
             # label, which one wins may depend on the batch (a known open item)
@@ -613,6 +618,49 @@ class TestBatchPath:
             near = {labels[i] for i in np.flatnonzero(distance <= distance.min() + 1e-9)}
             if len(near) == 1:
                 assert knn(train_vecs, query, 1) == label
+
+
+@st.composite
+def repeating_tasks(draw):
+    """Two or three classes of 2..6 samples, lengths 2..6, from few values: many samples
+    share their code sequence, also across classes and splits."""
+    dims = draw(st.integers(1, 2))
+    samples = []
+    for label in draw(st.sampled_from(["ba", "cab", "ab"])):
+        for i in range(draw(st.integers(2, 6))):
+            shape = (dims, draw(st.integers(2, 6)))
+            values = draw(arrays(np.float64, shape, elements=st.sampled_from([0.0, 1.0, 3.0])))
+            samples.append(make_sample(values, f"{label}{i}", label))
+    return MtsDataset.from_samples(tuple(draw(st.permutations(samples))))
+
+
+def reference_evaluate(dataset, symbolizer, miner, split, classifier, pad, resubstitution):
+    """Per method, (vocabulary, n_train, confusion, predictions) from full train and test
+    batches, each deduplicated on its own with ``batch.take(rows).distinct()``."""
+    rows = np.arange(len(dataset))
+    if resubstitution:
+        train_rows = test_rows = rows
+    else:
+        position = {sample_id: i for i, sample_id in enumerate(dataset.ids)}
+        train_ids, test_ids = split_dataset(dataset, split)
+        train_rows, test_rows = [position[i] for i in train_ids], [position[i] for i in test_ids]
+    pad_to = int(np.diff(dataset.offsets)[train_rows].max()) if pad else None
+    batch = convert_dataset(dataset, symbolizer, pad_to)
+    train, test = batch.take(train_rows), batch.take(test_rows)
+    (train_unique, train_of), (test_unique, test_of) = train.distinct(), test.distinct()
+    features = extract_rts_features(prune_bottom_up(build_forest(train, miner), miner))
+    labels = dataset.label_set
+    out = []
+    for vocab in (build_vocabulary(features, dataset.dims), full_alphabet_vocabulary(dataset.dims)):
+        predictions = evaluate._predict(
+            vectorize_batch(train_unique, vocab), train_of, train.labels,
+            vectorize_batch(test_unique, vocab), test_of, classifier,
+        )
+        confusion = np.zeros((len(labels), len(labels)), dtype=np.int64)
+        for truth, predicted in zip(test.labels, predictions):
+            confusion[labels.index(truth), labels.index(predicted)] += 1
+        out.append((vocab, len(train), confusion, predictions))
+    return out
 
 
 def counted(calls, name, fn):
@@ -634,9 +682,71 @@ class TestOnePass:
             evaluate, "convert_dataset", counted(calls, "convert", evaluate.convert_dataset)
         )
         monkeypatch.setattr(evaluate, "_split_rows", counted(calls, "split", evaluate._split_rows))
+        monkeypatch.setattr(EventBatch, "distinct", counted(calls, "distinct", EventBatch.distinct))
         argv = ["-q", "eval", "--in", str(data), "--baseline", "--out", str(tmp_path / "r")]
         assert main(argv) == 0
-        assert calls == {"convert": 1, "split": 1}
+        assert calls == {"convert": 1, "split": 1, "distinct": 1}
+
+    def test_takes_only_distinct_sequences(self, monkeypatch):
+        # 1-d samples of 3 steps have at most 9 distinct code sequences
+        rng = np.random.default_rng(0)
+        samples = [
+            make_sample(rng.choice([0.0, 1.0, 2.0, 5.0], (1, 3)), f"{label}{i}", label)
+            for i in range(100)
+            for label in "ab"
+        ]
+        taken, take = [], EventBatch.take
+
+        def counted_take(batch, rows):
+            taken.append(len(rows))
+            return take(batch, rows)
+
+        monkeypatch.setattr(EventBatch, "take", counted_take)
+        dataset = MtsDataset.from_samples(samples)
+        report = evaluate.evaluate(dataset, methods=("stem", "baseline"))[0]
+        # the whole batch's distinct sequences, then the training split's for mining
+        assert len(taken) == 2 and max(taken) <= 9 < report.n_test < report.n_train
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        repeating_tasks(),
+        st.booleans(),
+        st.booleans(),
+        st.booleans(),
+        st.sampled_from(["knn", "centroid"]),
+        st.integers(1, 2),
+        st.sampled_from(evaluate.METRICS),
+        st.integers(0, 9),
+        st.sampled_from([2, 0.3]),
+    )
+    def test_equals_a_per_split_reference(
+        self, dataset, pad, resubstitution, stratified, kind, k, metric, seed, support
+    ):
+        symbolizer, miner = SymbolizerConfig(0.05), MinerConfig(support, 3)
+        split, classifier = SplitSpec(0.7, seed, stratified), ClassifierConfig(kind, k, metric)
+        predicted, original = [], evaluate._predict
+
+        def predict_codes(*args):
+            predicted.append(original(*args))
+            return predicted[-1]
+
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")  # an empty vocabulary warns
+            with mock.patch.object(evaluate, "_predict", predict_codes):
+                reports = evaluate.evaluate(
+                    dataset, symbolizer, miner, split, classifier, methods=("stem", "baseline"),
+                    pad=pad, resubstitution=resubstitution,
+                )
+            expected = reference_evaluate(
+                dataset, symbolizer, miner, split, classifier, pad, resubstitution
+            )
+        for report, codes, (vocab, n_train, confusion, predictions) in zip(
+            reports, predicted, expected, strict=True
+        ):
+            assert report.vocabulary.features == vocab.features
+            assert report.n_train == n_train
+            assert np.array_equal(report.confusion, confusion)
+            assert [report.labels[c] for c in codes] == predictions
 
     @settings(max_examples=100, deadline=None)
     @given(

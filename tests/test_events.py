@@ -81,6 +81,14 @@ class TestSymbolizeDimension:
         with pytest.raises(ValueError):
             symbolize_dimension([0.0, 1.5], 0.1)
 
+    @pytest.mark.parametrize("at", [0, 1, 2], ids=["start", "middle", "end"])
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf")])
+    def test_rejects_non_finite(self, at, bad):
+        row = [0.0, 0.5, 1.0]
+        row[at] = bad
+        with pytest.raises(ValueError, match="normalized to \\[0, 1\\]"):
+            symbolize_dimension(row, 0.05)
+
     def test_rejects_bad_delta(self):
         with pytest.raises(ValueError):
             symbolize_dimension([0.0, 1.0], 1.0)

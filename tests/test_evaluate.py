@@ -637,9 +637,8 @@ def repeating_tasks(draw):
 def reference_evaluate(dataset, symbolizer, miner, split, classifier, pad, resubstitution):
     """Per method, (vocabulary, n_train, confusion, predictions) from full train and test
     batches, each deduplicated on its own with ``batch.take(rows).distinct()``."""
-    rows = np.arange(len(dataset))
     if resubstitution:
-        train_rows = test_rows = rows
+        train_rows = test_rows = np.arange(len(dataset))
     else:
         position = {sample_id: i for i, sample_id in enumerate(dataset.ids)}
         train_ids, test_ids = split_dataset(dataset, split)

@@ -317,8 +317,9 @@ def read_long_form(path: Path, fh, width: int, value_type: type):
     when labels conflict within a sample, or, naming the first such sample in
     file order, when a sample's ``t`` values do not cover 0..T-1.
 
-    The body is parsed in one ``np.loadtxt`` call; when numpy rejects it, a
-    row-by-row ``csv`` parser reads it instead and names the offending row.
+    The body is parsed by ``np.loadtxt`` in chunks of whole lines, each chunk's ids
+    and labels becoming integer codes at once; when numpy rejects any chunk, a
+    row-by-row ``csv`` parser reads the body instead and names the offending row.
     Both read every cell the same way as Python's ``int``/``float`` and
     ``csv.reader``; numpy only ever rejects more.
     """
@@ -327,13 +328,11 @@ def read_long_form(path: Path, fh, width: int, value_type: type):
     if columns is None:
         fh.seek(body_start)
         columns = _row_columns(path, fh, width, value_type)
-    ids, labels, t, values = columns
-    index = {sid: k for k, sid in enumerate(dict.fromkeys(ids))}
-    sample = np.fromiter(map(index.__getitem__, ids), np.intp, len(ids))
+    ids, labels, sample, label, t, values = columns
     _, first_row = np.unique(sample, return_index=True)
-    conflict = labels != labels[first_row][sample]
+    conflict = label != label[first_row][sample]
     if conflict.any():
-        sid = ids[int(np.argmax(conflict))]
+        sid = ids[sample[np.argmax(conflict)]]
         raise MalformedDatasetError(f"{path}: sample {sid!r} carries conflicting labels")
 
     order = np.lexsort((t, sample))
@@ -344,37 +343,60 @@ def read_long_form(path: Path, fh, width: int, value_type: type):
         k = sample[order[gaps[0]]]  # rows are sorted by sample: this is the first gapped one
         ts = [int(x) for x in t[offsets[k] : offsets[k + 1]]]
         raise MalformedDatasetError(
-            f"{path}: sample {ids[first_row[k]]!r}: t values must cover 0..{len(ts) - 1} "
+            f"{path}: sample {ids[k]!r}: t values must cover 0..{len(ts) - 1} "
             f"without gaps or duplicates, got {ts}"
         )
-    sample_labels = tuple(label or None for label in labels[first_row].tolist())
+    sample_labels = tuple(labels[c] or None for c in label[first_row].tolist())
     values = values[order]
     values.setflags(write=False)
-    return tuple(index), sample_labels, offsets, values
+    return tuple(ids), sample_labels, offsets, values
+
+
+def _encode(cells: np.ndarray, codes: dict[str, int]) -> np.ndarray:
+    """Each cell's code in ``codes``, which gives each new cell the next code in order of
+    first appearance; only the first cell of each run of equal cells is looked up."""
+    new = np.ones(len(cells), dtype=bool)
+    new[1:] = cells[1:] != cells[:-1]
+    starts = np.flatnonzero(new)
+    runs = [codes.setdefault(cell, len(codes)) for cell in cells[starts].tolist()]
+    return np.repeat(np.array(runs, dtype=np.intp), np.diff(np.append(starts, len(cells))))
 
 
 def _numpy_columns(fh, width: int, value_type: type):
-    """(ids, labels, t, values) from one ``np.loadtxt`` pass, or None if numpy rejects the body.
-
-    Text columns are read as ``object`` (Python ``str``): a fixed-width string
-    dtype would size every cell of a column for its longest id.
-    """
+    """``(ids, labels, sample, label, t, values)``, or None if numpy rejects a chunk or none
+    holds a row: each distinct id and label in order of first appearance, then each row's
+    codes among them, ``t`` and values. A chunk of ``8 * _BLOCK_CELLS`` characters runs on
+    to a line end, which ends a record before the first ``"``; the chunk holding one takes
+    the rest, as a quoted field may hold a line break. Text cells are ``object`` (a
+    fixed-width dtype would size each for the longest) and go with their chunk."""
     dtype = np.dtype(
         [("id", object), ("label", object), ("t", np.int64), ("v", value_type, (width - 3,))]
     )
-    start = fh.tell()
-    while (char := fh.read(1)) in ("\r", "\n"):
-        pass
-    if not char:
-        return None  # no data rows: loadtxt would warn about an empty input
-    fh.seek(start)
-    try:
-        rows = np.loadtxt(
-            fh, dtype=dtype, delimiter=",", comments=None, quotechar='"', ndmin=1
-        )
-    except ValueError:
+    ids, labels, parts = {}, {}, [[], [], [], []]
+    chunk = ""
+    while '"' not in chunk and (chunk := fh.read(8 * _BLOCK_CELLS)):
+        chunk += fh.readline()
+        if '"' in chunk:
+            chunk += fh.read()
+        if not chunk.lstrip("\r\n"):
+            continue  # blank lines only: loadtxt would warn about an empty input
+        try:
+            rows = np.loadtxt(
+                io.StringIO(chunk, newline=""),
+                dtype=dtype, delimiter=",", comments=None, quotechar='"', ndmin=1,
+            )
+        except ValueError:
+            return None
+        codes = _encode(rows["id"], ids), _encode(rows["label"], labels)
+        # copies: as views, t and v would keep the chunk's strings alive
+        for part, column in zip(parts, (*codes, rows["t"].copy(), rows["v"].copy())):
+            part.append(column)
+        del rows
+    if not parts[0]:
         return None
-    return rows["id"].tolist(), rows["label"], rows["t"], rows["v"]
+    for k, part in enumerate(parts):
+        parts[k] = np.concatenate(part)  # each column's chunks go as it is joined
+    return list(ids), list(labels), *parts
 
 
 def _row_columns(path: Path, fh, width: int, value_type: type):
@@ -412,7 +434,10 @@ def _row_columns(path: Path, fh, width: int, value_type: type):
     values = np.array(values, dtype=object).reshape(len(values), width - 3)
     with suppress(OverflowError):
         values = values.astype(value_type)
-    return ids, np.array(labels, dtype=object), np.array(ts, dtype=object), values
+    id_codes, label_codes = {}, {}
+    sample = _encode(np.array(ids, dtype=object), id_codes)
+    label = _encode(np.array(labels, dtype=object), label_codes)
+    return list(id_codes), list(label_codes), sample, label, np.array(ts, dtype=object), values
 
 
 def load_csv(path: str | Path) -> MtsDataset:
@@ -420,7 +445,7 @@ def load_csv(path: str | Path) -> MtsDataset:
 
     Samples appear in the order their first row appears; rows within a sample
     are sorted by ``t`` and must cover 0..T_i-1 with no gaps or duplicates.
-    The body is parsed in one numpy pass; only a file numpy rejects goes
+    The body is parsed by numpy in chunks; only a file numpy rejects goes
     through the row-by-row parser, which names the first bad row.
     """
     path = Path(path)

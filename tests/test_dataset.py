@@ -17,14 +17,17 @@ from stemts import (
     MtsSample,
     SymbolizerConfig,
     SynthSpec,
+    convert_dataset,
     generate_synthetic,
     load_csv,
+    load_events,
     load_synth_spec,
     noiseless_trend,
     normalize_sample,
     pad_to_length,
     symbolize_sample,
     write_csv,
+    write_events,
 )
 from stemts import dataset as dataset_module
 from stemts.errors import (
@@ -36,7 +39,7 @@ from stemts.errors import (
     SchemaError,
 )
 
-from conftest import make_sample
+from conftest import make_sample, run_length_spec
 
 
 # --- naive references kept independent of the library code ---------------
@@ -682,6 +685,18 @@ def _row_parser_only():
     return mock.patch.object(dataset_module, "_numpy_columns", lambda *args: None)
 
 
+def _fast_path_only():
+    return mock.patch.object(
+        dataset_module, "_row_columns", side_effect=AssertionError("row parser used")
+    )
+
+
+def _chunks_of(chars):
+    """The body is read in chunks of ``8 * _BLOCK_CELLS`` characters, then to a line end."""
+    assert chars % 8 == 0
+    return mock.patch.object(dataset_module, "_BLOCK_CELLS", chars // 8)
+
+
 class TestFastPathEquivalence:
     @settings(max_examples=300, deadline=None)
     @given(text=long_form_files())
@@ -704,9 +719,7 @@ class TestFastPathEquivalence:
         )
         path = tmp_path / "d.csv"
         write_csv(MtsDataset.from_samples(samples), path)
-        with mock.patch.object(
-            dataset_module, "_row_columns", side_effect=AssertionError("row parser used")
-        ):
+        with _fast_path_only():
             loaded = load_csv(path)
         assert [s.id for s in loaded] == ["#a,b", 'q"\nr', "#"]
         assert loaded.samples[0].values.tolist() == [[1.0, 2.0, 0.5]]
@@ -733,3 +746,92 @@ class TestFastPathEquivalence:
             tracemalloc.stop()
         assert len(loaded) == 2_501
         assert peak < 16 * 2**20, f"peak {peak / 2**20:.1f} MiB"
+
+    @settings(max_examples=300, deadline=None)
+    @given(text=long_form_files(), chars=st.sampled_from([8, 16, 24, 32, 40]))
+    def test_any_chunk_size_equals_row_parser(self, tmp_path_factory, text, chars):
+        path = tmp_path_factory.mktemp("csv") / "d.csv"
+        path.write_bytes(text.encode("utf-8"))
+        with warnings.catch_warnings(), _chunks_of(chars):
+            warnings.simplefilter("error")
+            chunked = _outcome(path)
+        with _row_parser_only():
+            slow = _outcome(path)
+        assert chunked == slow
+
+    @pytest.mark.parametrize("newline", ["\r", "\r\n"])
+    def test_line_ends_split_across_chunks(self, tmp_path, newline):
+        # 8-character reads end on the "\r" of each 7-character row
+        rows = ["sample_id,label,t,dim_0", "a,x,0,1", "b,,0,25", "a,x,1,3", "b,,1,47"]
+        path = tmp_path / "d.csv"
+        path.write_bytes(newline.join(rows).encode() + newline.encode())
+        with _chunks_of(8), _fast_path_only():
+            loaded = load_csv(path)
+        assert (loaded.ids, loaded.labels) == (("a", "b"), ("x", None))
+        assert loaded.values.ravel().tolist() == [1.0, 3.0, 25.0, 47.0]
+        with _chunks_of(8):
+            chunked = _outcome(path)
+        with _row_parser_only():
+            assert chunked == _outcome(path)
+
+    def test_quoted_line_break_after_the_first_chunk(self, tmp_path):
+        samples = [make_sample([[float(i), i + 0.5]], f"s{i}", "x") for i in range(6)]
+        samples.append(make_sample([[1.0, 2.0, 3.0]], 'q"\nr', "l\nm"))
+        samples.append(make_sample([[4.0, 5.0]], "z", "x"))
+        path = tmp_path / "d.csv"
+        write_csv(MtsDataset.from_samples(samples), path)
+        with _chunks_of(16), _fast_path_only():
+            chunked = _outcome(path)
+        with _row_parser_only():
+            assert chunked == _outcome(path)
+        assert [row[:2] for row in chunked][-2:] == [('q"\nr', "l\nm"), ("z", "x")]
+
+    def test_chunk_of_blank_lines_is_skipped(self, tmp_path):
+        path = tmp_path / "d.csv"
+        path.write_text("sample_id,label,t,dim_0\na,,0,1.0\n" + "\n" * 20 + "a,,1,2.0\n\n")
+        with warnings.catch_warnings(), _chunks_of(8), _fast_path_only():
+            warnings.simplefilter("error")
+            loaded = load_csv(path)
+        assert loaded.values.ravel().tolist() == [1.0, 2.0]
+
+    def test_label_conflict_across_chunks(self, tmp_path):
+        rows = ["a,x,0,1.0", "b,y,0,2.0", "b,y,1,3.0", "c,x,0,4.0", "a,x,1,5.0", "c,y,1,6.0"]
+        path = tmp_path / "d.csv"
+        path.write_text("sample_id,label,t,dim_0\n" + "\n".join(rows) + "\n")
+        with _chunks_of(8), _fast_path_only():
+            with pytest.raises(MalformedDatasetError, match="sample 'c' carries conflicting"):
+                load_csv(path)
+        with _chunks_of(8):
+            chunked = _outcome(path)
+        with _row_parser_only():
+            assert chunked == _outcome(path)
+
+    def test_event_file_spanning_chunks_round_trips(self, tmp_path):
+        batch = convert_dataset(
+            generate_synthetic(run_length_spec(0.4, samples_per_class=3, length=12)),
+            SymbolizerConfig(0.05),
+        )
+        path = tmp_path / "events.csv"
+        write_events(batch, SymbolizerConfig(0.05), path)
+        assert path.stat().st_size > 20 * 64
+        with _chunks_of(64), _fast_path_only():
+            loaded, config = load_events(path)
+        assert (config.delta, loaded.dims) == (0.05, batch.dims)
+        assert (loaded.ids, loaded.labels) == (batch.ids, batch.labels)
+        assert np.array_equal(loaded.offsets, batch.offsets)
+        assert np.array_equal(loaded.codes, batch.codes)
+
+    def test_reader_memory_does_not_grow_with_strings_per_row(self, tmp_path):
+        # 400 samples x 100 steps x 3 dims: 40,000 rows, 2.9 MB. The tracemalloc peak of
+        # load_csv read 8.24 MiB with one np.loadtxt pass and object id and label columns
+        # over the whole body, and 4.96 MiB with chunks whose ids and labels become codes.
+        path = tmp_path / "d.csv"
+        write_csv(generate_synthetic(run_length_spec(0.4, samples_per_class=100)), path)
+        tracemalloc.start()
+        try:
+            loaded = load_csv(path)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert len(loaded.values) == 40_000
+        assert peak < 6.5 * 2**20, f"peak {peak / 2**20:.2f} MiB"

@@ -317,9 +317,8 @@ def read_long_form(path: Path, fh, width: int, value_type: type):
     when labels conflict within a sample, or, naming the first such sample in
     file order, when a sample's ``t`` values do not cover 0..T-1.
 
-    The body is parsed by ``np.loadtxt`` in chunks of whole lines, each chunk's ids
-    and labels becoming integer codes at once; when numpy rejects any chunk, a
-    row-by-row ``csv`` parser reads the body instead and names the offending row.
+    The body is parsed by ``np.loadtxt`` in chunks (``_numpy_columns``); when numpy
+    rejects any, a row-by-row ``csv`` parser reads it instead and names the bad row.
     Both read every cell the same way as Python's ``int``/``float`` and
     ``csv.reader``; numpy only ever rejects more.
     """
@@ -373,8 +372,7 @@ def _numpy_columns(fh, width: int, value_type: type):
         [("id", object), ("label", object), ("t", np.int64), ("v", value_type, (width - 3,))]
     )
     ids, labels, parts = {}, {}, [[], [], [], []]
-    chunk = ""
-    while '"' not in chunk and (chunk := fh.read(8 * _BLOCK_CELLS)):
+    while chunk := fh.read(8 * _BLOCK_CELLS):  # after a chunk with a quote, nothing is left
         chunk += fh.readline()
         if '"' in chunk:
             chunk += fh.read()

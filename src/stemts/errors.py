@@ -5,6 +5,8 @@ Every failure a caller is expected to handle maps to one subclass of
 nonzero exit with the message on stderr.
 """
 
+from numbers import Integral
+
 
 class StemError(Exception):
     """Base class for all errors raised by this package."""
@@ -64,3 +66,9 @@ class UnlabeledDataError(StemError):
 
 class DegenerateTaskError(StemError):
     """Classification was requested on fewer than two classes."""
+
+
+def check_int(name: str, value, low: int) -> None:
+    """A ``ConfigError`` naming ``name`` unless ``value`` is an integer (not a bool) >= ``low``."""
+    if isinstance(value, bool) or not isinstance(value, Integral) or value < low:
+        raise ConfigError(f"{name} must be an integer >= {low}, got {value!r}")

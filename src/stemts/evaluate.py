@@ -43,7 +43,7 @@ from typing import Sequence
 import numpy as np
 
 from .dataset import MtsDataset, _distinct_rows, _row_blocks, _unique
-from .errors import ConfigError, DegenerateTaskError, UnlabeledDataError
+from .errors import ConfigError, DegenerateTaskError, UnlabeledDataError, check_int
 from .events import SymbolizerConfig, convert_dataset
 from .features import FeatureVocabulary, _vectorize, build_vocabulary, full_alphabet_vocabulary
 from .mining import (
@@ -83,8 +83,7 @@ class SplitSpec:
     def __post_init__(self) -> None:
         if not 0.0 < self.train_fraction < 1.0:
             raise ConfigError(f"train_fraction must lie in (0, 1), got {self.train_fraction}")
-        if self.seed < 0:
-            raise ConfigError("seed must be non-negative")
+        check_int("seed", self.seed, 0)
 
 
 @dataclass(frozen=True)
@@ -98,8 +97,7 @@ class ClassifierConfig:
             raise ConfigError(f"classifier must be one of {CLASSIFIERS}, got {self.kind!r}")
         if self.metric not in METRICS:
             raise ConfigError(f"metric must be one of {METRICS}, got {self.metric!r}")
-        if self.k < 1:
-            raise ConfigError(f"k must be >= 1, got {self.k}")
+        check_int("k", self.k, 1)
 
 
 def _label_codes(labels: Sequence, names: Sequence) -> np.ndarray:

@@ -7,14 +7,14 @@ length at a time, as Apriori and PrefixSpan do: a window's state follows from
 its prefix's state and its last code, and a code outside the walk's alphabet
 is a stop. Each length's keys lie in a small dense space, so a counting sort,
 not a sort, finds and numbers the distinct windows; every window comes out
-with its state and its owner, owners ascending. ``build_forest`` counts, per
-distinct tuple, ``doc_support`` (distinct samples containing it, from a
-sample x tuple bitmap) and ``occ_count`` (overlapping windows across all
-samples), walking each distinct code sequence once, weighted by its number of
-samples, as FP-growth counts identical transactions. Pruning keeps the tuples
-at or above the minimum document support (and, optionally, drops those adding
-little support over their prefix); the kept tuples no kept tuple extends are
-the features, prefix-free by construction.
+with its state and its owner, owners ascending. ``build_forest`` keeps each
+distinct window as a row (its prefix's row, its last code) with its
+``doc_support`` (distinct samples, from a sample x tuple bitmap) and
+``occ_count`` (windows in all samples), walking each distinct code sequence
+once, weighted by its number of samples, as FP-growth counts identical
+transactions. Pruning drops rows below the minimum document support (and,
+optionally, longest first, those adding little support over their prefix);
+the kept rows no kept row names as its parent are the features, prefix-free.
 
 ``brute_force_mine`` re-derives the same feature list by exhaustive, slow
 window enumeration; tests hold the array path to it exactly.
@@ -27,18 +27,17 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from pathlib import Path
-from typing import Iterator, NamedTuple, Sequence
+from typing import Iterator, Sequence
 
 import numpy as np
 
 from .dataset import _unique
-from .errors import ConfigError, EmptyInputError, MalformedDatasetError, SchemaError
+from .errors import ConfigError, EmptyInputError, MalformedDatasetError, SchemaError, check_int
 from .events import EventBatch, EventSequence, alphabet_size, explain_tuple
 
 __all__ = [
     "EventTuple",
     "MinerConfig",
-    "Support",
     "PrefixForest",
     "resolve_min_support",
     "window_states",
@@ -77,8 +76,7 @@ class MinerConfig:
                 raise ConfigError(f"absolute min_support must be >= 1, got {ms}")
         elif not 0.0 < ms <= 1.0:
             raise ConfigError(f"fractional min_support must lie in (0, 1], got {ms}")
-        if self.max_len < 1:
-            raise ConfigError(f"max_len must be >= 1, got {self.max_len}")
+        check_int("max_len", self.max_len, 1)
         if not 0.0 <= self.gain_gamma <= 1.0:
             raise ConfigError(f"gain_gamma must lie in [0, 1], got {self.gain_gamma}")
 
@@ -94,31 +92,30 @@ def resolve_min_support(min_support: int | float, n_samples: int) -> int:
     return max(1, math.ceil(Fraction(repr(float(min_support))) * n_samples))
 
 
-class Support(NamedTuple):
-    """Counts of one tuple across a batch of sequences."""
-
-    doc_support: int
-    occ_count: int
-
-
-@dataclass
+@dataclass(eq=False)
 class PrefixForest:
-    """Counted tuples and their supports, closed under taking prefixes."""
+    """Counted tuples, closed under taking prefixes: four int64 arrays, one row per tuple.
 
-    nodes: dict[EventTuple, Support]
+    Row i's tuple is row ``parent[i]``'s (none for -1) plus ``code[i]``. Rows are
+    in walk order, by length, then by codes, so ``parent`` never decreases.
+    """
+
+    parent: np.ndarray
+    code: np.ndarray
+    doc_support: np.ndarray
+    occ_count: np.ndarray
     n_samples: int
 
     def node_count(self) -> int:
-        return len(self.nodes)
+        return len(self.parent)
 
-    def to_dict(self) -> list[dict]:
-        """Canonical nested form, children sorted by code; used for comparisons."""
-        children: dict[EventTuple, list[dict]] = {(): []}
-        for tup in sorted(self.nodes):
-            node = {"code": tup[-1], **self.nodes[tup]._asdict(), "children": []}
-            children[tup[:-1]].append(node)
-            children[tup] = node["children"]
-        return children[()]
+    @property
+    def nodes(self) -> dict[EventTuple, tuple[int, int]]:
+        """``{tuple: (doc_support, occ_count)}`` in row order, built on each access."""
+        tuples: list[EventTuple] = []
+        for p, c in zip(self.parent.tolist(), self.code.tolist()):
+            tuples.append((tuples[p] if p >= 0 else ()) + (c,))
+        return dict(zip(tuples, zip(self.doc_support.tolist(), self.occ_count.tolist())))
 
 
 def _check_sequences(sequences: Sequence[EventSequence] | EventBatch) -> EventBatch:
@@ -225,18 +222,16 @@ def _count_forest(unique: EventBatch, weights, n_samples: int, config: MinerConf
     """The forest of ``n_samples`` samples whose distinct code sequences ``unique`` repeat
     ``weights`` times each: each one is walked once, weighted by its count."""
     alphabet = _rows(unique.codes, alphabet_size(unique.dims), np.int32)[0]
-    nodes: dict[EventTuple, Support] = {}
-    prefixes: list[EventTuple] = [()]
+    levels, start, end = [], -1, 0  # row -1 is the empty prefix
     walk = window_states(unique.codes, unique.offsets, alphabet, config.max_len)
     for table, rows, owners in walk:
-        docs = _doc_support(rows, owners, len(table), weights).tolist()
         occs = np.zeros(len(table), dtype=np.int64)
         np.add.at(occs, rows, weights[owners])
         prefix, last = np.divmod(table, len(alphabet))
-        tuples = [prefixes[p] + (c,) for p, c in zip(prefix.tolist(), alphabet[last].tolist())]
-        nodes.update(zip(tuples, map(Support, docs, occs.tolist())))
-        prefixes = tuples
-    return PrefixForest(nodes=nodes, n_samples=n_samples)
+        docs = _doc_support(rows, owners, len(table), weights)
+        levels.append((prefix + start, alphabet[last], docs, occs))
+        start, end = end, end + len(table)
+    return PrefixForest(*map(np.concatenate, zip(*levels)), n_samples=n_samples)
 
 
 def prune_bottom_up(forest: PrefixForest, config: MinerConfig) -> PrefixForest:
@@ -248,22 +243,26 @@ def prune_bottom_up(forest: PrefixForest, config: MinerConfig) -> PrefixForest:
     is below gamma times its prefix's, which can leave the prefix bare too.
     """
     sigma = resolve_min_support(config.min_support, forest.n_samples)
-    frequent = {t: s for t, s in forest.nodes.items() if s.doc_support >= sigma}
-    extended: set[EventTuple] = set()
-    kept: dict[EventTuple, Support] = {}
-    for t in sorted(frequent, key=len, reverse=True):
-        support = frequent[t].doc_support
-        weak = len(t) > 1 and support < config.gain_gamma * frequent[t[:-1]].doc_support
-        if t in extended or not weak:
-            kept[t] = frequent[t]
-            extended.add(t[:-1])
-    return PrefixForest(nodes=kept, n_samples=forest.n_samples)
+    parent, docs = forest.parent, forest.doc_support
+    keep = docs >= sigma
+    strong = (parent < 0) | (docs >= config.gain_gamma * docs[parent])
+    ends = [0]  # level l + 1 ends where the parents reach the end of level l
+    while ends[-1] < len(parent):
+        ends.append(int(np.searchsorted(parent, ends[-1])))
+    extended = np.zeros(len(parent) + 1, dtype=bool)  # the spare last cell takes parent -1
+    for lo, hi in reversed(list(zip(ends, ends[1:]))):
+        keep[lo:hi] &= extended[lo:hi] | strong[lo:hi]
+        extended[parent[lo:hi][keep[lo:hi]]] = True
+    row = np.append(np.cumsum(keep) - 1, -1)  # kept rows renumbered; the spare cell keeps -1
+    kept = (forest.code[keep], docs[keep], forest.occ_count[keep])
+    return PrefixForest(row[parent[keep]], *kept, n_samples=forest.n_samples)
 
 
 def extract_rts_features(forest: PrefixForest) -> list[EventTuple]:
     """Tuples no other tuple in the forest extends: prefix-free, shortest first, then by codes."""
-    extended = {t[:-1] for t in forest.nodes}
-    return sorted((t for t in forest.nodes if t not in extended), key=lambda t: (len(t), t))
+    extended = np.zeros(forest.node_count() + 1, dtype=bool)  # the spare last cell takes -1
+    extended[forest.parent] = True
+    return [t for t, leaf in zip(forest.nodes, ~extended[:-1]) if leaf]
 
 
 def brute_force_mine(
@@ -314,9 +313,9 @@ def write_feature_list(
     config: MinerConfig,
 ) -> None:
     """Write mined features with supports and decoded step descriptions."""
-    records = []
+    records, nodes = [], forest.nodes
     for ordinal, tup in enumerate(features):
-        node = forest.nodes.get(tuple(tup))
+        node = nodes.get(tuple(tup))
         if node is None:
             raise ValueError(f"feature {tup} is not present in the forest")
         records.append(
@@ -324,8 +323,8 @@ def write_feature_list(
                 "ordinal": ordinal,
                 "length": len(tup),
                 "codes": list(tup),
-                "doc_support": node.doc_support,
-                "occ_count": node.occ_count,
+                "doc_support": node[0],
+                "occ_count": node[1],
                 "description": explain_tuple(tup, dims),
             }
         )

@@ -137,6 +137,10 @@ class TestSplit:
             SplitSpec(train_fraction=1.0)
         with pytest.raises(ValueError):
             SplitSpec(train_fraction=0.0)
+        for seed in (-1, 1.5, 2.0, True, "3"):
+            with pytest.raises(ConfigError, match="seed must be an integer >= 0"):
+                SplitSpec(seed=seed)
+        assert SplitSpec(seed=np.int64(3)).seed == 3
 
 
 def reference_split_group(ids, train_fraction, rng):
@@ -225,6 +229,12 @@ class TestKnn:
     def test_cosine_metric(self):
         train = [vec([1.0, 0.0], "t1", "x"), vec([0.0, 1.0], "t2", "y")]
         assert knn(train, vec([2.0, 0.1]), k=1, metric="cosine") == "x"
+
+    def test_config_validation(self):
+        for k in (0, 1.5, 2.0, True, "1"):
+            with pytest.raises(ConfigError, match="k must be an integer >= 1"):
+                ClassifierConfig("knn", k)
+        assert ClassifierConfig("knn", np.int64(3)).k == 3
 
     def test_errors(self):
         # stemts eval --k 9999 reaches this check

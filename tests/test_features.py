@@ -262,3 +262,12 @@ class TestVocabularyFiles:
             load_vocabulary(path)
         assert str(path) in str(info.value) and problem in str(info.value)
 
+    @pytest.mark.parametrize("max_len", [2.5, 2.0, True, "2"])
+    def test_rejects_a_miner_block_with_a_non_integer_max_len(self, tmp_path, max_len):
+        path = tmp_path / "vocab.json"
+        miner = {"min_support": 1, "max_len": max_len, "gain_gamma": 0.0}
+        path.write_text(json.dumps({"dims": 1, "delta": None, "miner": miner, "features": [[1]]}))
+        with pytest.raises(SchemaError, match="max_len must be an integer >= 1") as info:
+            load_vocabulary(path)
+        assert str(path) in str(info.value)
+

@@ -22,9 +22,14 @@ from stemts import (
     write_feature_list,
 )
 from stemts import mining
-from stemts.errors import EmptyInputError, IncompatibleVocabularyError, MalformedDatasetError
+from stemts.errors import (
+    ConfigError,
+    EmptyInputError,
+    IncompatibleVocabularyError,
+    MalformedDatasetError,
+)
 from stemts.events import EventBatch
-from stemts.mining import Support, window_states
+from stemts.mining import window_states
 
 from conftest import run_length_spec
 
@@ -44,16 +49,7 @@ def doc_support_by_scan(sequences, tup):
 
 
 def node_paths(forest):
-    paths = set()
-
-    def walk(node, prefix):
-        path = prefix + (node["code"],)
-        paths.add(path)
-        for child in node["children"]:
-            walk(child, path)
-
-    for root in forest.to_dict():
-        walk(root, ())
+    paths = set(forest.nodes)
     assert len(paths) == forest.node_count()
     return paths
 
@@ -111,6 +107,10 @@ class TestConfig:
             MinerConfig(max_len=0)
         with pytest.raises(ValueError):
             MinerConfig(gain_gamma=1.5)
+        for max_len in (2.5, 3.0, True, "3"):
+            with pytest.raises(ConfigError, match="max_len must be an integer >= 1"):
+                MinerConfig(max_len=max_len)
+        assert MinerConfig(max_len=np.int64(3)).max_len == 3
 
 
 class TestBuildForest:
@@ -120,20 +120,15 @@ class TestBuildForest:
         expected_occ = {(4,): 3, (4, 8): 3, (8,): 3, (8, 4): 1, (8, 0): 1, (0,): 1}
         assert node_paths(forest) == set(expected_doc)
         for path, doc in expected_doc.items():
-            node = forest.nodes[path]
-            assert node.doc_support == doc
-            assert node.occ_count == expected_occ[path]
+            assert forest.nodes[path] == (doc, expected_occ[path])
 
     def test_single_window(self):
         forest = build_forest([seq("a", [7])], MinerConfig(min_support=1, max_len=3))
-        assert forest.to_dict() == [
-            {"code": 7, "doc_support": 1, "occ_count": 1, "children": []}
-        ]
+        assert forest.nodes == {(7,): (1, 1)}
 
     def test_occurrences_vs_documents(self):
         forest = build_forest([seq("a", [4, 4, 4])], MinerConfig(min_support=1, max_len=1))
-        node = forest.nodes[(4,)]
-        assert (node.occ_count, node.doc_support) == (3, 1)
+        assert forest.nodes[(4,)] == (1, 3)  # (doc_support, occ_count)
 
     def test_empty_input(self):
         with pytest.raises(EmptyInputError):
@@ -155,14 +150,26 @@ class TestBuildForest:
     def test_anti_monotonicity(self, instance):
         sequences, config = instance
         forest = build_forest(sequences, config)
+        nodes = forest.nodes
+        for tup, (doc, _) in nodes.items():
+            assert doc <= (nodes[tup[:-1]][0] if len(tup) > 1 else forest.n_samples)
 
-        def check(node, parent_doc):
-            assert node["doc_support"] <= parent_doc
-            for child in node["children"]:
-                check(child, node["doc_support"])
 
-        for root in forest.to_dict():
-            check(root, forest.n_samples)
+class TestLayout:
+    @given(mining_instances())
+    def test_rows_in_walk_order(self, instance):
+        sequences, config = instance
+        forest = build_forest(sequences, config)
+        pruned = prune_bottom_up(forest, config)
+        for f in (forest, pruned):
+            columns = (f.parent, f.code, f.doc_support, f.occ_count)
+            assert all(c.dtype == np.int64 and len(c) == f.node_count() for c in columns)
+            assert np.all(np.diff(f.parent) >= 0)
+            assert np.all(f.parent < np.arange(f.node_count()))  # each parent before its child
+            nodes = f.nodes
+            assert list(nodes) == sorted(nodes, key=lambda t: (len(t), t))
+            assert f.node_count() == len(nodes)
+        assert pruned.nodes.items() <= forest.nodes.items()
 
 
 class TestPrune:
@@ -175,7 +182,7 @@ class TestPrune:
         config = MinerConfig(min_support=1, max_len=2)
         forest = build_forest(toy_sequences, config)
         pruned = prune_bottom_up(forest, config)
-        assert pruned.to_dict() == forest.to_dict()
+        assert list(pruned.nodes.items()) == list(forest.nodes.items())
 
     def test_impossible_support_empties_forest(self, toy_sequences):
         config = MinerConfig(min_support=5, max_len=2)
@@ -186,9 +193,9 @@ class TestPrune:
     def test_input_forest_untouched(self, toy_sequences):
         config = MinerConfig(min_support=2, max_len=2)
         forest = build_forest(toy_sequences, config)
-        before = forest.to_dict()
+        before = list(forest.nodes.items())
         prune_bottom_up(forest, config)
-        assert forest.to_dict() == before
+        assert list(forest.nodes.items()) == before
 
     @given(mining_instances(), st.integers(0, 3))
     def test_node_set_shrinks_with_support(self, instance, bump):
@@ -346,7 +353,7 @@ def recount(sequences, max_len):
             for j in range(len(s.codes) - length + 1):
                 holders[s.codes[j : j + length]].add(i)
                 windows[s.codes[j : j + length]] += 1
-    return {t: Support(len(holders[t]), windows[t]) for t in windows}
+    return {t: (len(holders[t]), windows[t]) for t in windows}
 
 
 @pytest.fixture(scope="module")
@@ -411,7 +418,7 @@ class TestDeterminism:
         config = MinerConfig(min_support=2, max_len=2)
         one = build_forest(toy_sequences, config)
         two = build_forest(toy_sequences, config)
-        assert one.to_dict() == two.to_dict()
+        assert list(one.nodes.items()) == list(two.nodes.items())
         assert extract_rts_features(prune_bottom_up(one, config)) == extract_rts_features(
             prune_bottom_up(two, config)
         )
@@ -435,6 +442,15 @@ class TestFeatureListFile:
         assert records[0]["occ_count"] == 3
         assert records[0]["description"] == "dim_0: up, dim_1: up"
         assert records[1]["ordinal"] == 1
+
+    def test_feature_missing_from_the_forest(self, tmp_path, toy_sequences):
+        config = MinerConfig(min_support=2, max_len=2)
+        pruned = prune_bottom_up(build_forest(toy_sequences, config), config)
+        path = tmp_path / "features.json"
+        # (8, 4) is counted once, below the threshold, so pruning drops it
+        with pytest.raises(ValueError, match=r"feature \(8, 4\) is not present in the forest"):
+            write_feature_list(path, [(8,), (8, 4)], pruned, dims=2, delta=0.05, config=config)
+        assert not path.exists()
 
     def test_empty_feature_list(self, tmp_path, toy_sequences):
         config = MinerConfig(min_support=9, max_len=2)

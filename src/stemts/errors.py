@@ -68,7 +68,9 @@ class DegenerateTaskError(StemError):
     """Classification was requested on fewer than two classes."""
 
 
-def check_int(name: str, value, low: int) -> None:
-    """A ``ConfigError`` naming ``name`` unless ``value`` is an integer (not a bool) >= ``low``."""
+def check_int(name: str, value, low: int) -> int:
+    """``value`` as an ``int``; a ``ConfigError`` naming ``name`` unless it is an integer
+    (not a bool) >= ``low``, so a numpy integer is stored, and written, as a Python one."""
     if isinstance(value, bool) or not isinstance(value, Integral) or value < low:
         raise ConfigError(f"{name} must be an integer >= {low}, got {value!r}")
+    return int(value)

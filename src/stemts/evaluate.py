@@ -83,7 +83,7 @@ class SplitSpec:
     def __post_init__(self) -> None:
         if not 0.0 < self.train_fraction < 1.0:
             raise ConfigError(f"train_fraction must lie in (0, 1), got {self.train_fraction}")
-        check_int("seed", self.seed, 0)
+        object.__setattr__(self, "seed", check_int("seed", self.seed, 0))
 
 
 @dataclass(frozen=True)
@@ -97,7 +97,7 @@ class ClassifierConfig:
             raise ConfigError(f"classifier must be one of {CLASSIFIERS}, got {self.kind!r}")
         if self.metric not in METRICS:
             raise ConfigError(f"metric must be one of {METRICS}, got {self.metric!r}")
-        check_int("k", self.k, 1)
+        object.__setattr__(self, "k", check_int("k", self.k, 1))
 
 
 def _label_codes(labels: Sequence, names: Sequence) -> np.ndarray:

@@ -5,11 +5,12 @@ kernel, ``window_states``, shared with ``features.vectorize_batch``, walks
 every window of an ``events.EventBatch`` (joined codes plus offsets) one
 length at a time, as Apriori and PrefixSpan do: a window's state follows from
 its prefix's state and its last code, and a code outside the walk's alphabet
-is a stop. Each length's keys lie in a small dense space, so a counting sort,
-not a sort, finds and numbers the distinct windows; every window comes out
-with its state and its owner, owners ascending. ``build_forest`` keeps each
-distinct window as a row (its prefix's row, its last code) with its
-``doc_support`` (distinct samples, from a sample x tuple bitmap) and
+is a stop. Each length's keys lie in a small dense space, so one rule,
+``_table``, finds the distinct keys by marking a boolean table, not by a sort,
+and a dense key -> row array numbers every window; each comes out with its
+state and its owner, owners ascending. ``build_forest`` keeps each distinct
+window as a row (its prefix's row, its last code) with its ``doc_support``
+(distinct samples: ``_table`` over (sample, row) pair keys) and
 ``occ_count`` (windows in all samples), walking each distinct code sequence
 once, weighted by its number of samples, as FP-growth counts identical
 transactions. Pruning drops rows below the minimum document support (and,
@@ -26,6 +27,7 @@ import json
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from numbers import Integral, Real
 from pathlib import Path
 from typing import Iterator, Sequence
 
@@ -69,14 +71,15 @@ class MinerConfig:
 
     def __post_init__(self) -> None:
         ms = self.min_support
-        if isinstance(ms, bool) or not isinstance(ms, (int, float)):
+        if isinstance(ms, bool) or not isinstance(ms, Real):
             raise ConfigError(f"min_support must be an int count or float fraction, got {ms!r}")
-        if isinstance(ms, int):
+        if isinstance(ms, Integral):
             if ms < 1:
                 raise ConfigError(f"absolute min_support must be >= 1, got {ms}")
         elif not 0.0 < ms <= 1.0:
             raise ConfigError(f"fractional min_support must lie in (0, 1], got {ms}")
-        check_int("max_len", self.max_len, 1)
+        object.__setattr__(self, "min_support", int(ms) if isinstance(ms, Integral) else float(ms))
+        object.__setattr__(self, "max_len", check_int("max_len", self.max_len, 1))
         if not 0.0 <= self.gain_gamma <= 1.0:
             raise ConfigError(f"gain_gamma must lie in [0, 1], got {self.gain_gamma}")
 
@@ -87,8 +90,8 @@ def resolve_min_support(min_support: int | float, n_samples: int) -> int:
     A fraction is read as the decimal it prints as and multiplied exactly,
     so 0.07 of 100 samples is 7, not the 8 that float rounding would give.
     """
-    if isinstance(min_support, int) and not isinstance(min_support, bool):
-        return min_support
+    if isinstance(min_support, Integral) and not isinstance(min_support, bool):
+        return int(min_support)
     return max(1, math.ceil(Fraction(repr(float(min_support))) * n_samples))
 
 
@@ -129,20 +132,27 @@ def _check_sequences(sequences: Sequence[EventSequence] | EventBatch) -> EventBa
 
 
 _KEY_CELLS = 8  # key spaces up to this many cells per key are counted, not sorted
-_DOC_CELLS = 64  # doc support uses a bitmap up to this many cells per window
-_BITMAP_CELLS = 1 << 17  # doc-support bitmap cells (bool) held at once: one block of samples
+
+
+def _table(keys: np.ndarray, space: int) -> np.ndarray:
+    """The sorted distinct ``keys`` in [0, space): marked on a boolean table up to
+    ``_KEY_CELLS`` cells per key, else sorted."""
+    if space > _KEY_CELLS * len(keys):
+        return _unique(keys)
+    seen = np.zeros(space, dtype=bool)
+    seen[keys] = True
+    return np.flatnonzero(seen)
 
 
 def _rows(keys: np.ndarray, space: int, index: type, table=None) -> tuple[np.ndarray, np.ndarray]:
-    """``table`` (by default the sorted distinct keys in [0, space)) and each key's row in
-    it or -1: a counting sort up to ``_KEY_CELLS`` cells per key, else a sort and search.
+    """``table`` (by default ``_table(keys, space)``) and each key's row in it or -1: a
+    dense key -> row array up to ``_KEY_CELLS`` cells per key, else a binary search.
     ``window_states`` passes a ``table`` only to rank codes in its alphabet."""
+    table = _table(keys, space) if table is None else table
     if space > _KEY_CELLS * len(keys):
-        table = _unique(keys) if table is None else table
         rows = np.searchsorted(table, keys).astype(index)
         rows[table[np.minimum(rows, len(table) - 1)] != keys] = -1
         return table, rows
-    table = np.flatnonzero(np.bincount(keys, minlength=space)) if table is None else table
     remap = np.full(space, -1, dtype=index)
     remap[table] = np.arange(len(table), dtype=index)
     return table, remap[keys]
@@ -185,26 +195,6 @@ def window_states(
             return  # no window of this length, so none longer: max_len may be huge
 
 
-def _doc_support(
-    rows: np.ndarray, owners: np.ndarray, width: int, weights: np.ndarray
-) -> np.ndarray:
-    """Per row, the summed ``weights`` of its distinct owners, counted on one sample
-    block's (block x width) bitmap at a time."""
-    n, docs = len(weights), np.zeros(width, dtype=np.int64)
-    if n * width >= _DOC_CELLS * len(rows):  # also when there is no window
-        pairs = _unique(owners.astype(np.int64) * width + rows)
-        np.add.at(docs, pairs % width, weights[pairs // width])
-        return docs
-    step = max(1, _BITMAP_CELLS // width)
-    bounds = np.searchsorted(owners, np.arange(0, n + step, step))  # owners are sorted
-    for start, lo, hi in zip(range(0, n, step), bounds, bounds[1:]):
-        block = weights[start : start + step]
-        seen = np.zeros((len(block), width), dtype=bool)
-        seen[owners[lo:hi] - start, rows[lo:hi]] = True
-        docs += block @ seen
-    return docs
-
-
 def build_forest(
     sequences: Sequence[EventSequence] | EventBatch, config: MinerConfig
 ) -> PrefixForest:
@@ -221,14 +211,17 @@ def build_forest(
 def _count_forest(unique: EventBatch, weights, n_samples: int, config: MinerConfig) -> PrefixForest:
     """The forest of ``n_samples`` samples whose distinct code sequences ``unique`` repeat
     ``weights`` times each: each one is walked once, weighted by its count."""
-    alphabet = _rows(unique.codes, alphabet_size(unique.dims), np.int32)[0]
+    alphabet = _table(unique.codes, alphabet_size(unique.dims))
     levels, start, end = [], -1, 0  # row -1 is the empty prefix
     walk = window_states(unique.codes, unique.offsets, alphabet, config.max_len)
     for table, rows, owners in walk:
         occs = np.zeros(len(table), dtype=np.int64)
         np.add.at(occs, rows, weights[owners])
         prefix, last = np.divmod(table, len(alphabet))
-        docs = _doc_support(rows, owners, len(table), weights)
+        width = len(table)  # doc support: the weights of each row's distinct owners
+        pairs = _table(owners.astype(np.int64) * width + rows, len(weights) * width)
+        docs = np.zeros(width, dtype=np.int64)
+        np.add.at(docs, pairs % width, weights[pairs // width])
         levels.append((prefix + start, alphabet[last], docs, occs))
         start, end = end, end + len(table)
     return PrefixForest(*map(np.concatenate, zip(*levels)), n_samples=n_samples)

@@ -155,7 +155,7 @@ class TestRepeatedSequences:
         forest = build_forest(batch, config)
         assert forest.nodes == recount(list(batch), config.max_len)
         assert forest.n_samples == len(batch)
-        with mock.patch.object(mining, "_DOC_CELLS", 0):  # doc support from (sample, tuple) pairs
+        with mock.patch.object(mining, "_KEY_CELLS", 0):  # every table sorted, not counted
             assert build_forest(batch, config).nodes == forest.nodes
         features = extract_rts_features(prune_bottom_up(forest, config))
         assert features == brute_force_mine(batch, config)
@@ -260,20 +260,16 @@ from stemts import SynthSpec, generate_synthetic, mining
 from stemts.evaluate import evaluate
 classes = tuple((f"run{{r}}", ((("up", r), ("down", r)),) * 3) for r in (2, 3, 4, 6))
 data = generate_synthetic(SynthSpec(classes, 10, 30, noise_amplitude=0.4, seed=3, separable=True))
-with mock.patch.multiple(mining, _KEY_CELLS={key_cells}, _DOC_CELLS={doc_cells}):
+with mock.patch.object(mining, "_KEY_CELLS", {key_cells}):
     evaluate(data, methods=("stem", "baseline"))
 sys.exit("numpy.ma" in sys.modules)
 """
 
 
-@pytest.mark.parametrize(
-    "key_cells, doc_cells",
-    [(mining._KEY_CELLS, mining._DOC_CELLS), (0, 0)],
-    ids=["counting", "sorting"],
-)
-def test_evaluating_loads_no_numpy_ma(key_cells, doc_cells):
+@pytest.mark.parametrize("key_cells", [mining._KEY_CELLS, 0], ids=["counting", "sorting"])
+def test_evaluating_loads_no_numpy_ma(key_cells):
     # numpy 2's flagless np.unique imports numpy.ma (11-14 ms) on its first call in a process
-    code = EVALUATE_ONCE.format(key_cells=key_cells, doc_cells=doc_cells)
+    code = EVALUATE_ONCE.format(key_cells=key_cells)
     env = {**os.environ, "PYTHONPATH": str(SRC)}
     assert subprocess.run([sys.executable, "-c", code], env=env).returncode == 0
 

@@ -29,13 +29,16 @@ from stemts import (
     extract_rts_features,
     full_alphabet_vocabulary,
     generate_synthetic,
+    load_vocabulary,
     prune_bottom_up,
     render_report_table,
     reports_to_json,
+    save_vocabulary,
     split_dataset,
     vectorize_batch,
     vectorize_dataset,
     write_csv,
+    write_report_files,
 )
 import stemts
 from stemts import dataset as dataset_module
@@ -141,6 +144,7 @@ class TestSplit:
             with pytest.raises(ConfigError, match="seed must be an integer >= 0"):
                 SplitSpec(seed=seed)
         assert SplitSpec(seed=np.int64(3)).seed == 3
+        assert type(SplitSpec(seed=np.int64(3)).seed) is int
 
 
 def reference_split_group(ids, train_fraction, rng):
@@ -235,6 +239,7 @@ class TestKnn:
             with pytest.raises(ConfigError, match="k must be an integer >= 1"):
                 ClassifierConfig("knn", k)
         assert ClassifierConfig("knn", np.int64(3)).k == 3
+        assert type(ClassifierConfig("knn", np.int64(3)).k) is int
 
     def test_errors(self):
         # stemts eval --k 9999 reaches this check
@@ -845,3 +850,17 @@ class TestReportRendering:
         assert "CPU time (seconds)" in lines
         # accuracy section comes first so the timing block can be cut off
         assert lines.index("CPU time (seconds)") > lines.index("Average accuracy")
+
+    def test_numpy_integer_settings_are_written_and_read_back(self, tmp_path):
+        ds = generate_synthetic(run_length_spec(0.0, samples_per_class=5, length=30))
+        miner = MinerConfig(min_support=np.int64(3), max_len=np.int64(3))
+        split, classifier = SplitSpec(seed=np.int64(2)), ClassifierConfig("knn", np.int64(1))
+        reports = evaluate.evaluate(
+            ds, miner=miner, split=split, classifier=classifier, methods=("stem", "baseline")
+        )
+        json_path, _ = write_report_files(reports, tmp_path / "report")
+        payload = json.loads(json_path.read_text(encoding="utf-8"))
+        config = payload["methods"]["stem"]["config"]
+        assert (config["min_support"], config["max_len"], config["seed"], config["k"]) == (3, 3, 2, 1)
+        save_vocabulary(reports[0].vocabulary, tmp_path / "vocab.json")
+        assert load_vocabulary(tmp_path / "vocab.json").miner == MinerConfig(3, 3)

@@ -1,6 +1,7 @@
 import math
 from collections import Counter, defaultdict
 from fractions import Fraction
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -22,6 +23,7 @@ from stemts import (
     write_feature_list,
 )
 from stemts import mining
+from stemts.dataset import _unique
 from stemts.errors import (
     ConfigError,
     EmptyInputError,
@@ -111,6 +113,15 @@ class TestConfig:
             with pytest.raises(ConfigError, match="max_len must be an integer >= 1"):
                 MinerConfig(max_len=max_len)
         assert MinerConfig(max_len=np.int64(3)).max_len == 3
+        # numpy numbers are stored as Python ones, so the settings stay JSON-writable
+        config = MinerConfig(min_support=np.int64(3), max_len=np.int64(3))
+        assert (config.min_support, config.max_len) == (3, 3)
+        assert (type(config.min_support), type(config.max_len)) == (int, int)
+        assert type(MinerConfig(min_support=np.float64(0.05)).min_support) is float
+        assert resolve_min_support(np.int64(3), 100) == 3
+        for min_support in (np.int64(0), np.bool_(True), np.float64(1.5)):
+            with pytest.raises(ConfigError):
+                MinerConfig(min_support=min_support)
 
 
 class TestBuildForest:
@@ -363,12 +374,29 @@ def run_length_batch():
     return convert_dataset(dataset, SymbolizerConfig(0.05))
 
 
+class TestTable:
+    @given(st.data())
+    def test_counting_and_sorting_give_the_sorted_distinct_keys(self, data):
+        space = data.draw(st.integers(1, 300))
+        keys = data.draw(st.lists(st.integers(0, space - 1), max_size=60))
+        keys = np.array(keys + keys[: data.draw(st.integers(0, 5))], dtype=np.int64)  # repeats
+        # 0 sorts every table, the default is the module's budget, and space counts every
+        # table that has a key
+        cells = data.draw(st.sampled_from([0, mining._KEY_CELLS, space]))
+        with mock.patch.object(mining, "_KEY_CELLS", cells):
+            table = mining._table(keys, space)
+            rows = mining._rows(keys, space, np.int32)[1]
+        assert np.array_equal(table, _unique(keys))
+        assert rows.dtype == np.int32
+        assert np.array_equal(rows, np.searchsorted(_unique(keys), keys))
+
+
 class TestWalkBranches:
     """Every branch of the window walk counts the full forest exactly.
 
-    At this size the walk counts keys densely and counts doc support on a
-    bitmap; patching the module's thresholds sends it down the sorting
-    branches and through many small sample blocks instead.
+    At this size every key and (sample, row) pair table is counted densely;
+    patching the module's one budget, ``_KEY_CELLS``, sends them all down the
+    sorting branch instead.
     """
 
     config = MinerConfig(min_support=0.05, max_len=6)
@@ -389,28 +417,13 @@ class TestWalkBranches:
         for table, rows, owners in walk:
             assert (table.dtype, rows.dtype, owners.dtype) == (np.int64, np.int32, np.int32)
 
-    @pytest.mark.parametrize("constant", ["_KEY_CELLS", "_DOC_CELLS"])
+    @pytest.mark.parametrize("constant", ["_KEY_CELLS"])
     def test_sorting_branch_counts_the_same(self, run_length_batch, monkeypatch, constant):
         dense = build_forest(run_length_batch, self.config)
         monkeypatch.setattr(mining, constant, 0)
         forest = build_forest(run_length_batch, self.config)
         assert forest.nodes == dense.nodes == recount(list(run_length_batch), self.config.max_len)
         assert self.features(run_length_batch) == brute_force_mine(run_length_batch, self.config)
-
-    @pytest.mark.parametrize("budget", [1, 500, 1250])
-    def test_bitmap_in_sample_blocks(self, run_length_batch, monkeypatch, budget):
-        # eleven one- and two-code samples in the middle leave whole blocks
-        # without a window of length 3 or more
-        short = [seq(f"short{i}", [i % 27] * (1 + i % 2), dims=3) for i in range(11)]
-        sequences = list(run_length_batch)[:100] + short + list(run_length_batch)[100:]
-        monkeypatch.setattr(mining, "_BITMAP_CELLS", budget)
-        forest = build_forest(sequences, self.config)
-        assert forest.nodes == recount(sequences, self.config.max_len)
-        width = sum(len(t) == 4 for t in forest.nodes)
-        step = max(1, budget // width)
-        starts = range(0, len(sequences), step)
-        assert len(starts) >= 3
-        assert any(all(len(s) < 4 for s in sequences[i : i + step]) for i in starts)
 
 
 class TestDeterminism:

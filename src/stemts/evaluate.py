@@ -83,6 +83,7 @@ class SplitSpec:
     def __post_init__(self) -> None:
         if not 0.0 < self.train_fraction < 1.0:
             raise ConfigError(f"train_fraction must lie in (0, 1), got {self.train_fraction}")
+        object.__setattr__(self, "train_fraction", float(self.train_fraction))
         object.__setattr__(self, "seed", check_int("seed", self.seed, 0))
 
 

@@ -82,6 +82,7 @@ class MinerConfig:
         object.__setattr__(self, "max_len", check_int("max_len", self.max_len, 1))
         if not 0.0 <= self.gain_gamma <= 1.0:
             raise ConfigError(f"gain_gamma must lie in [0, 1], got {self.gain_gamma}")
+        object.__setattr__(self, "gain_gamma", float(self.gain_gamma))
 
 
 def resolve_min_support(min_support: int | float, n_samples: int) -> int:

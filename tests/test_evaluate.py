@@ -145,6 +145,7 @@ class TestSplit:
                 SplitSpec(seed=seed)
         assert SplitSpec(seed=np.int64(3)).seed == 3
         assert type(SplitSpec(seed=np.int64(3)).seed) is int
+        assert type(SplitSpec(train_fraction=np.float32(0.75)).train_fraction) is float
 
 
 def reference_split_group(ids, train_fraction, rng):
@@ -864,3 +865,17 @@ class TestReportRendering:
         assert (config["min_support"], config["max_len"], config["seed"], config["k"]) == (3, 3, 2, 1)
         save_vocabulary(reports[0].vocabulary, tmp_path / "vocab.json")
         assert load_vocabulary(tmp_path / "vocab.json").miner == MinerConfig(3, 3)
+
+    def test_numpy_float_settings_are_written_and_read_back(self, tmp_path):
+        ds = generate_synthetic(run_length_spec(0.0, samples_per_class=5, length=30))
+        symbolizer = SymbolizerConfig(np.float32(0.05))
+        miner = MinerConfig(min_support=2, max_len=3, gain_gamma=np.float32(0.25))
+        split = SplitSpec(train_fraction=np.float32(0.75))
+        reports = evaluate.evaluate(ds, symbolizer, miner, split, methods=("stem", "baseline"))
+        json_path, _ = write_report_files(reports, tmp_path / "report")
+        config = json.loads(json_path.read_text(encoding="utf-8"))["methods"]["stem"]["config"]
+        written = config["delta"], config["gain_gamma"], config["train_fraction"]
+        assert written == tuple(float(np.float32(x)) for x in (0.05, 0.25, 0.75))
+        save_vocabulary(reports[0].vocabulary, tmp_path / "vocab.json")
+        vocabulary = load_vocabulary(tmp_path / "vocab.json")
+        assert (vocabulary.delta, vocabulary.miner) == (symbolizer.delta, miner)

@@ -1,6 +1,7 @@
 import tempfile
 import warnings
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -29,7 +30,7 @@ from stemts import (
 from stemts import dataset as dataset_module
 from stemts import events as events_module
 from stemts.dataset import MtsDataset, MtsSample, min_max_normalize
-from stemts.events import EventBatch
+from stemts.events import EventBatch, event_codes
 from stemts.features import FeatureVector
 from stemts.errors import (
     ConfigError,
@@ -92,6 +93,10 @@ class TestSymbolizeDimension:
     def test_rejects_bad_delta(self):
         with pytest.raises(ValueError):
             symbolize_dimension([0.0, 1.0], 1.0)
+        # a numpy float is stored as a Python one, so the setting stays JSON-writable
+        assert type(SymbolizerConfig(np.float32(0.05)).delta) is float
+        assert SymbolizerConfig(np.float32(0.05)).delta == float(np.float32(0.05))
+        assert str(SymbolizerConfig(np.float32(-0.0)).delta) == "0.0"
 
     @given(
         st.lists(st.floats(min_value=0.0, max_value=1.0), min_size=2, max_size=40),
@@ -138,6 +143,27 @@ class TestEventCodes:
         codes = symbolize_sample(make_sample(rising), SymbolizerConfig()).codes
         assert codes == (alphabet_size(39) - 1,) * 2
         assert decode_event(codes[0], 39) == (1,) * 39
+
+    @pytest.mark.parametrize("dims", [4, 5, 6, 9, 10, 11, 19, 20, 21, 39])
+    def test_codes_reach_both_ends_of_the_narrow_type(self, dims):
+        # 3**D - 1 fits uint8 up to D = 5, uint16 up to 10 and uint32 up to 20 (each signed
+        # type one dimension fewer): these D sit on both sides of every width
+        mixed = np.random.default_rng(dims).integers(-1, 2, (6, dims))
+        symbols = np.vstack([np.ones(dims, int), -np.ones(dims, int), mixed, -mixed])
+        walk = np.vstack([np.zeros(dims), symbols.cumsum(axis=0)])  # (T, D), integer steps
+        expected = [encode_event(row) for row in symbols.tolist()]
+        assert expected[:2] == [alphabet_size(dims) - 1, 0]
+        assert event_codes(walk, 0.0).tolist() == expected
+        # a (T, D, 2) block: the second sample is the first upside down
+        mirrored = [encode_event(row) for row in (-symbols).tolist()]
+        assert event_codes(np.stack([walk, -walk], axis=-1), 0.0).T.tolist() == [expected, mirrored]
+        normalized = normalize_sample(make_sample(walk.T))
+        codes = symbolize_sample(normalized, SymbolizerConfig(0.0)).codes
+        assert codes == tuple(expected) and {type(c) for c in codes} == {int}
+        ds = MtsDataset.from_samples((make_sample(walk.T, "up"), make_sample(-walk.T, "down")))
+        batch = convert_dataset(ds, SymbolizerConfig(0.0))
+        assert batch.codes.dtype == np.int64
+        assert [list(q.codes) for q in batch] == [expected, mirrored]
 
     def test_forty_dimensions_rejected(self):
         with pytest.raises(ConfigError):
@@ -317,18 +343,30 @@ class TestBatchedConvert:
         mixed_datasets(),
         st.sampled_from([None, "max", 3, 6]),
         st.sampled_from([0.0, 0.05, 0.3]),
+        st.integers(1, 70),
+        st.sampled_from([1, 7, 64, dataset_module._BLOCK_CELLS]),
     )
-    def test_equals_per_sample_symbolization(self, dataset, pad_to, delta):
+    def test_equals_per_sample_symbolization(self, dataset, pad_to, delta, copies, cells):
+        # copies of the drawn samples, in turn, make groups that chunks end inside: under
+        # the patch a chunk holds the lane floor's ceil(64 / D) samples, and a group's
+        # last chunk can hold one
+        values = np.tile(dataset.values, (copies, 1))
+        starts = [dataset.offsets[:-1] + k * len(dataset.values) for k in range(copies)]
+        offsets = np.append(np.concatenate(starts), len(values))
+        ids = tuple(f"{sid}-{k}" for k in range(copies) for sid in dataset.ids)
+        copied = MtsDataset(values, offsets, ids, dataset.labels * copies)
         if pad_to == "max":
             pad_to = dataset.t_max
         config = SymbolizerConfig(delta)
-        batched = convert_dataset(dataset, config, pad_to)
+        with mock.patch.object(dataset_module, "_BLOCK_CELLS", cells):
+            batched = convert_dataset(copied, config, pad_to)
         expected = []
         for s in dataset.samples:
             padded = pad_to_length(s, max(s.length, pad_to or 0))
             expected.append(symbolize_sample(normalize_sample(padded), config))
-        assert [(q.sample_id, q.label, q.dims, q.codes) for q in batched] == [
-            (q.sample_id, q.label, q.dims, q.codes) for q in expected
+        assert [q.sample_id for q in batched] == list(ids)
+        assert [(q.label, q.dims, q.codes) for q in batched] == [
+            (q.label, q.dims, q.codes) for q in expected * copies
         ]
 
     def test_range_overflowing_float64(self):

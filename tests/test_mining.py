@@ -118,6 +118,7 @@ class TestConfig:
         assert (config.min_support, config.max_len) == (3, 3)
         assert (type(config.min_support), type(config.max_len)) == (int, int)
         assert type(MinerConfig(min_support=np.float64(0.05)).min_support) is float
+        assert type(MinerConfig(gain_gamma=np.float32(0.25)).gain_gamma) is float
         assert resolve_min_support(np.int64(3), 100) == 3
         for min_support in (np.int64(0), np.bool_(True), np.float64(1.5)):
             with pytest.raises(ConfigError):

@@ -10,9 +10,9 @@ encoding is a bijection.
 A dataset's codes live in one ``EventBatch``: every sample's codes joined
 into one int64 array, with ``offsets`` marking where each sample starts (the
 CSR ``indptr`` layout), validated once per batch and read-only from then
-on. ``convert_dataset`` symbolizes each group of equal-length samples as one
-time-major ``(T, D, n)`` block and writes its codes into it; the event files
-are read into and written from it.
+on. ``convert_dataset`` symbolizes equal-length samples in cache-sized
+time-major ``(T, D, c)`` chunks, coded in the narrowest integer type, and
+writes each chunk's codes into it; the event files are read into and written from it.
 ``EventSequence`` is one sample's codes: what indexing or iterating a batch
 hands out, built on access, and what ``symbolize_sample`` returns.
 

@@ -12,12 +12,11 @@ from stemts import (
     SplitSpec,
     SymbolizerConfig,
     SynthSpec,
-    baseline_histogram_eval,
-    evaluate_pipeline,
     explain_tuple,
     generate_synthetic,
     render_report_table,
 )
+from stemts.evaluate import evaluate
 
 
 def motif(run):
@@ -46,8 +45,11 @@ miner = MinerConfig(min_support=0.05, max_len=5)
 split = SplitSpec(train_fraction=0.8, seed=0)
 classifier = ClassifierConfig("knn", k=1, metric="euclidean")
 
-stem = evaluate_pipeline(dataset, symbolizer, miner, split, classifier, dataset_name="run-lengths")
-baseline = baseline_histogram_eval(dataset, split, symbolizer, classifier, dataset_name="run-lengths")
+# both methods on one split of one symbolized batch
+stem, baseline = evaluate(
+    dataset, symbolizer, miner, split, classifier,
+    methods=("stem", "baseline"), dataset_name="run-lengths",
+)
 
 print()
 print(render_report_table([stem, baseline]))

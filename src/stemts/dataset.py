@@ -27,6 +27,7 @@ import io
 from collections import Counter
 from contextlib import contextmanager, suppress
 from dataclasses import dataclass, fields
+from numbers import Real
 from pathlib import Path
 from typing import Iterable, Iterator, TextIO
 
@@ -39,6 +40,7 @@ from .errors import (
     MalformedDatasetError,
     ParseError,
     SchemaError,
+    is_int,
 )
 
 __all__ = [
@@ -328,14 +330,14 @@ def read_long_form(path: Path, fh, width: int, value_type: type):
         fh.seek(body_start)
         columns = _row_columns(path, fh, width, value_type)
     ids, labels, sample, label, t, values = columns
-    _, first_row = np.unique(sample, return_index=True)
+    order = np.lexsort((t, sample))
+    offsets = _offsets(np.bincount(sample))
+    first_row = np.minimum.reduceat(order, offsets[:-1])  # each sample's first row in the file
     conflict = label != label[first_row][sample]
     if conflict.any():
         sid = ids[sample[np.argmax(conflict)]]
         raise MalformedDatasetError(f"{path}: sample {sid!r} carries conflicting labels")
 
-    order = np.lexsort((t, sample))
-    offsets = _offsets(np.bincount(sample))
     t = t[order]
     gaps = np.flatnonzero(t != np.arange(len(t)) - np.repeat(offsets[:-1], np.diff(offsets)))
     if len(gaps):
@@ -497,12 +499,21 @@ Segment = tuple[str, int]
 Motif = tuple[tuple[Segment, ...], ...]
 
 
+def _typed(name: str, value, kind: type):
+    """``value`` as ``kind``, int, float or bool, or a ``SchemaError``: a bool is no number."""
+    real = isinstance(value, Real) and not isinstance(value, bool)
+    if not {int: is_int(value), float: real, bool: isinstance(value, (bool, np.bool_))}[kind]:
+        words = {int: "an integer", float: "a real number", bool: "true or false"}[kind]
+        raise SchemaError(f"{name} must be {words}, got {value!r}")
+    try:
+        return kind(value)
+    except OverflowError:  # an int past float64: the range checks reject inf
+        return np.inf if value > 0 else -np.inf
+
+
 def _coerce_motif(motif) -> Motif:
     try:
-        coerced = tuple(
-            tuple((str(direction), int(seg_len)) for direction, seg_len in dim_segments)
-            for dim_segments in motif
-        )
+        coerced = tuple(tuple((str(d), n) for d, n in segments) for segments in motif)
     except (TypeError, ValueError) as exc:
         raise SchemaError(f"motif is not a list of [direction, length] segments: {exc}") from None
     if not coerced or any(not dim for dim in coerced):
@@ -511,9 +522,9 @@ def _coerce_motif(motif) -> Motif:
         for direction, seg_len in dim_segments:
             if direction not in DIRECTIONS:
                 raise SchemaError(f"unknown trend direction {direction!r}")
-            if seg_len < 1:
+            if _typed("segment length", seg_len, int) < 1:
                 raise SchemaError(f"segment length must be >= 1, got {seg_len}")
-    return coerced
+    return tuple(tuple((d, int(n)) for d, n in segments) for segments in coerced)
 
 
 @dataclass(frozen=True)
@@ -541,6 +552,11 @@ class SynthSpec:
     separable: bool = False
 
     def __post_init__(self) -> None:
+        # the one type check: a YAML spec's values arrive here unconverted
+        kinds = {"samples_per_class": int, "length": int, "seed": int}
+        kinds |= {"noise_amplitude": float, "step_size": float, "separable": bool}
+        for name, kind in kinds.items():
+            object.__setattr__(self, name, _typed(name, getattr(self, name), kind))
         classes = tuple((str(label), _coerce_motif(motif)) for label, motif in self.classes)
         object.__setattr__(self, "classes", classes)
         if not classes or self.samples_per_class < 1:
@@ -568,9 +584,7 @@ class SynthSpec:
             raise SchemaError("every class motif must cover the same dimensions")
         if self.separable:
             if not self.noise_amplitude < self.step_size / 2.0:
-                raise SchemaError(
-                    "separable mode requires noise_amplitude < step_size / 2"
-                )
+                raise SchemaError("separable mode requires noise_amplitude < step_size / 2")
             tiled = [self._tiled_steps(motif) for motif in motifs]
             for i in range(len(tiled)):
                 for j in range(i + 1, len(tiled)):
@@ -642,6 +656,9 @@ def load_synth_spec(path: str | Path) -> SynthSpec:
         seed: 7
         step_size: 1.0      # optional, default 1.0
         separable: true     # optional, default false
+
+    Values reach ``SynthSpec``, which checks their types, as YAML types them: ``"2"`` or
+    ``1e-3`` is text, not a number (PyYAML reads a float only with a dot, as ``1.0e-3``).
     """
     import yaml  # only this reader needs it, and it is slow to import
 
@@ -662,7 +679,7 @@ def load_synth_spec(path: str | Path) -> SynthSpec:
         raise SchemaError(f"{path}: top level must be a mapping")
     unknown = set(raw) - _SPEC_KEYS
     if unknown:
-        raise SchemaError(f"{path}: unknown keys {sorted(unknown)}")
+        raise SchemaError(f"{path}: unknown keys {sorted(unknown, key=str)}")  # YAML keys: any type
     missing = {"classes", "samples_per_class", "length", "noise_amplitude", "seed"} - set(raw)
     if missing:
         raise SchemaError(f"{path}: missing keys {sorted(missing)}")
@@ -675,15 +692,4 @@ def load_synth_spec(path: str | Path) -> SynthSpec:
                 f"{path}: each class must be a mapping with exactly 'label' and 'motif'"
             )
         classes.append((entry["label"], entry["motif"]))
-    try:
-        return SynthSpec(
-            classes=tuple(classes),
-            samples_per_class=int(raw["samples_per_class"]),
-            length=int(raw["length"]),
-            noise_amplitude=float(raw["noise_amplitude"]),
-            seed=int(raw["seed"]),
-            step_size=float(raw.get("step_size", 1.0)),
-            separable=bool(raw.get("separable", False)),
-        )
-    except (TypeError, ValueError) as exc:
-        raise SchemaError(f"{path}: {exc}") from None
+    return SynthSpec(**raw | {"classes": tuple(classes)})

@@ -68,9 +68,14 @@ class DegenerateTaskError(StemError):
     """Classification was requested on fewer than two classes."""
 
 
+def is_int(value) -> bool:
+    """Whether ``value`` is an integer, numpy's included, and not a bool."""
+    return isinstance(value, Integral) and not isinstance(value, bool)
+
+
 def check_int(name: str, value, low: int) -> int:
     """``value`` as an ``int``; a ``ConfigError`` naming ``name`` unless it is an integer
-    (not a bool) >= ``low``, so a numpy integer is stored, and written, as a Python one."""
-    if isinstance(value, bool) or not isinstance(value, Integral) or value < low:
+    (``is_int``) >= ``low``, so a numpy integer is stored, and written, as a Python one."""
+    if not is_int(value) or value < low:
         raise ConfigError(f"{name} must be an integer >= {low}, got {value!r}")
     return int(value)

@@ -21,12 +21,13 @@ Timings are process CPU seconds (``time.process_time``) per stage: symbolize
 shared symbolize stage is charged to the first report; a later report's is 0.0.
 
 Classifying builds one distance matrix over the distinct queries and training
-vectors (see ``_distances``; ``dataset._distinct_rows`` finds them), then works
-on it one row block at a time (``dataset._row_blocks``). kNN reads each query's
-k nearest in stable order (equal distances keep training order) and votes once
-per distinct query: majority, then smaller mean distance within the k, then the
-smaller label. The nearest centroid is the 1-NN of the class means in
-sorted-label order: a tie goes to the smaller label.
+vectors (``dataset._distinct_rows`` finds them) from one product, whichever the
+metric, and finishes it in one loop over row blocks (``_distances``,
+``dataset._row_blocks``). kNN reads each query's k nearest in stable order
+(equal distances keep training order) and votes once per distinct query:
+majority, then smaller mean distance within the k, then the smaller label. The
+nearest centroid is the 1-NN of the class means, stacked in sorted-label order
+into one array: a tie goes to the smaller label.
 """
 
 from __future__ import annotations
@@ -42,7 +43,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .dataset import MtsDataset, _distinct_rows, _row_blocks, _unique
+from .dataset import MtsDataset, _distinct_rows, _row_blocks
 from .errors import ConfigError, DegenerateTaskError, UnlabeledDataError, check_int
 from .events import SymbolizerConfig, convert_dataset
 from .features import FeatureVocabulary, _vectorize, build_vocabulary, full_alphabet_vocabulary
@@ -149,38 +150,33 @@ def split_dataset(dataset: MtsDataset, spec: SplitSpec) -> tuple[list[str], list
 def _distances(queries: np.ndarray, train: np.ndarray, metric: str) -> np.ndarray:
     """The n_queries x n_train distance matrix, built in the product's own buffer.
 
-    The product ``queries @ train.T`` is one call, never split, so every entry
-    rounds the same whatever the block size. Every later step runs in place,
-    one row block at a time: memory is one matrix plus a fixed block workspace.
-    The classifiers pass distinct queries and distinct training vectors, so
-    the matrix is distinct queries x distinct training vectors.
+    Both metrics (``ClassifierConfig`` checks the name) share one product, one
+    call, never split, so every entry rounds the same whatever the block size. One
+    loop finishes it in place a row block at a time: memory is one matrix plus a
+    fixed block workspace. Euclidean takes ``sqrt(max(|q|² + |t|² - 2 q·t, 0))``;
+    the cosine norms are ``np.sqrt`` of the same row sums, as ``np.linalg.norm``
+    takes them. The classifiers pass distinct queries and distinct training vectors.
     """
-    if metric == "euclidean":
-        q2 = (queries * queries).sum(axis=1)
-        t2 = (train * train).sum(axis=1)
-        dist = 2.0 * queries @ train.T
-        for rows in _row_blocks(*dist.shape):
-            block = dist[rows]
-            np.subtract(q2[rows, None] + t2, block, out=block)
-            np.maximum(block, 0.0, out=block)
-            np.sqrt(block, out=block)
-        return dist
+    q, t = (queries * queries).sum(axis=1), (train * train).sum(axis=1)
     if metric == "cosine":
-        qn = np.linalg.norm(queries, axis=1)
-        tn = np.linalg.norm(train, axis=1)
-        dist = queries @ train.T
-        for rows in _row_blocks(*dist.shape):
-            block = dist[rows]
-            denom = np.outer(qn[rows], tn)
+        q, t = np.sqrt(q), np.sqrt(t)
+    # 2 q·t from the doubled queries: doubling a product that underflowed is not exact
+    dist = (2.0 * queries if metric == "euclidean" else queries) @ train.T
+    for rows in _row_blocks(*dist.shape):
+        block = dist[rows]
+        if metric == "euclidean":
+            np.subtract(q[rows, None] + t, block, out=block)
+            np.sqrt(np.maximum(block, 0.0, out=block), out=block)
+        else:
+            denom = np.outer(q[rows], t)
             ok = denom > 0.0
             np.divide(block, denom, out=block, where=ok)
             np.copyto(block, 0.0, where=~ok)
             np.subtract(1.0, block, out=block)
             # two zero vectors are identical, a zero against a nonzero is fully apart
-            block[np.ix_(qn[rows] == 0.0, tn == 0.0)] = 0.0
+            block[np.ix_(q[rows] == 0.0, t == 0.0)] = 0.0
             np.maximum(block, 0.0, out=block)
-        return dist
-    raise ValueError(f"metric must be one of {METRICS}, got {metric!r}")
+    return dist
 
 
 def _nearest(distances: np.ndarray, k: int, columns: np.ndarray) -> np.ndarray:
@@ -217,17 +213,8 @@ def _vote(labels: Sequence[str], distances: Sequence[float]) -> str:
     winners = sorted(label for label, c in counts.items() if c == best)
     if len(winners) == 1:
         return winners[0]
-    means = {
-        label: float(np.mean([d for d, l in zip(distances, labels) if l == label]))
-        for label in winners
-    }
+    means = {w: float(np.mean([d for d, l in zip(distances, labels) if l == w])) for w in winners}
     return min(winners, key=lambda label: (means[label], label))
-
-
-def _centroids(matrix: np.ndarray, labels: Sequence) -> dict:
-    """Per-class mean of ``matrix``'s rows in their order, keyed by label in sorted order."""
-    column = np.asarray(labels)
-    return {label: matrix[column == label].mean(axis=0) for label in _unique(column).tolist()}
 
 
 def _predict(
@@ -242,14 +229,14 @@ def _predict(
     ``matrix[matrix_of[i]]`` labelled ``labels[i]``; one vocabulary gives both widths.
 
     The labels, any sortable values (``evaluate`` passes integer codes), are ranked once,
-    and the vote and the centroids (``_centroids``) run on the ranks. The distance matrix
-    is over each matrix's distinct rows in first-appearance order. Equal queries get one vote.
+    and the vote and the class means run on the ranks. The distance matrix is over each
+    matrix's distinct rows in first-appearance order. Equal queries get one vote.
     """
     names, ranks = np.unique(np.asarray(labels), return_inverse=True)
-    if classifier.kind == "centroid":
-        centroids = _centroids(matrix[matrix_of], ranks)
-        matrix, ranks = np.vstack(list(centroids.values())), np.array(list(centroids))
-        matrix_of, classifier = np.arange(len(ranks)), ClassifierConfig("knn", 1, classifier.metric)
+    if classifier.kind == "centroid":  # each rank's mean over its training rows in order
+        matrix = np.vstack([matrix[matrix_of[ranks == r]].mean(axis=0) for r in range(len(names))])
+        ranks = matrix_of = np.arange(len(names))
+        classifier = ClassifierConfig("knn", 1, classifier.metric)
     if classifier.k > len(matrix_of):
         raise ConfigError(f"k must lie in [1, {len(matrix_of)}], got {classifier.k}")
     query_rows, query_at = _distinct_rows(queries)

@@ -76,6 +76,7 @@ class TestSynth:
             ("noise_amplitude", ".inf"),
             ("noise_amplitude", ".nan"),
             ("noise_amplitude", "1e308"),
+            ("noise_amplitude", "1.0e+308"),  # PyYAML reads a float only with a dot
         ],
     )
     def test_bad_seed_or_noise_is_one_error_line(self, tmp_path, capsys, key, value):
@@ -89,8 +90,37 @@ class TestSynth:
         assert len(err.splitlines()) == 1 and err.startswith("error: ") and key in err, err
         assert not (tmp_path / "o.csv").exists()
 
+    @pytest.mark.parametrize(
+        "key, value, message",
+        [
+            ("samples_per_class", "2.9", "samples_per_class must be an integer, got 2.9"),
+            ("length", "10.7", "length must be an integer, got 10.7"),
+            ("seed", "true", "seed must be an integer, got True"),
+            ("separable", '"false"', "separable must be true or false, got 'false'"),
+            ("noise_amplitude", "true", "noise_amplitude must be a real number, got True"),
+            ("step_size", '"1.0"', "step_size must be a real number, got '1.0'"),
+        ],
+    )
+    def test_mistyped_value_is_one_error_line(self, tmp_path, capsys, key, value, message):
+        # each of these was truncated or converted into a value that loaded
+        text = SPEC_YAML if key in SPEC_YAML else f"{SPEC_YAML}{key}: 1.0\n"
+        spec = tmp_path / "spec.yaml"
+        spec.write_text(re.sub(rf"^{key}: .*$", f"{key}: {value}", text, flags=re.M))
+        capsys.readouterr()
+        assert main(["-q", "synth", str(spec), "--out", str(tmp_path / "o.csv")]) == 1
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert not (tmp_path / "o.csv").exists()
+
+    def test_mistyped_segment_length_is_one_error_line(self, tmp_path, capsys):
+        spec = tmp_path / "spec.yaml"
+        spec.write_text(SPEC_YAML.replace("[up, 2], [down, 2]]\n", "[up, 2.7], [down, 2]]\n", 1))
+        capsys.readouterr()
+        assert main(["-q", "synth", str(spec), "--out", str(tmp_path / "o.csv")]) == 1
+        assert capsys.readouterr().err == "error: segment length must be an integer, got 2.7\n"
+        assert not (tmp_path / "o.csv").exists()
+
     @pytest.mark.parametrize("separable", [True, False])
-    @pytest.mark.parametrize("value", [".nan", ".inf", "1e308"])
+    @pytest.mark.parametrize("value", [".nan", ".inf", "1e308", "1.0e+308"])
     def test_bad_step_size_is_one_error_line(self, tmp_path, capsys, value, separable):
         # 1e308 x (length - 1) overflows: the trend, not the step, must be finite
         text = SPEC_YAML if separable else SPEC_YAML.replace("separable: true\n", "")

@@ -521,6 +521,63 @@ class TestSynthetic:
         with pytest.raises(EmptySpecError):
             two_class_spec(samples_per_class=0)
 
+    @pytest.mark.parametrize(
+        "field, value, message",
+        [
+            ("samples_per_class", 2.5, "samples_per_class must be an integer, got 2.5"),
+            ("samples_per_class", 0.5, "samples_per_class must be an integer, got 0.5"),
+            ("length", 10.7, "length must be an integer, got 10.7"),
+            ("length", 6.0, "length must be an integer, got 6.0"),
+            ("seed", True, "seed must be an integer, got True"),
+            ("seed", "7", "seed must be an integer, got '7'"),
+            ("noise_amplitude", False, "noise_amplitude must be a real number, got False"),
+            ("noise_amplitude", "0.1", "noise_amplitude must be a real number, got '0.1'"),
+            ("step_size", None, "step_size must be a real number, got None"),
+            ("separable", "false", "separable must be true or false, got 'false'"),
+            ("separable", 0, "separable must be true or false, got 0"),
+        ],
+    )
+    def test_mistyped_fields_are_schema_errors(self, field, value, message):
+        # each of these used to be truncated, converted or, for 2.5, fail inside numpy
+        with pytest.raises(SchemaError) as info:
+            two_class_spec(**{field: value})
+        assert str(info.value) == message
+
+    @pytest.mark.parametrize("seg_len", [2.7, 1.0, True, "2", None])
+    def test_mistyped_segment_length_is_a_schema_error(self, seg_len):
+        with pytest.raises(SchemaError, match=f"segment length must be an integer, got {seg_len!r}"):
+            two_class_spec(classes=(("up", ((("up", seg_len),),)), ("down", ((("down", 1),),))))
+
+    def test_range_checks_follow_the_type_check(self):
+        with pytest.raises(EmptySpecError, match="one sample per class"):
+            two_class_spec(samples_per_class=0)
+        with pytest.raises(SchemaError, match="length must be >= 2, got 1"):
+            two_class_spec(length=1)
+        with pytest.raises(SchemaError, match="segment length must be >= 1, got 0"):
+            two_class_spec(classes=(("up", ((("up", 0),),)), ("down", ((("down", 1),),))))
+        # an int past float64 reads as inf, which the range check rejects
+        with pytest.raises(SchemaError, match="finite range 2 x noise_amplitude, got inf"):
+            two_class_spec(noise_amplitude=10**400)
+        with pytest.raises(SchemaError, match="step_size must be > 0 with a finite trend, got -inf"):
+            two_class_spec(step_size=-(10**400))
+
+    def test_numpy_and_integer_values_are_stored_as_python_types(self):
+        spec = two_class_spec(
+            samples_per_class=np.int64(3),
+            length=np.uint8(6),
+            seed=np.int32(7),
+            noise_amplitude=np.float32(0.25),
+            step_size=2,
+            separable=np.bool_(False),
+            classes=(("up", ((("up", np.int16(1)),),)), ("down", ((("down", 1),),))),
+        )
+        stored = [spec.samples_per_class, spec.length, spec.seed, spec.noise_amplitude]
+        stored += [spec.step_size, spec.separable, spec.classes[0][1][0][0][1]]
+        assert [type(v) for v in stored] == [int, int, int, float, float, bool, int]
+        plain = two_class_spec(noise_amplitude=0.25, step_size=2.0)
+        assert spec == plain
+        assert np.array_equal(generate_synthetic(spec).values, generate_synthetic(plain).values)
+
     def test_duplicate_motifs_rejected(self):
         with pytest.raises(SchemaError):
             two_class_spec(
@@ -608,6 +665,42 @@ class TestSpecFile:
         path.write_text(SPEC_YAML + "wat: 1\n")
         with pytest.raises(SchemaError, match="unknown keys"):
             load_synth_spec(path)
+
+    def test_unknown_keys_of_mixed_types(self, tmp_path):
+        # sorting an int key against a text key raised TypeError
+        path = tmp_path / "spec.yaml"
+        path.write_text(SPEC_YAML + "wat: 1\n1: 2\n")
+        with pytest.raises(SchemaError, match=r"unknown keys \[1, 'wat'\]"):
+            load_synth_spec(path)
+
+    @pytest.mark.parametrize(
+        "line, message",
+        [
+            ("samples_per_class: 2.9", "samples_per_class must be an integer, got 2.9"),
+            ("length: 10.7", "length must be an integer, got 10.7"),
+            ("seed: true", "seed must be an integer, got True"),
+            ('separable: "false"', "separable must be true or false, got 'false'"),
+            ("step_size: yes", "step_size must be a real number, got True"),
+        ],
+    )
+    def test_values_pass_through_unconverted(self, tmp_path, line, message):
+        key = line.split(":")[0]
+        lines = [kept for kept in SPEC_YAML.splitlines() if not kept.startswith(f"{key}:")]
+        path = tmp_path / "spec.yaml"
+        path.write_text("\n".join([*lines, line]) + "\n")
+        with pytest.raises(SchemaError) as info:
+            load_synth_spec(path)
+        assert str(info.value) == message
+
+    def test_whole_real_and_bool_values_load_as_before(self, tmp_path):
+        path = tmp_path / "spec.yaml"
+        text = SPEC_YAML.replace("noise_amplitude: 0.0", "noise_amplitude: 0")
+        path.write_text(text + "step_size: 2\nseparable: false\n")
+        spec = load_synth_spec(path)
+        assert (spec.noise_amplitude, spec.step_size, spec.separable) == (0.0, 2.0, False)
+        assert type(spec.noise_amplitude) is type(spec.step_size) is float
+        path.write_text(SPEC_YAML.replace("[up, 1]", "[up, 0x2]") + "separable: true\n")
+        assert load_synth_spec(path).classes[0] == ("up", ((("up", 2),),))
 
     def test_bad_direction(self, tmp_path):
         path = tmp_path / "spec.yaml"
@@ -805,6 +898,16 @@ class TestFastPathEquivalence:
             chunked = _outcome(path)
         with _row_parser_only():
             assert chunked == _outcome(path)
+
+    def test_label_conflict_is_named_at_the_first_row_that_differs(self, tmp_path):
+        # a's first row in the file is its t = 1 row, and b's second row is the first row
+        # whose label differs from its sample's first row: both parsers name b
+        rows = ["a,x,1,1.0", "b,x,0,2.0", "b,y,1,3.0", "a,y,0,4.0"]
+        path = tmp_path / "d.csv"
+        path.write_text("sample_id,label,t,dim_0\n" + "\n".join(rows) + "\n")
+        for parser in (_fast_path_only, _row_parser_only):
+            with parser(), pytest.raises(MalformedDatasetError, match="sample 'b' carries"):
+                load_csv(path)
 
     def test_event_file_spanning_chunks_round_trips(self, tmp_path):
         batch = convert_dataset(

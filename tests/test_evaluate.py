@@ -283,11 +283,29 @@ def reference_labels(train, queries, k, metric):
 
 
 def reference_centroid_labels(train, queries, metric):
-    """Per query, the first of the sorted labels whose centroid is nearest."""
-    centroids = evaluate._centroids(np.vstack([v.values for v in train]), [v.label for v in train])
-    matrix = np.vstack(list(centroids.values()))
-    names = list(centroids)
-    return [names[reference_row(q.values, matrix, metric).argmin()] for q in queries]
+    """Per query, the first of the sorted labels whose class mean is nearest."""
+    matrix, labels = np.vstack([v.values for v in train]), np.array([v.label for v in train])
+    names = sorted(set(labels.tolist()))
+    means = np.vstack([matrix[labels == name].mean(axis=0) for name in names])
+    return [names[reference_row(q.values, means, metric).argmin()] for q in queries]
+
+
+def two_branch_distances(queries, train, metric):
+    """The distance matrix as two per-metric formulas, each with its own product.
+
+    ``evaluate._distances`` shares one product and one block loop between the
+    metrics; this is the formula it replaced, kept as its bit-for-bit reference.
+    """
+    if metric == "euclidean":
+        q2, t2 = (queries * queries).sum(axis=1), (train * train).sum(axis=1)
+        dist = np.maximum(q2[:, None] + t2 - 2.0 * queries @ train.T, 0.0)
+        return np.sqrt(dist)
+    qn, tn = np.linalg.norm(queries, axis=1), np.linalg.norm(train, axis=1)
+    denom = np.outer(qn, tn)
+    ok = denom > 0.0
+    dist = 1.0 - np.divide(queries @ train.T, denom, out=np.zeros_like(denom), where=ok)
+    dist[np.ix_(qn == 0.0, tn == 0.0)] = 0.0
+    return np.maximum(dist, 0.0)
 
 
 TIE_VALUES = [0.0, -0.0, 0.5, 0.5, 1.0, 1.0, 2.0, np.inf, -np.inf, np.nan]
@@ -315,6 +333,32 @@ def row_mapped(draw):
 
 
 class TestKernels:
+    @settings(max_examples=300, deadline=None)
+    @given(
+        metric=st.sampled_from(evaluate.METRICS),
+        shape=st.tuples(st.integers(0, 12), st.integers(1, 12), st.integers(1, 6)),
+        cells=st.sampled_from([1, 5, 64, dataset_module._BLOCK_CELLS]),
+        data=st.data(),
+    )
+    def test_distances_equal_the_two_branch_formula(self, metric, shape, cells, data):
+        # quarter steps tie exactly; products of values near 1e-161 underflow, where
+        # 2 x (q·t) and (2q)·t differ; -0.0, whole zero rows and other floats ride along
+        n_queries, n_train, width = shape
+        values = st.one_of(
+            st.sampled_from([0.0, -0.0, 0.25, 0.5, 0.75, 1.0]),
+            st.floats(1e-162, 1e-160),
+            st.floats(-1e3, 1e3, allow_subnormal=False),
+        )
+        queries, train = (
+            data.draw(arrays(np.float64, (n, width), elements=values)) for n in (n_queries, n_train)
+        )
+        queries[data.draw(arrays(bool, n_queries))] = data.draw(st.sampled_from([0.0, -0.0]))
+        train[data.draw(arrays(bool, n_train))] = data.draw(st.sampled_from([0.0, -0.0]))
+        with mock.patch.object(dataset_module, "_BLOCK_CELLS", cells):
+            dist = evaluate._distances(queries, train, metric)
+        expected = two_branch_distances(queries, train, metric)
+        assert np.array_equal(dist.view(np.uint64), expected.view(np.uint64))
+
     @settings(max_examples=300, deadline=None)
     @given(
         distances=arrays(
@@ -442,9 +486,16 @@ class TestNearestCentroid:
         assert centroid(train, vec([0.2, 0.9]), metric) == "a"
 
     def test_centroid_is_classwise_mean(self):
-        train = [vec([0.0, 0.0], "t1", "X"), vec([1.0, 1.0], "t2", "X")]
-        centroids = evaluate._centroids(np.vstack([v.values for v in train]), ["X", "X"])
-        assert centroids["X"].tolist() == [0.5, 0.5]
+        # X's mean (1, 1) is nearer the query than Y's (1.75, 1.75); X's nearest member is not
+        train = [vec([0.0, 0.0], "t1", "X"), vec([2.0, 2.0], "t2", "X"), vec([1.75, 1.75], "t3", "Y")]
+        query = vec([1.25, 1.25])
+        means = {
+            label: np.mean([v.values for v in train if v.label == label], axis=0) for label in "XY"
+        }
+        assert means["X"].tolist() == [1.0, 1.0]
+        nearest = min("XY", key=lambda label: np.linalg.norm(means[label] - query.values))
+        assert nearest == "X" == centroid(train, query)
+        assert knn(train, query, k=1) == "Y"
 
 
 class TestBaseline:

@@ -14,6 +14,7 @@ import argparse
 import os
 import sys
 import warnings
+from contextlib import suppress
 from pathlib import Path
 
 from .dataset import generate_synthetic, load_csv, load_synth_spec, write_csv
@@ -50,14 +51,10 @@ def _default_seed() -> int:
 
 def _support_value(text: str) -> int | float:
     """min-support flag: integers are absolute counts, other numbers fractions."""
-    try:
-        return int(text)
-    except ValueError:
-        pass
-    try:
-        return float(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"{text!r} is not a count or fraction") from None
+    for kind in (int, float):
+        with suppress(ValueError):
+            return kind(text)
+    raise argparse.ArgumentTypeError(f"{text!r} is not a count or fraction")
 
 
 def build_parser() -> argparse.ArgumentParser:

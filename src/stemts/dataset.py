@@ -24,6 +24,7 @@ from __future__ import annotations
 
 import csv
 import io
+import re
 from collections import Counter
 from contextlib import contextmanager, suppress
 from dataclasses import dataclass, fields
@@ -330,7 +331,9 @@ def read_long_form(path: Path, fh, width: int, value_type: type):
         fh.seek(body_start)
         columns = _row_columns(path, fh, width, value_type)
     ids, labels, sample, label, t, values = columns
-    order = np.lexsort((t, sample))
+    step = np.diff(sample)  # the tools write rows by sample, then by t: no sort, no gathers
+    ordered = (step >= 0).all() and (np.diff(t)[step == 0] >= 0).all()
+    order = np.arange(len(t)) if ordered else np.lexsort((t, sample))
     offsets = _offsets(np.bincount(sample))
     first_row = np.minimum.reduceat(order, offsets[:-1])  # each sample's first row in the file
     conflict = label != label[first_row][sample]
@@ -338,7 +341,8 @@ def read_long_form(path: Path, fh, width: int, value_type: type):
         sid = ids[sample[np.argmax(conflict)]]
         raise MalformedDatasetError(f"{path}: sample {sid!r} carries conflicting labels")
 
-    t = t[order]
+    if not ordered:
+        t, values = t[order], values[order]
     gaps = np.flatnonzero(t != np.arange(len(t)) - np.repeat(offsets[:-1], np.diff(offsets)))
     if len(gaps):
         k = sample[order[gaps[0]]]  # rows are sorted by sample: this is the first gapped one
@@ -348,7 +352,6 @@ def read_long_form(path: Path, fh, width: int, value_type: type):
             f"without gaps or duplicates, got {ts}"
         )
     sample_labels = tuple(labels[c] or None for c in label[first_row].tolist())
-    values = values[order]
     values.setflags(write=False)
     return tuple(ids), sample_labels, offsets, values
 
@@ -504,7 +507,13 @@ def _typed(name: str, value, kind: type):
     real = isinstance(value, Real) and not isinstance(value, bool)
     if not {int: is_int(value), float: real, bool: isinstance(value, (bool, np.bool_))}[kind]:
         words = {int: "an integer", float: "a real number", bool: "true or false"}[kind]
-        raise SchemaError(f"{name} must be {words}, got {value!r}")
+        hint = ""  # YAML 1.1 reads a float only with a dot and a signed exponent: 1e-3 is text
+        number = re.fullmatch(r"([-+]?)(\d*)\.?(\d*)(?:e([-+]?)(\d+))?", str(value).strip().lower())
+        if kind is float and isinstance(value, str) and number and (number[2] or number[3]):
+            sign, whole, part, esign, power = number.groups()
+            spelt = f"{sign}{whole or 0}.{part or 0}" + (f"e{esign or '+'}{power}" if power else "")
+            hint = "" if spelt == number[0] else f", which YAML reads as text: write it as {spelt}"
+        raise SchemaError(f"{name} must be {words}, got {value!r}{hint}")
     try:
         return kind(value)
     except OverflowError:  # an int past float64: the range checks reject inf

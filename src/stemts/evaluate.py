@@ -6,8 +6,8 @@ training vocabulary, never the other way around, so removing or mutating a
 test sample can never change the mined features.
 
 ``evaluate`` is the one entry point; ``evaluate_pipeline`` and
-``baseline_histogram_eval`` are its one-method calls. It encodes the labels
-once as indices into the sorted label set and splits by them, symbolizes the
+``baseline_histogram_eval`` are its one-method calls. It codes the labels in one pass
+(``_label_codes``) as indices into the sorted labels and splits by them, symbolizes the
 dataset into one ``events.EventBatch`` and finds its distinct sequences once
 (``EventBatch.distinct``). Each split's distinct sequences, in its order, and
 each sample's row among them follow from that without hashing again. Per
@@ -23,8 +23,8 @@ shared symbolize stage is charged to the first report; a later report's is 0.0.
 Classifying builds one distance matrix over the distinct queries and training
 vectors (``dataset._distinct_rows`` finds them) from one product, whichever the
 metric, and finishes it in one loop over row blocks (``_distances``,
-``dataset._row_blocks``). kNN reads each query's k nearest in stable order
-(equal distances keep training order) and votes once per distinct query:
+``dataset._row_blocks``). kNN finds each query's k nearest distinct vectors, then
+their training samples in stable order (``_nearest``), and votes once per distinct query:
 majority, then smaller mean distance within the k, then the smaller label. The
 nearest centroid is the 1-NN of the class means, stacked in sorted-label order
 into one array: a tie goes to the smaller label.
@@ -43,7 +43,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .dataset import MtsDataset, _distinct_rows, _row_blocks
+from .dataset import MtsDataset, _distinct_rows, _encode, _row_blocks
 from .errors import ConfigError, DegenerateTaskError, UnlabeledDataError, check_int
 from .events import SymbolizerConfig, convert_dataset
 from .features import FeatureVocabulary, _vectorize, build_vocabulary, full_alphabet_vocabulary
@@ -102,10 +102,14 @@ class ClassifierConfig:
         object.__setattr__(self, "k", check_int("k", self.k, 1))
 
 
-def _label_codes(labels: Sequence, names: Sequence) -> np.ndarray:
-    """Each of ``labels`` as its index in ``names``, -1 for ``None``."""
+def _label_codes(labels: Sequence) -> tuple[tuple, np.ndarray]:
+    """``(names, codes)``: the sorted distinct labels but None, and each label's index in
+    ``names``, -1 for None; ``dataset._encode`` looks up only the first label of each run."""
+    seen: dict = {}
+    codes = _encode(np.fromiter(labels, object, len(labels)), seen)
+    names = tuple(sorted(label for label in seen if label is not None))
     index = {None: -1} | {name: i for i, name in enumerate(names)}
-    return np.fromiter(map(index.__getitem__, labels), np.intp, len(labels))
+    return names, np.array([index[label] for label in seen], np.intp)[codes]
 
 
 def _split_rows(dataset: MtsDataset, codes: np.ndarray, spec: SplitSpec) -> tuple[np.ndarray, ...]:
@@ -138,7 +142,7 @@ def split_dataset(dataset: MtsDataset, spec: SplitSpec) -> tuple[list[str], list
     at least one sample stays in train. Groups are classes when stratified,
     the whole dataset otherwise. Returned ids keep dataset order.
     """
-    train, test = _split_rows(dataset, _label_codes(dataset.labels, dataset.label_set), spec)
+    train, test = _split_rows(dataset, _label_codes(dataset.labels)[1], spec)
     ids = dataset.ids
     return [ids[i] for i in train.tolist()], [ids[i] for i in test.tolist()]
 
@@ -179,30 +183,53 @@ def _distances(queries: np.ndarray, train: np.ndarray, metric: str) -> np.ndarra
     return dist
 
 
-def _nearest(distances: np.ndarray, k: int, columns: np.ndarray) -> np.ndarray:
-    """Per row, the k nearest training vectors, nearest first.
+def _first_appearances(ids: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``(distinct, index)``: the distinct non-negative ``ids`` in order of first appearance
+    and each id's index in ``distinct``, found with one ``minimum.at``, not by hashing."""
+    seen = np.full(ids.max() + 1, len(ids))
+    np.minimum.at(seen, ids, np.arange(len(ids)))  # each id's first position
+    first = np.sort(seen[seen < len(ids)])
+    seen[ids[first]] = np.arange(len(first))  # now each id's index in distinct
+    return ids[first], seen[ids]
 
-    ``columns`` gives each training vector's column in ``distances``. Each row
-    block is gathered to full training width through it, so the result equals
-    ``np.argsort(full, kind="stable")[:, :k]`` on the full-width rows: equal
-    distances keep training order, and k = 1 takes the first minimum. Each
-    block takes k rounds of ``argmin`` (the first index of the minimum),
-    masking each pick with inf. A row with a non-finite distance takes the
-    stable argsort of its gathered row, since there an inf mask could pick one
-    column twice.
+
+def _nearest(distances: np.ndarray, k: int, columns: np.ndarray) -> np.ndarray:
+    """Per row, the k nearest training vectors, nearest first: equal to
+    ``np.argsort(distances.take(columns, axis=1), kind="stable")[:, :k]``.
+
+    ``columns`` gives each training vector's column in ``distances``. k rounds of
+    ``argmin`` per row block, masking each pick with inf, find the k nearest columns
+    in use, ties to the earlier first training vector. The k nearest vectors are
+    among those columns' first k, sorted by one integer key: the pick's run of equal
+    distances, then the training index. A row with a non-finite pick (a nan, an inf,
+    or a masked column picked again) takes the stable argsort of its whole row.
     """
-    nearest = np.empty((distances.shape[0], k), dtype=np.intp)
-    for rows in _row_blocks(distances.shape[0], len(columns)):
-        block = distances[rows].take(columns, axis=1)
-        out = nearest[rows]
+    n = len(columns)
+    used, of = _first_appearances(columns)  # the columns in use, by first training vector
+    # training vectors by column, in order within one: narrow keys sort by radix
+    by_column = np.argsort(of.astype(np.min_scalar_type(len(used))), kind="stable")
+    sizes = np.bincount(of)
+    width, rounds = min(k, sizes.max()), min(k, len(used))
+    firsts = by_column[np.minimum((np.cumsum(sizes) - sizes)[:, None] + np.arange(width), n - 1)]
+    firsts[np.arange(width) >= sizes[:, None]] = k * (n + 1)  # padding, past every key
+    picks, last = np.empty((len(distances), rounds), np.intp), np.empty(len(distances))
+    for rows in _row_blocks(len(distances), len(used)):
+        block, out = distances[rows].take(used, axis=1), picks[rows]
         at = np.arange(len(block))
-        finite = np.isfinite(block).all(axis=1)
-        odd = None if finite.all() else block[~finite]
-        for j in range(k):
+        for j in range(rounds):
+            if j:
+                block[at, out[:, j - 1]] = np.inf
             out[:, j] = block.argmin(axis=1)
-            block[at, out[:, j]] = np.inf
-        if odd is not None:
-            out[~finite] = np.argsort(odd, kind="stable")[:, :k]
+        last[rows] = block[at, out[:, -1]]  # minima never fall: inf if a round found no finite
+    near = np.take_along_axis(distances, used[picks], axis=1)
+    nearest = np.empty((len(distances), k), dtype=np.intp)
+    for rows in _row_blocks(len(distances), rounds * width):
+        # a finite row's picks never get nearer, so its first is not above its last
+        group = np.cumsum(near[rows] > np.roll(near[rows], 1, axis=1), axis=1)
+        keys = (group[:, :, None] * (n + 1) + firsts[picks[rows]]).reshape(len(group), -1)
+        nearest[rows] = np.sort(keys, axis=1)[:, :k] % (n + 1)
+    for i in np.flatnonzero(~(np.isfinite(near).all(axis=1) & np.isfinite(last))).tolist():
+        nearest[i] = np.argsort(distances[i].take(columns), kind="stable")[:k]
     return nearest
 
 
@@ -271,17 +298,12 @@ class EvalReport:
     @property
     def accuracy(self) -> float:
         total = int(self.confusion.sum())
-        if total == 0:
-            return 0.0
-        return float(np.trace(self.confusion)) / total
+        return float(np.trace(self.confusion)) / total if total else 0.0
 
     @property
     def per_class_accuracy(self) -> dict[str, float]:
-        out = {}
-        for i, label in enumerate(self.labels):
-            row_total = int(self.confusion[i].sum())
-            out[label] = float(self.confusion[i, i]) / row_total if row_total else 0.0
-        return out
+        hits, totals = np.diag(self.confusion).tolist(), self.confusion.sum(axis=1).tolist()
+        return {label: h / t if t else 0.0 for label, h, t in zip(self.labels, hits, totals)}
 
     def to_dict(self) -> dict:
         return {
@@ -294,16 +316,6 @@ class EvalReport:
             "config": self.config,
             "timings": {k: float(v) for k, v in self.timings.items()},
         }
-
-
-def _first_appearances(ids: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """``(distinct, index)``: the distinct non-negative ``ids`` in order of first appearance
-    and each id's index in ``distinct``, found with one ``minimum.at``, not by hashing."""
-    seen = np.full(ids.max() + 1, len(ids))
-    np.minimum.at(seen, ids, np.arange(len(ids)))  # each id's first position
-    first = np.sort(seen[seen < len(ids)])
-    seen[ids[first]] = np.arange(len(first))  # now each id's index in distinct
-    return ids[first], seen[ids]
 
 
 def evaluate(
@@ -332,12 +344,11 @@ def evaluate(
     miner = miner or MinerConfig()
     split = split or SplitSpec()
     classifier = classifier or ClassifierConfig()
-    if None in dataset.labels:
+    labels, codes = _label_codes(dataset.labels)
+    if codes.min() < 0:
         raise UnlabeledDataError("every sample needs a label for evaluation")
-    labels = dataset.label_set
     if len(labels) < 2:
         raise DegenerateTaskError(f"classification needs at least 2 classes, got {len(labels)}")
-    codes = _label_codes(dataset.labels, labels)
     if resubstitution:
         train_rows = test_rows = np.arange(len(dataset))
     else:
@@ -490,9 +501,7 @@ def render_report_table(reports: Sequence[EvalReport]) -> str:
     lines = ["Average accuracy", f"{'model':<{width}}{name}"]
     for r in reports:
         lines.append(f"{r.method:<{width}}{r.accuracy:.4f}")
-    lines.append("")
-    lines.append("CPU time (seconds)")
-    lines.append(f"{'model':<{width}}{name}")
+    lines += ["", "CPU time (seconds)", f"{'model':<{width}}{name}"]
     for r in reports:
         lines.append(f"{r.method:<{width}}{r.timings['total']:.3f}")
     return "\n".join(lines) + "\n"

@@ -201,14 +201,17 @@ class EventBatch:
         """``(unique, inverse)``: the first sample of each distinct code sequence in order of
         first appearance (this batch itself, nothing taken, when none repeats) and each
         sample's row in ``unique``; the samples of each length are compared as one block."""
-        sizes = np.diff(self.offsets)
+        sizes, code_type = np.diff(self.offsets), np.min_scalar_type(alphabet_size(self.dims) - 1)
         same = np.arange(len(self))  # each sample's first sample with equal codes
         for size in _unique(sizes).tolist():
             members = np.flatnonzero(sizes == size)
-            if len(members) == len(self):
-                block = self.codes.reshape(len(self), size)  # a view: no gather
+            words = -(-size * code_type.itemsize // 8)  # narrow codes: 3 words, not 19, at D = 3
+            block = np.zeros((len(members), words), np.uint64)  # zero-padded to whole words
+            if len(members) == len(self):  # a view: no gather
+                codes = self.codes.reshape(len(self), size)
             else:
-                block = self.codes[self.offsets[members, None] + np.arange(size)]
+                codes = self.codes[self.offsets[members, None] + np.arange(size)]
+            block.view(code_type)[:, :size] = codes
             first, inverse = _distinct_rows(block)
             same[members] = members[first[inverse]]
         is_first = same == np.arange(len(self))
@@ -285,11 +288,7 @@ def decode_event(code: int, dims: int) -> tuple[int, ...]:
     n = alphabet_size(dims)
     if not 0 <= code < n:
         raise InvalidCodeError(f"code {code} outside [0, {n}) for {dims} dimensions")
-    symbols = []
-    for _ in range(dims):
-        symbols.append(code % 3 - 1)
-        code //= 3
-    return tuple(symbols)
+    return tuple(code // 3**d % 3 - 1 for d in range(dims))
 
 
 def symbolize_sample(sample: MtsSample, config: SymbolizerConfig) -> EventSequence:

@@ -211,13 +211,9 @@ def load_vocabulary(path: str | Path) -> FeatureVocabulary:
     except (json.JSONDecodeError, UnicodeDecodeError) as exc:
         raise SchemaError(f"{path}: not valid JSON: {exc}") from None
     try:
-        miner = None
-        if payload["miner"] is not None:
-            miner = MinerConfig(
-                min_support=payload["miner"]["min_support"],
-                max_len=payload["miner"]["max_len"],
-                gain_gamma=payload["miner"]["gain_gamma"],
-            )
+        miner = payload["miner"]
+        if miner is not None:
+            miner = MinerConfig(miner["min_support"], miner["max_len"], miner["gain_gamma"])
         features, dims = [tuple(t) for t in payload["features"]], payload["dims"]
         for name, value in [("dims", dims)] + [("code", c) for t in features for c in t]:
             if type(value) is not int:  # JSON floats, booleans and strings are not integers

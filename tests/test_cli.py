@@ -111,6 +111,20 @@ class TestSynth:
         assert capsys.readouterr().err == f"error: {message}\n"
         assert not (tmp_path / "o.csv").exists()
 
+    def test_float_without_a_dot_is_one_error_line_with_its_yaml_spelling(self, tmp_path, capsys):
+        # YAML 1.1 reads 1e-3 as text; the spec format keeps it text, and says how to write it
+        spec = tmp_path / "spec.yaml"
+        spec.write_text(re.sub(r"^noise_amplitude: .*$", "noise_amplitude: 1e-3", SPEC_YAML, flags=re.M))
+        capsys.readouterr()
+        assert main(["-q", "synth", str(spec), "--out", str(tmp_path / "o.csv")]) == 1
+        assert capsys.readouterr().err == (
+            "error: noise_amplitude must be a real number, got '1e-3', "
+            "which YAML reads as text: write it as 1.0e-3\n"
+        )
+        assert not (tmp_path / "o.csv").exists()
+        spec.write_text(spec.read_text().replace("1e-3", "1.0e-3"))
+        assert main(["-q", "synth", str(spec), "--out", str(tmp_path / "o.csv")]) == 0
+
     def test_mistyped_segment_length_is_one_error_line(self, tmp_path, capsys):
         spec = tmp_path / "spec.yaml"
         spec.write_text(SPEC_YAML.replace("[up, 2], [down, 2]]\n", "[up, 2.7], [down, 2]]\n", 1))

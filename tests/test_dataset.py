@@ -692,6 +692,37 @@ class TestSpecFile:
             load_synth_spec(path)
         assert str(info.value) == message
 
+    @pytest.mark.parametrize(
+        "text, spelt",
+        [
+            ("1e-3", "1.0e-3"),
+            ("2E5", "2.0e+5"),
+            ("+.5e2", "+0.5e+2"),
+            ("1.5e3", "1.5e+3"),
+            ("1e-300", "1.0e-300"),
+        ],
+    )
+    def test_float_text_names_its_yaml_spelling(self, tmp_path, text, spelt):
+        path = tmp_path / "spec.yaml"
+        path.write_text(SPEC_YAML + f"step_size: {text}\n")
+        with pytest.raises(SchemaError) as info:
+            load_synth_spec(path)
+        assert str(info.value) == (
+            f"step_size must be a real number, got {text!r}, which YAML reads as text: "
+            f"write it as {spelt}"
+        )
+        path.write_text(SPEC_YAML + f"step_size: {spelt}\n")
+        assert load_synth_spec(path).step_size == float(text)
+
+    @pytest.mark.parametrize("text", ['"1.0"', "'0.5'", "inf", "nan", "1_0e3", "e3", "."])
+    def test_other_text_gets_no_spelling(self, tmp_path, text):
+        # quoted text already spelt as YAML reads a float, or text that is no number
+        path = tmp_path / "spec.yaml"
+        path.write_text(SPEC_YAML + f"step_size: {text}\n")
+        with pytest.raises(SchemaError) as info:
+            load_synth_spec(path)
+        assert str(info.value) == f"step_size must be a real number, got {text.strip(chr(34) + chr(39))!r}"
+
     def test_whole_real_and_bool_values_load_as_before(self, tmp_path):
         path = tmp_path / "spec.yaml"
         text = SPEC_YAML.replace("noise_amplitude: 0.0", "noise_amplitude: 0")
@@ -788,6 +819,56 @@ def _chunks_of(chars):
     """The body is read in chunks of ``8 * _BLOCK_CELLS`` characters, then to a line end."""
     assert chars % 8 == 0
     return mock.patch.object(dataset_module, "_BLOCK_CELLS", chars // 8)
+
+
+@st.composite
+def shuffled_and_sorted_twins(draw):
+    """CSV text of a dataset with rows in shuffled order, at most one label conflict or
+    gapped ``t``, and its twin: the same rows sorted by sample (in order of first
+    appearance), then by ``t``, as ``write_csv`` writes them."""
+    rows = []
+    for sid in draw(st.lists(st.sampled_from(["a", "b", "c", "d"]), min_size=1, unique=True)):
+        label = draw(st.sampled_from(["", "walk", "sit"]))
+        for t in range(draw(st.integers(2, 4))):
+            rows.append([sid, label, t, repr(draw(st.floats(-9, 9)))])
+    defect = draw(st.sampled_from(["none", "label", "drop", "copy"]))
+    pick = draw(st.integers(0, len(rows) - 1))
+    if defect == "label":
+        rows[pick][1] = "other"
+    elif defect == "drop":
+        del rows[pick]
+    elif defect == "copy":
+        rows.insert(pick, list(rows[pick]))
+    rows = draw(st.permutations(rows))
+    first = {}
+    for row in rows:
+        first.setdefault(row[0], len(first))
+    twin = sorted(rows, key=lambda row: (first[row[0]], row[2]))  # stable: equal t keep order
+    header = "sample_id,label,t,dim_0\n"
+    return [header + "".join(f"{s},{l},{t},{v}\n" for s, l, t, v in r) for r in (rows, twin)]
+
+
+class TestRowOrder:
+    @settings(max_examples=300, deadline=None)
+    @given(twins=shuffled_and_sorted_twins())
+    def test_shuffled_rows_load_as_their_sorted_twin(self, tmp_path_factory, twins):
+        # the twin is in order, so it loads without the sort; errors name the same sample
+        path = tmp_path_factory.mktemp("csv") / "d.csv"  # one path: messages name it
+        path.write_text(twins[1])
+        with mock.patch.object(np, "lexsort", side_effect=AssertionError("sorted")):
+            twin = _outcome(path)
+        path.write_text(twins[0])
+        assert _outcome(path) == twin
+        with _row_parser_only():
+            assert _outcome(path) == twin
+
+    def test_written_files_load_without_the_sort(self, tmp_path):
+        data = generate_synthetic(run_length_spec(0.4, samples_per_class=3, length=6))
+        path = tmp_path / "d.csv"
+        write_csv(data, path)
+        with mock.patch.object(np, "lexsort", side_effect=AssertionError("sorted")):
+            loaded = load_csv(path)
+        assert loaded.ids == data.ids and np.array_equal(loaded.values, data.values)
 
 
 class TestFastPathEquivalence:

@@ -175,6 +175,32 @@ class TestRepeatedSequences:
         assert unique.ids == tuple(batch.ids[i] for i in sorted(expected.values()))
         assert [unique[j].codes for j in inverse] == [s.codes for s in batch]
 
+    @settings(max_examples=200, deadline=None)
+    @given(
+        dims=st.sampled_from([1, 5, 6, 10, 11, 20, 21, 39]),
+        collide=st.booleans(),
+        data=st.data(),
+    )
+    def test_distinct_at_every_code_width(self, dims, collide, data):
+        # codes are hashed in uint8, uint16, uint32 or uint64, padded to whole words;
+        # the largest codes set every bit of their width, 2**8, 2**16 and 2**32 equal 0 in a
+        # narrower one, and ragged lengths cross word ends
+        top = 3**dims - 1
+        wraps = [2**bits for bits in (8, 16, 32) if 2**bits <= top]
+        codes = st.sampled_from([0, 1, top // 2, top - 1, top, *wraps])
+        pool = data.draw(st.lists(st.lists(codes, min_size=1, max_size=11), min_size=1, max_size=5))
+        picks = data.draw(st.lists(st.integers(0, len(pool) - 1), min_size=1, max_size=12))
+        batch = EventBatch.from_sequences(
+            [EventSequence(f"s{i}", None, dims, pool[p]) for i, p in enumerate(picks)]
+        )
+        with COLLIDING if collide else mock.patch.object(dataset, "_BLOCK_CELLS", 3):
+            unique, inverse = batch.distinct()
+        first = {}
+        for i, sequence in enumerate(batch):
+            first.setdefault(sequence.codes, i)
+        assert unique.ids == tuple(batch.ids[i] for i in sorted(first.values()))
+        assert [unique[j].codes for j in inverse] == [s.codes for s in batch]
+
     def test_all_distinct_batch_is_vectorized_without_a_gather(self):
         batch = EventBatch.from_sequences(
             [EventSequence(f"s{i}", None, 1, (i % 3, i // 3)) for i in range(9)]

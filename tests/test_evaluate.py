@@ -98,6 +98,44 @@ def labeled_dataset(per_class, labels=("a", "b"), length=4):
     return MtsDataset.from_samples(tuple(samples))
 
 
+def reference_label_codes(labels):
+    """The sorted labels but None, and each label's index among them by one dict, -1 for None."""
+    names = tuple(sorted({label for label in labels if label is not None}))
+    index = {None: -1} | {name: i for i, name in enumerate(names)}
+    return names, [index[label] for label in labels]
+
+
+class TestLabelCodes:
+    @settings(max_examples=300, deadline=None)
+    @given(
+        pool=st.sampled_from([["a", "b", "c", None], [3, 1, 2, None], ["walk", "sit"], [None]]),
+        data=st.data(),
+    )
+    def test_equals_the_dict_reference(self, pool, data):
+        # runs of one label, interleaved runs, and the same labels shuffled
+        runs = data.draw(st.lists(st.tuples(st.sampled_from(pool), st.integers(1, 5)), max_size=12))
+        labels = [label for label, n in runs for _ in range(n)]
+        if data.draw(st.booleans()):
+            labels = data.draw(st.permutations(labels))
+        names, codes = evaluate._label_codes(tuple(labels))
+        assert (names, codes.tolist()) == reference_label_codes(labels)
+        assert codes.dtype == np.intp
+
+    def test_errors_keep_their_messages(self):
+        unlabeled = MtsDataset.from_samples(
+            (make_sample([[1.0, 2.0]], "a0", "a"), make_sample([[2.0, 1.0]], "u0", None))
+        )
+        with pytest.raises(UnlabeledDataError) as info:
+            evaluate.evaluate(unlabeled)
+        assert str(info.value) == "every sample needs a label for evaluation"
+        with pytest.raises(UnlabeledDataError) as info:
+            split_dataset(unlabeled, SplitSpec(seed=0))
+        assert str(info.value) == "cannot split unlabeled samples: ['u0']"
+        with pytest.raises(DegenerateTaskError) as info:
+            evaluate.evaluate(labeled_dataset(3, labels=("only",)))
+        assert str(info.value) == "classification needs at least 2 classes, got 1"
+
+
 class TestSplit:
     def test_balanced_two_classes(self):
         ds = labeled_dataset(5)
@@ -375,6 +413,51 @@ class TestKernels:
             nearest = evaluate._nearest(distances, k, np.arange(distances.shape[1]))
         expected = np.argsort(distances, axis=1, kind="stable")[:, :k]
         assert np.array_equal(nearest, expected)
+
+    @settings(max_examples=500, deadline=None)
+    @given(
+        shape=st.tuples(st.integers(1, 12), st.integers(1, 6)),
+        cells=st.sampled_from([1, 5, 64, dataset_module._BLOCK_CELLS]),
+        data=st.data(),
+    )
+    def test_nearest_with_any_column_map(self, shape, cells, data):
+        # columns repeat, go unused and meet their first training vector out of column
+        # order; TIE_VALUES tie across columns whose vectors interleave, and bring inf and nan
+        n_queries, n_columns = shape
+        distances = data.draw(
+            arrays(np.float64, shape, elements=st.sampled_from(TIE_VALUES))
+            | arrays(np.float64, shape, elements=st.sampled_from([0.0, -0.0, 0.5, 1.0]))
+        )
+        columns = np.array(
+            data.draw(st.lists(st.integers(0, n_columns - 1), min_size=1, max_size=30)), np.intp
+        )
+        k = data.draw(st.integers(1, len(columns)))  # often above the columns in use
+        with mock.patch.object(dataset_module, "_BLOCK_CELLS", cells):
+            nearest = evaluate._nearest(distances, k, columns)
+        expected = np.argsort(distances.take(columns, axis=1), kind="stable")[:, :k]
+        assert np.array_equal(nearest, expected)
+
+    @pytest.mark.parametrize(
+        "row, columns, k",
+        [
+            # column 0 is unused, so the columns in use are not 0..m-1
+            ([0.0, 1.0, 0.5], [2, 1, 2], 2),
+            ([0.0, 1.0, 0.5], [2, 1, 2], 3),
+            # equal distances (a 0.0 and a -0.0 vector are two columns) whose first
+            # training vectors come in the other order than the columns
+            ([0.5, 0.5], [1, 0, 1, 0], 3),
+            ([-0.0, 0.0, 1.0], [2, 1, 0, 1, 2, 0], 4),
+            # a nearer column's vectors come after a tied pair's, k reaching into the pair
+            ([0.5, 0.0, 0.5], [2, 0, 2, 1, 0], 4),
+            # an inf: the rounds run out of finite distances and meet masked columns
+            ([0.0, np.inf], [0, 0, 1], 3),
+            ([np.inf, 0.0], [1, 0, 1], 3),
+        ],
+    )
+    def test_nearest_pinned_column_maps(self, row, columns, k):
+        distances, columns = np.array([row]), np.array(columns)
+        expected = np.argsort(distances.take(columns, axis=1), kind="stable")[:, :k]
+        assert np.array_equal(evaluate._nearest(distances, k, columns), expected)
 
     @pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
     @settings(max_examples=15, deadline=None)

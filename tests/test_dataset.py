@@ -721,7 +721,8 @@ class TestSpecFile:
         path.write_text(SPEC_YAML + f"step_size: {text}\n")
         with pytest.raises(SchemaError) as info:
             load_synth_spec(path)
-        assert str(info.value) == f"step_size must be a real number, got {text.strip(chr(34) + chr(39))!r}"
+        value = text.strip("\"'")  # YAML drops the quotes
+        assert str(info.value) == f"step_size must be a real number, got {value!r}"
 
     def test_whole_real_and_bool_values_load_as_before(self, tmp_path):
         path = tmp_path / "spec.yaml"

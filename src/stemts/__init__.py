@@ -8,11 +8,11 @@ The pipeline has four stages, each usable on its own:
 3. ``mining``   — mine frequent variable-length code tuples with one array
    walk over every window, shared with vectorizing, and support pruning.
 4. ``features``/``evaluate`` — vectorize an event batch over the mined tuples
-   into one matrix (``vectorize_batch``) and run a leakage-safe
-   classification benchmark with CPU-time accounting.
+   (``vectorize_batch``) and run a leakage-safe classification benchmark with CPU times.
 
-The imports below declare the public API once. ``stemts.evaluate`` stays the
-module: exporting its ``evaluate`` function would hide it.
+The imports below are the one list of public names: no submodule keeps its own
+``__all__``, and other submodule names stay importable from their modules.
+``stemts.evaluate`` stays the module: exporting its function would hide it.
 """
 
 from types import ModuleType as _Module

@@ -20,6 +20,8 @@ from pathlib import Path
 from .dataset import generate_synthetic, load_csv, load_synth_spec, write_csv
 from .errors import ConfigError, StemError
 from .evaluate import (
+    CLASSIFIERS,
+    METRICS,
     ClassifierConfig,
     SplitSpec,
     evaluate,
@@ -38,11 +40,9 @@ from .mining import (
     write_feature_list,
 )
 
-__all__ = ["main"]
-
 
 def _default_seed() -> int:
-    text = os.environ.get("STEM_SEED", "0")
+    text = os.environ.get("STEM_SEED", str(SplitSpec.seed))
     try:
         return int(text)
     except ValueError:
@@ -73,17 +73,24 @@ def build_parser() -> argparse.ArgumentParser:
 
     # flags shared by several commands, declared once
     symbolizing = argparse.ArgumentParser(add_help=False)
-    symbolizing.add_argument("--delta", type=float, default=0.05, help="flatness threshold")
+    symbolizing.add_argument(
+        "--delta", type=float, default=SymbolizerConfig.delta, help="flatness threshold"
+    )
     mining = argparse.ArgumentParser(add_help=False)
     mining.add_argument(
         "--min-support",
         type=_support_value,
-        default=0.05,
+        default=MinerConfig.min_support,
         help="document support: integer count or fraction of samples",
     )
-    mining.add_argument("--max-len", type=int, default=5, help="maximum tuple length")
     mining.add_argument(
-        "--gain-gamma", type=float, default=0.0, help="optional leaf gain test (0 disables)"
+        "--max-len", type=int, default=MinerConfig.max_len, help="maximum tuple length"
+    )
+    mining.add_argument(
+        "--gain-gamma",
+        type=float,
+        default=MinerConfig.gain_gamma,
+        help="optional leaf gain test (0 disables)",
     )
 
     p_convert = sub.add_parser(
@@ -110,14 +117,16 @@ def build_parser() -> argparse.ArgumentParser:
         "eval", parents=[symbolizing, mining], help="run the pipeline and write report files"
     )
     p_eval.add_argument("--in", dest="input", required=True, help="input dataset CSV")
-    p_eval.add_argument("--k", type=int, default=1, help="neighbors for the knn classifier")
-    p_eval.add_argument("--metric", choices=["euclidean", "cosine"], default="euclidean")
     p_eval.add_argument(
-        "--classifier", choices=["knn", "centroid"], default="knn", help="classifier kind"
+        "--k", type=int, default=ClassifierConfig.k, help="neighbors for the knn classifier"
     )
-    p_eval.add_argument("--train-frac", type=float, default=0.8)
+    p_eval.add_argument("--metric", choices=METRICS, default=ClassifierConfig.metric)
     p_eval.add_argument(
-        "--stratified", action=argparse.BooleanOptionalAction, default=True
+        "--classifier", choices=CLASSIFIERS, default=ClassifierConfig.kind, help="classifier kind"
+    )
+    p_eval.add_argument("--train-frac", type=float, default=SplitSpec.train_fraction)
+    p_eval.add_argument(
+        "--stratified", action=argparse.BooleanOptionalAction, default=SplitSpec.stratified
     )
     p_eval.add_argument(
         "--seed", type=int, default=None, help="split seed (STEM_SEED env as fallback, then 0)"
@@ -191,9 +200,7 @@ def cmd_convert(args: argparse.Namespace) -> int:
 
 def cmd_mine(args: argparse.Namespace) -> int:
     batch, sym_config = load_events(args.input)
-    config = MinerConfig(
-        min_support=args.min_support, max_len=args.max_len, gain_gamma=args.gain_gamma
-    )
+    config = MinerConfig(args.min_support, args.max_len, args.gain_gamma)
     _say_verbose(
         args,
         f"{len(batch)} sequences, support threshold "
@@ -214,9 +221,7 @@ def cmd_eval(args: argparse.Namespace) -> int:
     seed = args.seed if args.seed is not None else _default_seed()
     dataset = load_csv(args.input)
     symbolizer = SymbolizerConfig(delta=args.delta)
-    miner = MinerConfig(
-        min_support=args.min_support, max_len=args.max_len, gain_gamma=args.gain_gamma
-    )
+    miner = MinerConfig(args.min_support, args.max_len, args.gain_gamma)
     split = SplitSpec(train_fraction=args.train_frac, seed=seed, stratified=args.stratified)
     classifier = ClassifierConfig(kind=args.classifier, k=args.k, metric=args.metric)
     name = Path(args.input).stem

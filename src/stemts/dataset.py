@@ -5,7 +5,8 @@ A dataset is one ``MtsDataset``: every sample's time steps in one read-only
 ``load_csv`` and ``generate_synthetic`` fill and ``events.convert_dataset``
 symbolizes time-major, as ``(T, D, n)`` blocks; an ``MtsSample`` is one sample's
 ``(D, T)`` view of it. The row-block budget (``_row_blocks``) serves the row hash
-here, ``events.event_codes`` and the classifier's distance matrix in ``evaluate``.
+here, the chunks of ``events.convert_dataset`` and ``events.event_codes``, and the
+classifier's distance matrix in ``evaluate``.
 
 The on-disk interchange format is a long-form CSV (UTF-8, LF line endings):
 
@@ -43,20 +44,6 @@ from .errors import (
     SchemaError,
     is_int,
 )
-
-__all__ = [
-    "MtsSample",
-    "MtsDataset",
-    "SynthSpec",
-    "load_csv",
-    "write_csv",
-    "min_max_normalize",
-    "normalize_sample",
-    "pad_to_length",
-    "generate_synthetic",
-    "noiseless_trend",
-    "load_synth_spec",
-]
 
 DIRECTIONS = {"up": 1, "flat": 0, "down": -1}
 
@@ -137,9 +124,10 @@ def _unique(values: np.ndarray) -> np.ndarray:
     return ordered[new]
 
 
-def _row_blocks(n_rows: int, n_cols: int) -> list[slice]:
-    """Consecutive slices of ``n_rows`` rows, each of at most ``_BLOCK_CELLS`` cells or one row."""
-    step = max(1, _BLOCK_CELLS // max(n_cols, 1))
+def _row_blocks(n_rows: int, n_cols: int, min_rows: int = 1) -> list[slice]:
+    """Consecutive slices of ``n_rows`` rows of ``n_cols`` cells: each as many rows as fit in
+    ``_BLOCK_CELLS`` cells, but at least ``min_rows``; the last slice may be shorter."""
+    step = max(min_rows, _BLOCK_CELLS // max(n_cols, 1))
     return [slice(start, start + step) for start in range(0, n_rows, step)]
 
 

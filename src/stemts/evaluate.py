@@ -55,19 +55,6 @@ from .mining import (
     resolve_min_support,
 )
 
-__all__ = [
-    "SplitSpec",
-    "ClassifierConfig",
-    "EvalReport",
-    "split_dataset",
-    "evaluate",
-    "evaluate_pipeline",
-    "baseline_histogram_eval",
-    "reports_to_json",
-    "render_report_table",
-    "write_report_files",
-]
-
 METRICS = ("euclidean", "cosine")
 CLASSIFIERS = ("knn", "centroid")
 METHODS = ("stem", "baseline")

@@ -31,7 +31,6 @@ from typing import Sequence
 
 import numpy as np
 
-from . import dataset as _dataset
 from .dataset import (
     MtsDataset,
     MtsSample,
@@ -55,23 +54,6 @@ from .errors import (
     SchemaError,
     TooShortError,
 )
-
-__all__ = [
-    "SymbolizerConfig",
-    "EventSequence",
-    "EventBatch",
-    "alphabet_size",
-    "event_codes",
-    "symbolize_dimension",
-    "encode_event",
-    "decode_event",
-    "symbolize_sample",
-    "convert_dataset",
-    "explain_event",
-    "explain_tuple",
-    "write_events",
-    "load_events",
-]
 
 _SYMBOL_WORDS = {1: "up", 0: "flat", -1: "down"}
 # numpy's axis-0 min and max pay ~22 ns a row, so a chunk spans at least this many lanes (D * c):
@@ -309,20 +291,20 @@ def convert_dataset(
     With ``pad_to``, a sample shorter than that length is first extended to
     it by repeating its final values (as ``pad_to_length`` does); longer
     samples are left as they are. The samples of one length are taken from
-    the dataset's value block in chunks of about ``dataset._BLOCK_CELLS``
-    cells, and at least ``_MIN_LANES`` lanes: each chunk is one time-major
+    the dataset's value block in the row blocks of ``dataset._row_blocks``,
+    at least ``_MIN_LANES`` lanes wide: each chunk is one time-major
     ``(T, D, c)`` block, whose reductions and step differences run over rows
     of D * c cells, and its codes are written straight into the batch.
     """
     lengths = np.diff(dataset.offsets)
     offsets = _offsets(np.maximum(lengths, pad_to or 0) - 1)
     codes = np.empty(offsets[-1], dtype=np.int64)
+    min_rows = -(-_MIN_LANES // dataset.dims)  # samples per chunk, at the least
     for length in _unique(lengths).tolist():
         members = np.flatnonzero(lengths == length)
         uniform, steps = len(members) == len(dataset), max(length, pad_to or 0)
-        size = max(_dataset._BLOCK_CELLS // (steps * dataset.dims), -(-_MIN_LANES // dataset.dims))
-        for first in range(0, len(members), size):
-            rows = members[first : first + size]
+        for chunk_rows in _row_blocks(len(members), steps * dataset.dims, min_rows):
+            rows, first = members[chunk_rows], chunk_rows.start
             if uniform:  # a plain view of the read-only value block
                 block = dataset.values[first * length : (first + len(rows)) * length]
             else:

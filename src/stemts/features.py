@@ -39,17 +39,6 @@ from .errors import (
 from .events import EventBatch, EventSequence, alphabet_size
 from .mining import EventTuple, MinerConfig, window_states
 
-__all__ = [
-    "FeatureVocabulary",
-    "FeatureVector",
-    "build_vocabulary",
-    "full_alphabet_vocabulary",
-    "vectorize_batch",
-    "vectorize_dataset",
-    "save_vocabulary",
-    "load_vocabulary",
-]
-
 
 @dataclass(frozen=True, eq=False)
 class FeatureVocabulary:

@@ -37,20 +37,6 @@ from .dataset import _unique
 from .errors import ConfigError, EmptyInputError, MalformedDatasetError, SchemaError, check_int
 from .events import EventBatch, EventSequence, alphabet_size, explain_tuple
 
-__all__ = [
-    "EventTuple",
-    "MinerConfig",
-    "PrefixForest",
-    "resolve_min_support",
-    "window_states",
-    "build_forest",
-    "prune_bottom_up",
-    "extract_rts_features",
-    "brute_force_mine",
-    "write_feature_list",
-    "load_feature_list",
-]
-
 EventTuple = tuple[int, ...]
 
 

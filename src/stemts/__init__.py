@@ -8,7 +8,7 @@ The pipeline has four stages, each usable on its own:
 3. ``mining``   — mine frequent variable-length code tuples with one array
    walk over every window, shared with vectorizing, and support pruning.
 4. ``features``/``evaluate`` — vectorize an event batch over the mined tuples
-   (``vectorize_batch``) and run a leakage-safe classification benchmark with CPU times.
+   (``vectorize_batch``) and run a leakage-safe, CPU-timed classification benchmark.
 
 The imports below are the one list of public names: no submodule keeps its own
 ``__all__``, and other submodule names stay importable from their modules.

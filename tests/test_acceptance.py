@@ -345,3 +345,44 @@ def test_pad_leakage_via_vocabulary_file(tmp_path):
         tmp_path / "longer.vocab.json"
     ).read_bytes()
     return f"test sample {victim!r} lengthened by 40 steps"
+
+
+@criterion(
+    12, "a changed and lengthened test sample leaves the vocabulary file alone under 3 flag sets"
+)
+def test_leakage_under_flag_sets(tmp_path):
+    dataset = generate_synthetic(run_length_spec(0.4, samples_per_class=12, length=40))
+    data = tmp_path / "data.csv"
+    write_csv(dataset, data)
+
+    # a test sample of the stratified and of the plain split of the flags below (seed 0)
+    tests = [
+        split_dataset(load_csv(data), SplitSpec(train_fraction=0.8, seed=0, stratified=s))[1]
+        for s in (True, False)
+    ]
+    victim = next(i for i in tests[0] if i in tests[1])
+    rng = np.random.default_rng(31)
+    mutated_samples = tuple(
+        MtsSample(s.id, s.label, np.hstack([np.cos(s.values) * 7 - 2, rng.random((s.dims, 40))]))
+        if s.id == victim
+        else s
+        for s in dataset.samples
+    )
+    mutated = tmp_path / "mutated.csv"
+    write_csv(MtsDataset.from_samples(mutated_samples), mutated)
+
+    flag_sets = [
+        ["--pad", "--min-support", "0.1", "--max-len", "6", "--gain-gamma", "0.7", "--k", "5"],
+        ["--no-stratified", "--min-support", "3", "--max-len", "3", "--gain-gamma", "0.3",
+         "--classifier", "centroid", "--metric", "cosine"],
+        ["--pad", "--no-stratified", "--min-support", "2", "--k", "3", "--metric", "cosine",
+         "--baseline"],
+    ]
+    for n, flags in enumerate(flag_sets):
+        common = ["-q", "eval", "--seed", "0", *flags, "--out"]
+        assert main([*common, str(tmp_path / f"base{n}"), "--in", str(data)]) == 0
+        assert main([*common, str(tmp_path / f"moved{n}"), "--in", str(mutated)]) == 0
+        base = (tmp_path / f"base{n}.vocab.json").read_bytes()
+        assert json.loads(base)["features"], flags  # an empty vocabulary would show nothing
+        assert base == (tmp_path / f"moved{n}.vocab.json").read_bytes(), flags
+    return f"test sample {victim!r} changed and lengthened by 40 steps"

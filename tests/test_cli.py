@@ -1,11 +1,24 @@
 import argparse
+import dataclasses
 import json
 import re
 
 import pytest
 
-from stemts import EventBatch, EventSequence, SymbolizerConfig, load_csv, load_events, write_events
+from stemts import (
+    ClassifierConfig,
+    EventBatch,
+    EventSequence,
+    MinerConfig,
+    SplitSpec,
+    SymbolizerConfig,
+    load_csv,
+    load_events,
+    write_events,
+)
+from stemts import cli
 from stemts.cli import build_parser, main
+from stemts.evaluate import CLASSIFIERS, METRICS
 
 SPEC_YAML = """\
 classes:
@@ -392,6 +405,48 @@ class TestSharedFlags:
         helps = self.helps(flag)
         assert set(helps) == commands
         assert len(set(helps.values())) == 1 and None not in helps.values(), helps
+
+
+def typed_fields(config):
+    """A config's fields as (name, type, value), so ``1`` and ``1.0`` differ."""
+    return [(name, type(value), value) for name, value in dataclasses.asdict(config).items()]
+
+
+class TestDefaultsAreTheLibrarys:
+    """With only ``--in`` and ``--out``, every command builds the library's default configs."""
+
+    def test_commands_build_the_default_configs(self, spec_file, tmp_path, monkeypatch):
+        monkeypatch.delenv("STEM_SEED", raising=False)
+        built = {}
+
+        def spy(name, fn):
+            def wrapper(*args, **kwargs):
+                built[name] = args
+                return fn(*args, **kwargs)
+
+            monkeypatch.setattr(cli, name, wrapper)
+
+        for name in ("convert_dataset", "build_forest", "evaluate"):
+            spy(name, getattr(cli, name))
+        data, events = tmp_path / "data.csv", tmp_path / "events.csv"
+        assert main(["-q", "synth", str(spec_file), "--out", str(data)]) == 0
+        assert main(["-q", "convert", "--in", str(data), "--out", str(events)]) == 0
+        assert main(["-q", "mine", "--in", str(events), "--out", str(tmp_path / "f.json")]) == 0
+        assert main(["-q", "eval", "--in", str(data), "--out", str(tmp_path / "report")]) == 0
+
+        _, symbolizer, pad_to = built["convert_dataset"]
+        assert typed_fields(symbolizer) == typed_fields(SymbolizerConfig()) and pad_to is None
+        assert typed_fields(built["build_forest"][1]) == typed_fields(MinerConfig())
+        defaults = (SymbolizerConfig(), MinerConfig(), SplitSpec(), ClassifierConfig())
+        assert [typed_fields(c) for c in built["evaluate"][1:]] == [
+            typed_fields(c) for c in defaults
+        ]
+
+    def test_choices_are_the_librarys(self):
+        sub = next(a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+        choices = {a.dest: a.choices for a in sub.choices["eval"]._actions if a.choices}
+        assert tuple(choices["metric"]) == METRICS
+        assert tuple(choices["classifier"]) == CLASSIFIERS
 
 
 class TestErrorSurface:

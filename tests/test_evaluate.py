@@ -959,6 +959,80 @@ class TestOnePass:
             evaluate_pipeline(ds)
 
 
+@st.composite
+def seeded_tasks(draw):
+    """Two or three classes of 3..8 rounded random walks from one seed, D = 1..2, of one
+    length or of ragged lengths 3..14; rounding makes sequences repeat."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    dims, ragged, length = draw(st.integers(1, 2)), draw(st.booleans()), int(rng.integers(3, 15))
+    samples = []
+    for label in "abc"[: draw(st.integers(2, 3))]:
+        for i in range(int(rng.integers(3, 9))):
+            steps = int(rng.integers(3, 15)) if ragged else length
+            walk = rng.normal(size=(dims, steps)).cumsum(axis=1).round()
+            samples.append(make_sample(walk, f"{label}{i}", label))
+    return MtsDataset.from_samples(tuple(samples[i] for i in rng.permutation(len(samples))))
+
+
+class TestLeakageUnderEveryFlag:
+    """Test data never shapes what a method learns: changing one test sample's values, or
+    lengthening it past every other sample, leaves each method's vocabulary, ``n_train`` and
+    the training rows the classifier gets unchanged, under any flags."""
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        dataset=seeded_tasks(),
+        stratified=st.booleans(),
+        support=st.integers(1, 6) | st.floats(0.01, 1.0),
+        max_len=st.integers(1, 6),
+        gamma=st.sampled_from([0.0, 0.3, 0.7]),
+        pad=st.booleans(),
+        kind=st.sampled_from(evaluate.CLASSIFIERS),
+        metric=st.sampled_from(evaluate.METRICS),
+        lengthen=st.booleans(),
+        data=st.data(),
+    )
+    def test_a_test_sample_changes_nothing_learnt(
+        self, dataset, stratified, support, max_len, gamma, pad, kind, metric, lengthen, data
+    ):
+        split = SplitSpec(0.8, data.draw(st.integers(0, 9)), stratified)
+        train_ids, test_ids = split_dataset(dataset, split)
+        victim = data.draw(st.sampled_from(test_ids))
+        k = data.draw(st.integers(1, min(5, len(train_ids))))
+        rng = np.random.default_rng(0)
+        samples = []
+        for s in dataset.samples:
+            values = s.values
+            if s.id == victim:  # the same sample, so the seeded permutation stays
+                extra = dataset.t_max - s.length + data.draw(st.integers(1, 5)) if lengthen else 0
+                values = np.hstack([np.cos(values) * 7.0 - 2.0, rng.normal(size=(s.dims, extra))])
+            samples.append(MtsSample(s.id, s.label, values))
+        mutated = MtsDataset.from_samples(tuple(samples))
+        configs = (SymbolizerConfig(0.05), MinerConfig(support, max_len, gamma), split)
+        classifier = ClassifierConfig(kind, k, metric)
+
+        def learnt(ds):
+            """Per method: (vocabulary features, n_train, the training rows ``_predict`` gets)."""
+            rows, original = [], evaluate._predict
+
+            def capture(matrix, matrix_of, *rest):
+                rows.append(matrix[matrix_of])
+                return original(matrix, matrix_of, *rest)
+
+            with warnings.catch_warnings(), mock.patch.object(evaluate, "_predict", capture):
+                warnings.filterwarnings("ignore", category=UserWarning)  # an empty vocabulary
+                reports = evaluate.evaluate(
+                    ds, *configs, classifier, methods=("stem", "baseline"), pad=pad
+                )
+            return [(r.vocabulary.features, r.n_train) for r in reports], rows
+
+        (base, base_rows), (moved, moved_rows) = learnt(dataset), learnt(mutated)
+        assert base == moved
+        assert len(base_rows) == len(moved_rows) == 2
+        for before, after in zip(base_rows, moved_rows):
+            assert before.tobytes() == after.tobytes() and before.shape == after.shape
+
+
 class TestReportRendering:
     def make_reports(self):
         ds = generate_synthetic(run_length_spec(0.0, samples_per_class=5, length=30))

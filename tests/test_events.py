@@ -1,3 +1,4 @@
+import math
 import tempfile
 import warnings
 from pathlib import Path
@@ -470,6 +471,71 @@ class TestConvertLeavesTheDatasetAlone:
         assert [q.codes for q in batch] == [q.codes for q in expected]
         assert not ds.values.flags.writeable
         assert ds.values.tobytes() == before
+
+
+def chunk_sizes(dataset, pad_to=None):
+    """The sample count of every time-major chunk ``convert_dataset`` hands ``event_codes``."""
+    sizes = []
+
+    def spy(normalized, delta):
+        sizes.append(normalized.shape[2])
+        return event_codes(normalized, delta)
+
+    with mock.patch.object(events_module, "event_codes", spy):
+        convert_dataset(dataset, SymbolizerConfig(0.05), pad_to)
+    return sizes
+
+
+def expected_chunks(n, steps, dims):
+    """``n`` samples of ``steps`` steps in chunks of the block budget's samples, at least
+    ``ceil(64 / D)`` of them, the last chunk shorter."""
+    size = max(dataset_module._BLOCK_CELLS // (steps * dims), math.ceil(64 / dims))
+    return [size] * (n // size) + ([n % size] if n % size else [])
+
+
+def walks(lengths, dims, seed=0):
+    """Random walks of the given lengths, in that order, as one dataset."""
+    values = np.random.default_rng(seed).normal(size=(sum(lengths), dims)).cumsum(axis=0)
+    ids = tuple(f"s{i}" for i in range(len(lengths)))
+    return MtsDataset(values, np.cumsum((0,) + tuple(lengths)), ids, ("a",) * len(ids))
+
+
+class TestChunkSizes:
+    """``convert_dataset`` chunks each length group through ``dataset._row_blocks``: as many
+    samples as fit in ``_BLOCK_CELLS`` cells, but at least 64 lanes (D * samples) wide."""
+
+    # many-short, eval-cli and mine-deep shapes with fewer samples; at T = 1,000 the floor binds
+    @pytest.mark.parametrize(
+        "n, steps, sizes",
+        [(2_500, 20, [1_092, 1_092, 316]), (500, 100, [218, 218, 64]), (50, 1_000, [22, 22, 6])],
+    )
+    def test_workload_shapes(self, n, steps, sizes):
+        assert expected_chunks(n, steps, 3) == sizes
+        assert chunk_sizes(walks([steps] * n, 3)) == sizes
+
+    def test_ragged_groups(self):
+        # interleaved lengths 100 and 200 at D = 1: each group chunked on its own, shorter first
+        lengths = [100, 200, 100] * 350
+        assert chunk_sizes(walks(lengths, 1)) == [655, 45, 327, 23]
+        # padded to 150, the length-100 group is chunked at its padded width
+        assert chunk_sizes(walks(lengths, 1), pad_to=150) == [436, 264, 327, 23]
+
+    @pytest.mark.parametrize("cells", [1, 64, dataset_module._BLOCK_CELLS])
+    @pytest.mark.parametrize("dims", [1, 3, 5])
+    def test_patched_budget(self, cells, dims):
+        lengths = [7] * 40 + [3] * 90
+        with mock.patch.object(dataset_module, "_BLOCK_CELLS", cells):
+            assert chunk_sizes(walks(lengths, dims)) == (
+                expected_chunks(90, 3, dims) + expected_chunks(40, 7, dims)
+            )
+
+    def test_row_blocks_floor(self):
+        assert dataset_module._row_blocks(10, 3, 4) == [slice(0, 21_845)]
+        with mock.patch.object(dataset_module, "_BLOCK_CELLS", 8):
+            assert dataset_module._row_blocks(10, 3) == [slice(s, s + 2) for s in range(0, 10, 2)]
+            assert dataset_module._row_blocks(10, 3, 4) == [slice(0, 4), slice(4, 8), slice(8, 12)]
+            assert dataset_module._row_blocks(10, 0, 4) == [slice(0, 8), slice(8, 16)]
+            assert dataset_module._row_blocks(0, 3, 4) == []
 
 
 class TestEventFileErrors:

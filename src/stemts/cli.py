@@ -128,9 +128,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_eval.add_argument(
         "--stratified", action=argparse.BooleanOptionalAction, default=SplitSpec.stratified
     )
-    p_eval.add_argument(
-        "--seed", type=int, default=None, help="split seed (STEM_SEED env as fallback, then 0)"
-    )
+    seed_help = f"split seed (STEM_SEED env as fallback, then {SplitSpec.seed})"
+    p_eval.add_argument("--seed", type=int, default=None, help=seed_help)
     p_eval.add_argument(
         "--baseline",
         action="store_true",

@@ -457,12 +457,17 @@ def load_csv(path: str | Path) -> MtsDataset:
     return MtsDataset(values, offsets, ids, labels)
 
 
-def csv_prefix(sample_id: str, label: str | None) -> str:
-    """The ``sample_id,label`` fields of a long-form row, quoted as
-    ``csv.writer`` quotes them; a missing label is an empty field."""
-    buf = io.StringIO()
-    csv.writer(buf, lineterminator="\n").writerow([sample_id, "" if label is None else label])
-    return buf.getvalue()[:-1]
+def write_long_form(path, header: list[str], ids, labels, offsets: np.ndarray, rows) -> None:
+    """Write ``header``, then sample i's ``offsets[i + 1] - offsets[i]`` rows as
+    ``sample_id,label,t,<cells>``, each row's cells (text or an int) next from ``rows``."""
+    ends = offsets.tolist()
+    with Path(path).open("w", newline="", encoding="utf-8") as fh:
+        fh.write(",".join(header) + "\n")
+        for sid, label, a, b in zip(ids, labels, ends, ends[1:]):
+            quoted = io.StringIO()  # the id and label as csv.writer quotes them; None is empty
+            csv.writer(quoted, lineterminator="\n").writerow([sid, "" if label is None else label])
+            prefix = quoted.getvalue()[:-1]  # the terminator makes csv quote a line break
+            fh.writelines(f"{prefix},{t},{cells}\n" for t, cells in zip(range(b - a), rows))
 
 
 def write_csv(dataset: MtsDataset, path: str | Path) -> None:
@@ -470,16 +475,11 @@ def write_csv(dataset: MtsDataset, path: str | Path) -> None:
 
     Values are written with ``repr``, so ``load_csv`` reads them back exactly.
     """
-    path = Path(path)
-    with path.open("w", newline="", encoding="utf-8") as fh:
-        fh.write(",".join(_expected_header(dataset.dims)) + "\n")
-        ends = dataset.offsets.tolist()
-        for sid, label, a, b in zip(dataset.ids, dataset.labels, ends, ends[1:]):
-            prefix = csv_prefix(sid, label)
-            fh.writelines(
-                f"{prefix},{t},{','.join(map(repr, row))}\n"
-                for t, row in enumerate(dataset.values[a:b].tolist())
-            )
+    ends = dataset.offsets.tolist()
+    samples = (dataset.values[a:b].tolist() for a, b in zip(ends, ends[1:]))
+    rows = (",".join(map(repr, row)) for sample in samples for row in sample)
+    header = _expected_header(dataset.dims)
+    write_long_form(path, header, dataset.ids, dataset.labels, dataset.offsets, rows)
 
 
 # ---------------------------------------------------------------------------

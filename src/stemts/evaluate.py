@@ -24,10 +24,10 @@ Classifying builds one distance matrix over the distinct queries and training
 vectors (``dataset._distinct_rows`` finds them) from one product, whichever the
 metric, and finishes it in one loop over row blocks (``_distances``,
 ``dataset._row_blocks``). kNN finds each query's k nearest distinct vectors, then
-their training samples in stable order (``_nearest``), and votes once per distinct query:
-majority, then smaller mean distance within the k, then the smaller label. The
-nearest centroid is the 1-NN of the class means, stacked in sorted-label order
-into one array: a tie goes to the smaller label.
+their training samples in stable order (``_nearest``). ``_vote`` counts all their labels
+in one ``bincount``: majority, then the smaller ``np.mean`` of a tied label's distances in
+neighbour order, then the smaller label. The nearest centroid is the 1-NN of the class
+means, stacked in sorted-label order into one array: a tie goes to the smaller label.
 """
 
 from __future__ import annotations
@@ -36,7 +36,6 @@ import json
 import math
 import time
 import warnings
-from collections import Counter
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Sequence
@@ -220,15 +219,16 @@ def _nearest(distances: np.ndarray, k: int, columns: np.ndarray) -> np.ndarray:
     return nearest
 
 
-def _vote(labels: Sequence[str], distances: Sequence[float]) -> str:
-    """Vote of the k nearest neighbours, given nearest first; see the module docstring."""
-    counts = Counter(labels)
-    best = max(counts.values())
-    winners = sorted(label for label, c in counts.items() if c == best)
-    if len(winners) == 1:
-        return winners[0]
-    means = {w: float(np.mean([d for d, l in zip(distances, labels) if l == w])) for w in winners}
-    return min(winners, key=lambda label: (means[label], label))
+def _vote(ranks: np.ndarray, near: np.ndarray, n_labels: int) -> np.ndarray:
+    """Each row's vote of its k nearest label ``ranks`` at distances ``near``, nearest first.
+    Only rows whose top count is shared loop: ``np.mean`` sums as the reference does, pairwise."""
+    cells = (np.arange(len(ranks))[:, None] * n_labels + ranks).ravel()
+    counts = np.bincount(cells, minlength=len(ranks) * n_labels).reshape(-1, n_labels)
+    votes, top = counts.argmax(axis=1), counts.max(axis=1, keepdims=True)  # the smallest top
+    for i in np.flatnonzero((counts == top).sum(axis=1) > 1).tolist():
+        tied = np.flatnonzero(counts[i] == top[i]).tolist()
+        votes[i] = min((np.mean(near[i][ranks[i] == r]), r) for r in tied)[1]
+    return votes
 
 
 def _predict(
@@ -259,7 +259,7 @@ def _predict(
     distances = _distances(queries[query_rows], matrix[train_rows], classifier.metric)
     nearest = _nearest(distances, classifier.k, columns)
     near = np.take_along_axis(distances, columns[nearest], axis=1)
-    votes = np.array([_vote(row, d) for row, d in zip(ranks[nearest].tolist(), near)])
+    votes = _vote(ranks[nearest], near, len(names))
     return names[votes[query_at[query_of]]].tolist()
 
 

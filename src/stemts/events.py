@@ -39,11 +39,11 @@ from .dataset import (
     _read_only,
     _row_blocks,
     _unique,
-    csv_prefix,
     min_max_normalize,
     open_long_form,
     read_header,
     read_long_form,
+    write_long_form,
 )
 from .errors import (
     ConfigError,
@@ -347,12 +347,8 @@ def write_events(batch: EventBatch, config: SymbolizerConfig, path: str | Path) 
     path = Path(path)
     if not len(batch):
         raise MalformedDatasetError("no event sequences to write")
-    flat, ends = batch.codes.tolist(), batch.offsets.tolist()
-    with path.open("w", newline="", encoding="utf-8") as fh:
-        fh.write("sample_id,label,t,event_code\n")
-        for sid, label, a, b in zip(batch.ids, batch.labels, ends, ends[1:]):
-            prefix = csv_prefix(sid, label)
-            fh.writelines(f"{prefix},{t},{code}\n" for t, code in enumerate(flat[a:b]))
+    header, rows = ["sample_id", "label", "t", "event_code"], iter(batch.codes.tolist())
+    write_long_form(path, header, batch.ids, batch.labels, batch.offsets, rows)
     meta = {"dims": batch.dims, "delta": config.delta}
     _meta_path(path).write_text(json.dumps(meta, indent=2) + "\n", encoding="utf-8")
 

@@ -442,6 +442,11 @@ class TestDefaultsAreTheLibrarys:
             typed_fields(c) for c in defaults
         ]
 
+    def test_seed_help_names_the_split_default(self, monkeypatch):
+        assert TestSharedFlags.helps("--seed")["eval"].endswith(" as fallback, then 0)")
+        monkeypatch.setattr(SplitSpec, "seed", 7)
+        assert TestSharedFlags.helps("--seed")["eval"].endswith(" as fallback, then 7)")
+
     def test_choices_are_the_librarys(self):
         sub = next(a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction))
         choices = {a.dest: a.choices for a in sub.choices["eval"]._actions if a.choices}

@@ -320,6 +320,57 @@ def reference_labels(train, queries, k, metric):
     return out
 
 
+def reference_vote(labels, distances):
+    """The per-query vote ``evaluate._vote`` replaced, kept as its oracle: a ``Counter``,
+    then the smaller ``np.mean`` of each tied label's distances, then the smaller label."""
+    counts = Counter(labels)
+    best = max(counts.values())
+    winners = sorted(label for label, c in counts.items() if c == best)
+    if len(winners) == 1:
+        return winners[0]
+    means = {w: float(np.mean([d for d, l in zip(distances, labels) if l == w])) for w in winners}
+    return min(winners, key=lambda label: (means[label], label))
+
+
+@st.composite
+def vote_rows(draw):
+    """``_vote``'s inputs: rows of k label ranks and their distances, non-decreasing as
+    ``_nearest`` returns them. Balanced rows tie counts exactly, quarter steps tie means.
+
+    The distances are finite, as the vote gets them from frequency vectors.
+    """
+    k, n_labels = draw(st.integers(1, 9) | st.integers(16, 17)), draw(st.integers(2, 4))
+    balanced = st.integers(2, n_labels).flatmap(lambda m: st.permutations([i % m for i in range(k)]))
+    ranks = balanced | st.lists(st.integers(0, n_labels - 1), min_size=k, max_size=k)
+    steps = st.sampled_from([0.0, 0.25, 0.5, 0.75, 1.0, 1.25]) | st.floats(0.0, 2.0)
+    n_rows = draw(st.integers(1, 12))
+    rows = draw(st.lists(ranks, min_size=n_rows, max_size=n_rows))
+    near = [sorted(draw(st.lists(steps, min_size=k, max_size=k))) for _ in range(n_rows)]
+    return np.array(rows, np.intp), np.array(near), n_labels
+
+
+class TestVote:
+    @settings(max_examples=500, deadline=None)
+    @given(instance=vote_rows())
+    def test_equals_the_per_query_vote(self, instance):
+        ranks, near, n_labels = instance
+        expected = [reference_vote(r, d) for r, d in zip(ranks.tolist(), near)]
+        assert evaluate._vote(ranks, near, n_labels).tolist() == expected
+
+    def test_mean_tie_at_k_16_follows_np_mean(self):
+        # 8 votes per label whose np.mean (pairwise from 8 terms) are equal while their
+        # left-to-right sums, as bincount weights would take them, differ by one ulp or more
+        a = np.array([0.059, 0.084, 0.15, 0.239, 0.336, 0.787, 0.833, 0.876])
+        b = a.copy()
+        b[6], b[4] = np.nextafter(a[6], np.inf), np.nextafter(a[4], -np.inf)
+        assert np.mean(a) == np.mean(b)
+        assert sum(a.tolist()) > sum(b.tolist())  # so a weighted vote would pick b's label
+        order = np.argsort(np.concatenate([a, b]), kind="stable")
+        ranks, near = np.repeat([0, 1], 8)[order], np.concatenate([a, b])[order]
+        assert reference_vote(ranks.tolist(), near) == 0
+        assert evaluate._vote(ranks[None, :], near[None, :], 2).tolist() == [0]
+
+
 def reference_centroid_labels(train, queries, metric):
     """Per query, the first of the sorted labels whose class mean is nearest."""
     matrix, labels = np.vstack([v.values for v in train]), np.array([v.label for v in train])

@@ -224,7 +224,7 @@ def _vote(ranks: np.ndarray, near: np.ndarray, n_labels: int) -> np.ndarray:
     Only rows whose top count is shared loop: ``np.mean`` sums as the reference does, pairwise."""
     cells = (np.arange(len(ranks))[:, None] * n_labels + ranks).ravel()
     counts = np.bincount(cells, minlength=len(ranks) * n_labels).reshape(-1, n_labels)
-    votes, top = counts.argmax(axis=1), counts.max(axis=1, keepdims=True)  # the smallest top
+    votes, top = counts.argmax(axis=1), counts.max(axis=1, keepdims=True)  # argmax: smallest
     for i in np.flatnonzero((counts == top).sum(axis=1) > 1).tolist():
         tied = np.flatnonzero(counts[i] == top[i]).tolist()
         votes[i] = min((np.mean(near[i][ranks[i] == r]), r) for r in tied)[1]

@@ -301,25 +301,6 @@ def reference_row(x, matrix, metric):
     return np.maximum(dist, 0.0)[0]
 
 
-def reference_labels(train, queries, k, metric):
-    """The per-query classifier the block kernels replaced, kept as the oracle.
-
-    One full distance row per query, a stable argsort for its k nearest and
-    the vote: majority, then mean distance within the k, then smaller label.
-    """
-    matrix = np.vstack([v.values for v in train])
-    labels = [v.label for v in train]
-    out = []
-    for query in queries:
-        row = reference_row(query.values, matrix, metric)
-        order = np.argsort(row, kind="stable")[:k]
-        counts = Counter(labels[i] for i in order)
-        winners = sorted(l for l, c in counts.items() if c == max(counts.values()))
-        means = {l: np.mean([row[i] for i in order if labels[i] == l]) for l in winners}
-        out.append(min(winners, key=lambda l: (means[l], l)))
-    return out
-
-
 def reference_vote(labels, distances):
     """The per-query vote ``evaluate._vote`` replaced, kept as its oracle: a ``Counter``,
     then the smaller ``np.mean`` of each tied label's distances, then the smaller label."""
@@ -332,6 +313,22 @@ def reference_vote(labels, distances):
     return min(winners, key=lambda label: (means[label], label))
 
 
+def reference_labels(train, queries, k, metric):
+    """The per-query classifier the block kernels replaced, kept as the oracle.
+
+    One full distance row per query, a stable argsort for its k nearest and
+    the vote: majority, then mean distance within the k, then smaller label.
+    """
+    matrix = np.vstack([v.values for v in train])
+    labels = [v.label for v in train]
+    out = []
+    for query in queries:
+        row = reference_row(query.values, matrix, metric)
+        order = np.argsort(row, kind="stable")[:k]
+        out.append(reference_vote([labels[i] for i in order], row[order]))
+    return out
+
+
 @st.composite
 def vote_rows(draw):
     """``_vote``'s inputs: rows of k label ranks and their distances, non-decreasing as
@@ -340,7 +337,8 @@ def vote_rows(draw):
     The distances are finite, as the vote gets them from frequency vectors.
     """
     k, n_labels = draw(st.integers(1, 9) | st.integers(16, 17)), draw(st.integers(2, 4))
-    balanced = st.integers(2, n_labels).flatmap(lambda m: st.permutations([i % m for i in range(k)]))
+    spread = st.integers(2, n_labels)  # ranks 0..m-1 in turn: counts tie when m divides k
+    balanced = spread.flatmap(lambda m: st.permutations([i % m for i in range(k)]))
     ranks = balanced | st.lists(st.integers(0, n_labels - 1), min_size=k, max_size=k)
     steps = st.sampled_from([0.0, 0.25, 0.5, 0.75, 1.0, 1.25]) | st.floats(0.0, 2.0)
     n_rows = draw(st.integers(1, 12))
